@@ -234,6 +234,8 @@ def build_expansion(doc: dict, dist, seq, order_override: int | None = None):
 
 
 def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -298,15 +300,15 @@ def expansion_to_json(exp: xp.TailExpansion) -> dict:
     }
 
 
-def _evaluation_columns(table, labels):
-    header = ["t", "expansion_total"]
-    cols = [table.t, table.totals]
-    for k, lab in enumerate(labels):
-        header.append(f"term_{k}_{lab}")
-        cols.append(table.term_values[:, k])
-    header += ["remainder_benchmark", "cancellation_flag"]
-    cols += [table.benchmark, table.cancellation]
-    return header, cols
+def _evaluation_columns(table, totals, inserted=()):
+    """CSV header and columns of an evaluation; the (name, column) pairs in
+    `inserted` go between the remainder benchmark and the cancellation flag."""
+    named = [("t", table.t), ("expansion_total", totals)]
+    named += [(f"term_{k}_{lab}", table.term_values[:, k])
+              for k, lab in enumerate(table.term_labels)]
+    named += [("remainder_benchmark", table.benchmark), *inserted,
+              ("cancellation_flag", table.cancellation)]
+    return [name for name, _ in named], [col for _, col in named]
 
 
 def evaluation_to_json(table) -> dict:
@@ -327,6 +329,14 @@ def evaluation_to_json(table) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(doc: dict, order_override: int | None):
+    """Expansion and evaluation table of a validated config document."""
+    dist = build_distribution(doc)
+    seq = build_weights(doc, dist)
+    exp = build_expansion(doc, dist, seq, order_override)
+    return exp, xp.evaluate(exp, dist, build_grid(doc))
+
+
 def run_command(command: str, config_path: str, out_dir: str,
                 seed_override: int | None = None,
                 order_override: int | None = None,
@@ -337,9 +347,24 @@ def run_command(command: str, config_path: str, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
 
     if command == "report":
-        return _run_report(config_path, out_dir, threads)
+        return _run_report(config_path, out_dir)
 
     doc = load_config(config_path)
+
+    if command == "evaluate":
+        exp, table = _evaluate(doc, order_override)
+        header, cols = _evaluation_columns(table, table.totals)
+        write_csv(os.path.join(out_dir, "evaluation.csv"), header, cols)
+        report = {
+            "config": doc,
+            "seed": doc.get("oracle", {}).get("seed", 0),
+            "order_override": order_override,
+            "expansion": expansion_to_json(exp),
+            "evaluation": evaluation_to_json(table),
+        }
+        write_json(os.path.join(out_dir, "report.json"), report)
+        return report
+
     dist = build_distribution(doc)
     seq = build_weights(doc, dist)
 
@@ -377,57 +402,26 @@ def run_command(command: str, config_path: str, out_dir: str,
         return out
 
     grid = build_grid(doc)
-
-    if command == "evaluate":
-        table = xp.evaluate(exp, dist, grid)
-        header, cols = _evaluation_columns(table, table.term_labels)
-        write_csv(os.path.join(out_dir, "evaluation.csv"), header, cols)
-        report = {
-            "config": doc,
-            "seed": doc.get("oracle", {}).get("seed", 0),
-            "order_override": order_override,
-            "expansion": expansion_to_json(exp),
-            "evaluation": evaluation_to_json(table),
-        }
-        write_json(os.path.join(out_dir, "report.json"), report)
-        return report
-
     budget = build_budget(doc, seed_override, threads)
 
     if command == "oracle":
         estimates = [orc._estimate(dist, seq, float(t), budget) for t in grid]
         header = ["t", "oracle_p", "oracle_stderr", "n_samples", "truncation_N",
                   "truncation_bias_bound", "seed", "method"]
-        cols = [
-            [e.t for e in estimates],
-            [e.p_hat for e in estimates],
-            [e.std_err for e in estimates],
-            [e.n_samples for e in estimates],
-            [e.truncation_n for e in estimates],
-            [e.truncation_bias_bound for e in estimates],
-            [e.seed for e in estimates],
-        ]
-        rows = [",".join(header)]
-        for r in range(len(estimates)):
-            vals = [_fmt(c[r]) for c in cols] + [estimates[r].method]
-            rows.append(",".join(vals))
-        write_atomic(os.path.join(out_dir, "oracle.csv"), "\n".join(rows) + "\n")
-        out = {"estimates": [e.__dict__ for e in estimates]}
+        # one column per OracleEstimate field, in field order
+        write_csv(os.path.join(out_dir, "oracle.csv"), header,
+                  list(zip(*(vars(e).values() for e in estimates))))
+        out = {"estimates": [vars(e) for e in estimates]}
         write_json(os.path.join(out_dir, "oracle.json"), out)
         return out
 
     # compare
     table = orc.compare_with_oracle(exp, dist, seq, grid, budget)
-    header = ["t", "expansion_total"]
-    cols = [table.t, table.expansion_total]
-    for k, lab in enumerate(table.term_labels):
-        header.append(f"term_{k}_{lab}")
-        cols.append(table.term_values[:, k])
-    header += ["remainder_benchmark", "oracle_p", "oracle_stderr", "deviation",
-               "deviation_over_benchmark", "cancellation_flag", "passed"]
-    cols += [table.benchmark, table.oracle_p, table.oracle_stderr, table.deviation,
-             table.deviation_over_benchmark, table.cancellation, table.passed]
-    write_csv(os.path.join(out_dir, "compare.csv"), header, cols)
+    header, cols = _evaluation_columns(table, table.expansion_total, [
+        (name, getattr(table, name)) for name in
+        ("oracle_p", "oracle_stderr", "deviation", "deviation_over_benchmark")])
+    write_csv(os.path.join(out_dir, "compare.csv"), header + ["passed"],
+              cols + [table.passed])
     out = {
         "config": doc,
         "budget": {k: getattr(table.estimates[0], k) for k in
@@ -449,7 +443,7 @@ def run_command(command: str, config_path: str, out_dir: str,
     return out
 
 
-def _run_report(report_path: str, out_dir: str, threads: int) -> dict:
+def _run_report(report_path: str, out_dir: str) -> dict:
     """Re-ingest an evaluation report and verify its tables reproduce exactly."""
     try:
         with open(report_path) as fh:
@@ -461,10 +455,7 @@ def _run_report(report_path: str, out_dir: str, threads: int) -> dict:
                           path=report_path)
     doc = report["config"]
     validate_config(doc)
-    dist = build_distribution(doc)
-    seq = build_weights(doc, dist)
-    exp = build_expansion(doc, dist, seq, report.get("order_override"))
-    table = xp.evaluate(exp, dist, build_grid(doc))
+    _, table = _evaluate(doc, report.get("order_override"))
     regenerated = evaluation_to_json(table)
     stored = report["evaluation"]
 

@@ -272,7 +272,7 @@ class TailDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_parts(base_cdf, base_ppf, t0, sbar_base):
+def _symmetric_parts(base_cdf, base_ppf):
     """Mirror a positive-support family: each side carries half the mass."""
 
     def body_cdf(x):
@@ -318,7 +318,7 @@ def _assemble(base_sf, base_pdf, base_ppf, upper_factory, t0, support_left,
     sbar_half = 0.5 * base_sf(t0)
     upper = upper_factory(sbar_half)
     lower = upper_factory(sbar_half)
-    body_cdf, ppf = _symmetric_parts(base_cdf, base_ppf, t0, sbar_half)
+    body_cdf, ppf = _symmetric_parts(base_cdf, base_ppf)
 
     def body_pdf(x):
         return 0.5 * base_pdf(abs(x))

@@ -169,9 +169,6 @@ class TailExpansion:
     characters: tuple[tuple[float, int, tuple[float, ...]], ...] = ()
     flags: tuple[str, ...] = ()
 
-    def max_deriv_order(self) -> int:
-        return max((t.deriv_index for t in self.terms), default=0)
-
 
 def _check_smoothness(dist: TailDistribution, order: int, negative_scales: bool):
     if order > dist.upper.smooth_order:
@@ -251,7 +248,7 @@ def expand_subcritical(dist: TailDistribution, seq: WeightSequence, m: int,
     _check_sign_compatibility(dist, seq)
     regime = regime or Regime(RegimeKind.SUBCRITICAL)
 
-    levels = seq.levels(m) if not seq.is_finite() else seq.levels()[:m]
+    levels = seq.levels(m)
     flags = []
     if len(levels) < m:
         flags.append(f"level_shortfall: {len(levels)} distinct classes available, "

@@ -88,7 +88,3 @@ def monomial_weight(mono: Monomial) -> int:
     """Differentiation weight: h^(j) counts for j + 1."""
     return sum(ej * (j + 1) for j, ej in enumerate(mono))
 
-
-def max_hazard_order(poly: HazardPolynomial) -> int:
-    """Highest hazard-derivative index appearing in the polynomial."""
-    return max((len(mono) - 1 for mono in poly if mono), default=-1)

@@ -144,6 +144,70 @@ def _scaled_sf_batch(dist: TailDistribution, c: float, x: np.ndarray) -> np.ndar
     return dist.sf_batch(x / c) if c > 0 else dist.cdf_batch(x / c)
 
 
+def _truncation(seq: WeightSequence, eps_trunc: float):
+    """Truncation level N and the kept entries: the first N with tail weight
+    below eps_trunc, never short of a maximal entry."""
+    n_trunc = max(seq.truncation_index(eps_trunc), max(seq.maximal_indices()))
+    return n_trunc, seq.truncated_entries(n_trunc)
+
+
+def _summand_blocks(dist: TailDistribution, entries, n: int, seed: int):
+    """Each block's (variables x block) matrix of summands c_i X_i, drawn
+    into one buffer: a block is valid until the next one is drawn."""
+    buf = np.empty((len(entries), min(_BLOCK, n)))
+    for b, done in enumerate(range(0, n, _BLOCK)):
+        size = min(_BLOCK, n - done)
+        summands = buf[:, :size]
+        for row, (i, w) in enumerate(entries):
+            u = _block_uniforms(seed, i, b, size)
+            np.multiply(w, np.asarray(dist.ppf(u), dtype=float), out=summands[row])
+        yield summands
+
+
+# The kernels are generators over the block stream, so one block's arrays
+# stay alive while the next block is drawn.  Freed in between, they leave a
+# free region that the allocator returns to the system and faults back in
+# for every block, which doubles the page faults of a call.
+
+
+def _conditional_values(dist, entries, t, blocks):
+    """Per sample, sum_i P(c_i X > max(M'_i, t - S'_i) | rest)."""
+    for summands in blocks:
+        if len(entries) == 1:
+            yield _scaled_sf_batch(dist, entries[0][1], np.full(summands.shape[1], t))
+            continue
+        total = summands.sum(axis=0)
+        order = np.sort(summands, axis=0)
+        largest, second = order[-1], order[-2]
+        value = np.zeros(summands.shape[1])
+        for row, (i, w) in enumerate(entries):
+            resid_sum = total - summands[row]
+            resid_max = np.where(summands[row] == largest, second, largest)
+            level = np.maximum(resid_max, t - resid_sum)
+            value += _scaled_sf_batch(dist, w, level)
+        yield value
+
+
+def _plain_values(dist, entries, t, blocks):
+    """Per sample, the indicator of the truncated sum exceeding t."""
+    for summands in blocks:
+        yield (summands.sum(axis=0) > t).astype(float)
+
+
+def _monte_carlo(dist, seq, t, n, seed, eps_trunc, kernel, method) -> OracleEstimate:
+    """Sample mean of the kernel's values over the seeded summand blocks."""
+    if n < 1:
+        raise ValueError("sample count must be positive")
+    n_trunc, entries = _truncation(seq, eps_trunc)
+    p_hat, std_err, n_done = _sample_stats(
+        kernel(dist, entries, t, _summand_blocks(dist, entries, n, seed)))
+    return OracleEstimate(t=t, p_hat=p_hat, std_err=std_err, n_samples=n_done,
+                          truncation_n=n_trunc,
+                          truncation_bias_bound=_truncation_bias_bound(
+                              dist, seq, n_trunc, t, p_hat),
+                          seed=seed, method=method)
+
+
 def conditional_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int,
                    seed: int, eps_trunc: float = 1e-9) -> OracleEstimate:
     """Tail estimate by argmax-conditional Monte Carlo on the truncated sum.
@@ -154,71 +218,14 @@ def conditional_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int
     conditional probability of {sum > t, summand i largest}, so the sample
     mean is unbiased for the truncated model.
     """
-    if n < 1:
-        raise ValueError("sample count must be positive")
-    n_trunc = max(seq.truncation_index(eps_trunc), max(seq.maximal_indices()))
-    entries = seq.truncated_entries(n_trunc)
-
-    def blocks():
-        done = 0
-        b = 0
-        while done < n:
-            size = min(_BLOCK, n - done)
-            summands = np.empty((len(entries), size))
-            for row, (i, w) in enumerate(entries):
-                u = _block_uniforms(seed, i, b, size)
-                summands[row] = w * np.asarray(dist.ppf(u), dtype=float)
-            total = summands.sum(axis=0)
-            if len(entries) == 1:
-                yield _scaled_sf_batch(dist, entries[0][1], np.full(size, t))
-            else:
-                order = np.sort(summands, axis=0)
-                largest, second = order[-1], order[-2]
-                value = np.zeros(size)
-                for row, (i, w) in enumerate(entries):
-                    resid_sum = total - summands[row]
-                    resid_max = np.where(summands[row] == largest, second, largest)
-                    level = np.maximum(resid_max, t - resid_sum)
-                    value += _scaled_sf_batch(dist, w, level)
-                yield value
-            done += size
-            b += 1
-
-    p_hat, std_err, n_done = _sample_stats(blocks())
-    return OracleEstimate(t=t, p_hat=p_hat, std_err=std_err, n_samples=n_done,
-                          truncation_n=n_trunc,
-                          truncation_bias_bound=_truncation_bias_bound(
-                              dist, seq, n_trunc, t, p_hat),
-                          seed=seed, method="conditional_mc")
+    return _monte_carlo(dist, seq, t, n, seed, eps_trunc, _conditional_values,
+                        "conditional_mc")
 
 
 def plain_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int,
              seed: int, eps_trunc: float = 1e-9) -> OracleEstimate:
     """Indicator Monte Carlo on the truncated weighted sum."""
-    if n < 1:
-        raise ValueError("sample count must be positive")
-    n_trunc = max(seq.truncation_index(eps_trunc), max(seq.maximal_indices()))
-    entries = seq.truncated_entries(n_trunc)
-
-    def blocks():
-        done = 0
-        b = 0
-        while done < n:
-            size = min(_BLOCK, n - done)
-            total = np.zeros(size)
-            for i, w in entries:
-                u = _block_uniforms(seed, i, b, size)
-                total += w * np.asarray(dist.ppf(u), dtype=float)
-            yield (total > t).astype(float)
-            done += size
-            b += 1
-
-    p_hat, std_err, n_done = _sample_stats(blocks())
-    return OracleEstimate(t=t, p_hat=p_hat, std_err=std_err, n_samples=n_done,
-                          truncation_n=n_trunc,
-                          truncation_bias_bound=_truncation_bias_bound(
-                              dist, seq, n_trunc, t, p_hat),
-                          seed=seed, method="plain_mc")
+    return _monte_carlo(dist, seq, t, n, seed, eps_trunc, _plain_values, "plain_mc")
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +244,6 @@ class PointMassFactor:
 
     def sf(self, x):
         return 1.0 if x < self.at else 0.0
-
-    def cdf(self, x):
-        return 1.0 if x >= self.at else 0.0
 
 
 class ScaledFactor:
@@ -266,12 +270,14 @@ class ScaledFactor:
     def sf(self, x):
         return self.dist.scaled_sf(self.c, x)
 
-    def cdf(self, x):
-        return 1.0 - self.sf(x)
-
     def logsf(self, x):
         if self.c > 0:
             return self.dist.logsf(x / self.c)
+        # in the lower tail, its own log-survival: the linear complement
+        # loses precision in subnormals and then underflows to -inf
+        lower = self.dist.lower
+        if lower is not None and x / -self.c >= lower.t0:
+            return lower.log_survival(x / -self.c)
         v = self.sf(x)
         return math.log(v) if v > 0 else -math.inf
 
@@ -353,9 +359,6 @@ class ConvolvedFactor:
 
     def sf(self, x):
         return math.exp(self.logsf(x))
-
-    def cdf(self, x):
-        return 1.0 - self.sf(x)
 
     def logsf(self, x):
         if self._sf_interp is not None and self._sf_window[0] <= x <= self._sf_window[1]:
@@ -513,8 +516,7 @@ def quadrature_estimate(dist: TailDistribution, seq: WeightSequence, t: float,
                         eps_trunc: float = 1e-9,
                         tol_rel: float = 1e-9) -> OracleEstimate:
     """Deterministic tail value by numerical convolution of the truncated sum."""
-    n_trunc = max(seq.truncation_index(eps_trunc), max(seq.maximal_indices()))
-    entries = seq.truncated_entries(n_trunc)
+    n_trunc, entries = _truncation(seq, eps_trunc)
     if len(entries) > 4:
         raise ValueError(
             f"quadrature oracle supports at most 4 factors; truncation kept {len(entries)}"

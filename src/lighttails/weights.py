@@ -138,9 +138,6 @@ class WeightSequence:
             return self.generator.weight(i)
         raise KeyError(f"no weight with index {i}")
 
-    def is_finite(self) -> bool:
-        return self.generator is None
-
     def iter_weights(self, min_magnitude: float = 0.0) -> Iterator[tuple[int, float]]:
         """All (index, weight) with |weight| >= min_magnitude; finite for positive bound."""
         if min_magnitude <= 0.0 and self.generator is not None:
@@ -267,41 +264,25 @@ class WeightSequence:
         """Smallest N with sum_{i > N} |c_i| < eps; closed form on the generator."""
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        last = self.entries[-1][0]
-        if self.generator is None:
-            # dropping trailing explicit entries while the remainder stays below eps
-            n = last
-            tail = 0.0
-            for j, w in reversed(self.entries):
-                if tail + abs(w) < eps:
-                    tail += abs(w)
-                    n = j - 1
-                else:
-                    break
-            return n
         gen = self.generator
-        if gen.abs_tail_sum(gen.start_index) < eps:
-            return self.truncation_index_explicit_part(eps)
-        # need sum_{i > N} = |first| r^(N+1-start) / (1-r) < eps
-        r = abs(gen.ratio)
-        bound = eps * (1.0 - r) / abs(gen.first_value)
-        n = gen.start_index - 1 + max(0, math.ceil(math.log(bound) / math.log(r)))
-        while gen.abs_tail_sum(n + 1) >= eps:
-            n += 1
-        while n > gen.start_index - 1 and gen.abs_tail_sum(n) < eps:
-            n -= 1
-        return n
-
-    def truncation_index_explicit_part(self, eps: float) -> int:
-        gen_sum = self.generator.abs_tail_sum(self.generator.start_index) if self.generator else 0.0
+        tail = gen.abs_tail_sum(gen.start_index) if gen is not None else 0.0
+        if tail >= eps:
+            # need sum_{i > N} = |first| r^(N+1-start) / (1-r) < eps
+            r = abs(gen.ratio)
+            bound = eps * (1.0 - r) / abs(gen.first_value)
+            n = gen.start_index - 1 + max(0, math.ceil(math.log(bound) / math.log(r)))
+            while gen.abs_tail_sum(n + 1) >= eps:
+                n += 1
+            while n > gen.start_index - 1 and gen.abs_tail_sum(n) < eps:
+                n -= 1
+            return n
+        # drop trailing explicit entries while the remainder stays below eps
         n = self.entries[-1][0]
-        tail = gen_sum
         for j, w in reversed(self.entries):
-            if tail + abs(w) < eps:
-                tail += abs(w)
-                n = j - 1
-            else:
+            if tail + abs(w) >= eps:
                 break
+            tail += abs(w)
+            n = j - 1
         return n
 
     def truncated_entries(self, n: int) -> tuple[tuple[int, float], ...]:

@@ -124,6 +124,24 @@ def test_cli_oracle_and_compare_deterministic(tmp_path):
         (tmp_path / "b" / "oracle.csv").read_bytes()
 
 
+def test_cli_oracle_csv_layout(tmp_path):
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", path, "--out", str(out)]) == EXIT_OK
+    lines = (out / "oracle.csv").read_text().splitlines()
+    estimates = json.loads((out / "oracle.json").read_text())["estimates"]
+    keys = ["t", "p_hat", "std_err", "n_samples", "truncation_n",
+            "truncation_bias_bound", "seed"]
+    assert lines[0] == ("t,oracle_p,oracle_stderr,n_samples,truncation_N,"
+                        "truncation_bias_bound,seed,method")
+    assert len(lines) == len(estimates) + 1
+    for line, est in zip(lines[1:], estimates):
+        fields = line.split(",")
+        assert fields[-1] == "conditional_mc" == est["method"]
+        for key, text in zip(keys, fields[:-1]):
+            assert type(est[key])(text) == est[key], key
+
+
 def test_cli_seed_override_changes_oracle(tmp_path):
     path = write_config(tmp_path, BASE)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

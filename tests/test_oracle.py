@@ -127,6 +127,15 @@ def test_point_mass_is_unit(weibull04):
     assert val == weibull04.sf(50.0) and err == 0.0
 
 
+def test_negative_scale_logsf_keeps_lower_tail_precision():
+    # P(-X > x) of a symmetric law is P(X > x); the linear complement read it
+    # as -inf past the subnormal range
+    d = lt.weibull_type(0.4, symmetric=True)
+    for x in (1e3, 1.5e7, 5e7):
+        assert lt.ScaledFactor(d, -1.0).logsf(x) == pytest.approx(
+            lt.ScaledFactor(d, 1.0).logsf(x), rel=1e-12)
+
+
 def test_convolution_commutes(weibull04):
     fa = lt.ScaledFactor(weibull04, 1.0)
     fb = lt.ScaledFactor(weibull04, 0.5)

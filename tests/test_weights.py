@@ -190,6 +190,17 @@ def test_truncation_index_finite_list():
         seq.truncation_index(0.0)
 
 
+def test_truncation_index_generator_below_eps():
+    # the generator's whole tail (2e-12) is under eps, so truncation scans the
+    # explicit entries starting from that tail sum
+    seq = lt.WeightSequence([1.0, 0.5], generator=GeometricTail(0.5, 3, 1e-12))
+    assert seq.truncation_index(1e-9) == 2
+    assert seq.truncation_index(0.6) == 1
+    for eps in (1e-9, 0.6):
+        kept = seq.truncated_entries(seq.truncation_index(eps))
+        assert all(i < seq.generator.start_index for i, _ in kept)
+
+
 def test_truncated_entries_include_generator():
     seq = lt.WeightSequence.geometric(1.0, 0.5)
     entries = seq.truncated_entries(4)

@@ -1,0 +1,59 @@
+"""sha256 of every CLI artifact, as JSON on stdout; `--check OLD.json` instead
+exits 1 and names each artifact whose hash differs from OLD.json.
+
+Runs classify, expand, evaluate, oracle, compare, then report, on each
+configs/*.json; weibull_oracle_check also with method plain_mc and quadrature,
+logweibull_second_order only with oracle.n = 50 (its shipped budget does not
+finish).  Output goes to a temporary directory, renamed <work> before hashing.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from lighttails import config  # noqa: E402
+
+VARIANTS = {"logweibull_second_order": {"": {"n": 50}}, "weibull_oracle_check": {
+    "": {}, "+plain_mc": {"method": "plain_mc"}, "+quadrature": {"method": "quadrature"}}}
+
+
+def manifest(work: str) -> dict:
+    out = {}
+    for fn in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+        with open(os.path.join(ROOT, "configs", fn)) as fh:
+            doc = json.load(fh)
+        for suffix, oracle in VARIANTS.get(fn[:-5], {"": {}}).items():
+            name = fn[:-5] + suffix
+            path, out_dir = os.path.join(work, name + ".json"), os.path.join(work, name)
+            with open(path, "w") as fh:
+                json.dump({**doc, "oracle": {**doc.get("oracle", {}), **oracle}}, fh)
+            for command in ("classify", "expand", "evaluate", "oracle", "compare"):
+                config.run_command(command, path, out_dir)
+            config.run_command("report", os.path.join(out_dir, "report.json"), out_dir)
+            for art in sorted(os.listdir(out_dir)):
+                with open(os.path.join(out_dir, art), "rb") as fh:
+                    data = fh.read().replace(work.encode(), b"<work>")
+                out[f"{name}/{art}"] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--check", metavar="OLD.json")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as work:
+        got = manifest(work)
+    if args.check:
+        with open(args.check) as fh:
+            old = json.load(fh)
+        bad = sorted(k for k in old.keys() | got.keys() if old.get(k) != got.get(k))
+        for k in bad:
+            print(f"differs: {k}", file=sys.stderr)
+        print(f"{len(got)} artifacts, {len(bad)} differ", file=sys.stderr)
+        sys.exit(1 if bad else 0)
+    print(json.dumps(got, indent=2, sort_keys=True))
