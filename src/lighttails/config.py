@@ -394,10 +394,8 @@ def run_command(command: str, config_path: str, out_dir: str,
         write_json(os.path.join(out_dir, "classify.json"), out)
         return out
 
-    exp = build_expansion(doc, dist, seq, order_override)
-
     if command == "expand":
-        out = expansion_to_json(exp)
+        out = expansion_to_json(build_expansion(doc, dist, seq, order_override))
         write_json(os.path.join(out_dir, "expansion.json"), out)
         return out
 
@@ -416,6 +414,7 @@ def run_command(command: str, config_path: str, out_dir: str,
         return out
 
     # compare
+    exp = build_expansion(doc, dist, seq, order_override)
     table = orc.compare_with_oracle(exp, dist, seq, grid, budget)
     header, cols = _evaluation_columns(table, table.expansion_total, [
         (name, getattr(table, name)) for name in
@@ -473,7 +472,7 @@ def _run_report(report_path: str, out_dir: str) -> dict:
     out = {
         "roundtrip_ok": not mismatches,
         "mismatched_fields": mismatches,
-        "source": os.path.abspath(report_path),
+        "source": os.path.basename(report_path),
     }
     write_json(os.path.join(out_dir, "report_verified.json"), out)
     if mismatches:

@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DegenerateWeightError, DomainError, UnsupportedSignError
 from .hazard import HazardModel, LogPowerSum
@@ -471,29 +470,92 @@ def _ramp_body(t0: float, sbar_t0: float, body_left: float = 0.0):
     return body_cdf, body_pdf
 
 
-def _tail_ppf(logsf: Callable, t0: float, body_mass: float, body_inverse: Callable):
-    """Quantile by monotone root-finding on the log-survival in the tail."""
+def _tail_ppf(log_sf_slope: Callable, t0: float, sbar_t0: float,
+              body_left: float) -> Callable:
+    """Quantile of a linear-ramp body (see _ramp_body) below an upper tail.
 
-    def scalar(p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise ValueError("quantile defined on (0, 1)")
-        if p <= body_mass:
-            return body_inverse(p)
-        target = math.log1p(-p)
-        hi = 2.0 * t0
-        while logsf(hi) > target:
-            hi *= 2.0
-            if hi > 1e300:
-                raise RuntimeError("quantile bracket expansion failed")
-        return brentq(lambda t: logsf(t) - target, t0, hi, xtol=1e-12, rtol=1e-14)
+    log_sf_slope maps an array t >= t0 to (log S(t), t h(t)).  Tail quantiles
+    solve log S(t) = log(1 - p) on whole arrays; scalars go through the same
+    path as 0-d arrays.  Each element's iterates depend on its own p only, so
+    a draw does not depend on how a block of draws is partitioned.
+    """
+    body_mass = 1.0 - sbar_t0
+    log_sbar = math.log(sbar_t0)
 
     def ppf(p):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim == 0:
-            return scalar(float(arr))
-        return np.array([scalar(v) for v in arr.ravel()]).reshape(arr.shape)
+        p = np.asarray(p, dtype=float)
+        flat = p.reshape(-1)
+        if not np.all((flat > 0.0) & (flat < 1.0)):
+            raise ValueError("quantile defined on (0, 1)")
+        out = body_left + flat / body_mass * (t0 - body_left)
+        tail = flat > body_mass
+        if tail.any():
+            out[tail] = _tail_quantile(log_sf_slope, t0, log_sbar, np.log1p(-flat[tail]))
+        return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
     return ppf
+
+
+_PPF_RTOL = 1e-14   # relative step in t (= step in log t) that ends the iteration
+_PPF_MAX_ITER = 100
+
+
+def _tail_quantile(log_sf_slope: Callable, t0: float, log_sbar: float,
+                   target: np.ndarray) -> np.ndarray:
+    """Solve log S(t) = target elementwise for t >= t0, where log S(t0) = log_sbar.
+
+    Safeguarded Newton iteration in u = log t (Numerical Recipes' rtsafe):
+    d log S / du = -t h(t), so the Newton step is
+
+        u <- u + (log S(t) - target) / (t h(t)).
+
+    Each element keeps a bracket [lo, hi] with log S(lo) > target >= log S(hi),
+    found by doubling t from t0.  The iteration starts at hi.  A Newton step
+    is taken when it lands inside the bracket, endpoints included (a strict
+    test rejects iterates that have converged onto an endpoint), and, after
+    the first, is at most half the step before it; otherwise the bracket is
+    bisected.  Where log S is concave in u, as for the mixtures, the iterates
+    from hi fall monotonically onto the root.  Only elements still moving are
+    evaluated.  The stop test is a relative step of _PPF_RTOL: rounding in
+    log S rules out an ulp-level test.
+    """
+    t = np.full(target.shape, t0)
+    # a p that rounds onto the body mass has its root at the anchor
+    live = np.flatnonzero(target < log_sbar)
+    if not live.size:
+        return t
+    goal = target[live]
+    lo = t[live]
+    hi = 2.0 * lo
+    grow = np.flatnonzero(log_sf_slope(hi)[0] > goal)
+    while grow.size:
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        if hi[grow].max() > 1e300:
+            raise RuntimeError("quantile bracket expansion failed")
+        grow = grow[log_sf_slope(hi[grow])[0] > goal[grow]]
+    lo, hi = np.log(lo), np.log(hi)
+    u, step = hi, np.full(hi.shape, np.inf)
+    for _ in range(_PPF_MAX_ITER):
+        log_s, slope = log_sf_slope(np.exp(u))
+        f = log_s - goal
+        right = f > 0.0
+        lo = np.where(right, u, lo)
+        hi = np.where(right, hi, u)
+        newton = u + f / slope
+        take = ((newton >= lo) & (newton <= hi)
+                & (np.abs(2.0 * f) <= np.abs(step * slope)))
+        nxt = np.where(take, newton, 0.5 * (lo + hi))
+        step = nxt - u
+        done = np.abs(step) <= _PPF_RTOL * np.maximum(1.0, np.abs(nxt))
+        u = nxt
+        if done.any():
+            t[live[done]] = np.exp(u[done])
+            keep = ~done
+            live, goal, u, lo, hi, step = (a[keep] for a in (live, goal, u, lo, hi, step))
+            if not live.size:
+                return t
+    raise RuntimeError("quantile iteration did not converge")
 
 
 def custom_hazard(terms: Sequence[tuple[float, float, float]],
@@ -522,12 +584,18 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
         lambda_coeff=lambda_coeff,
         smooth_order=smooth_order,
     )
+    log_sbar = math.log(sbar_t0)
+    ppf = _tail_ppf(lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)),
+                    t0, sbar_t0, body_left)
     body_cdf, body_pdf = _ramp_body(t0, sbar_t0, body_left)
-    ppf = _tail_ppf(upper.log_survival, t0, 1.0 - sbar_t0,
-                    lambda p: body_left + p / (1.0 - sbar_t0) * (t0 - body_left))
     return TailDistribution(upper=upper, body_cdf=body_cdf, body_pdf=body_pdf,
                             ppf=ppf, body_left=body_left, name=name,
                             quad_breaks=(body_left, t0))
+
+
+def _xp(t):
+    """math for a scalar (a 0-d array included), numpy for an array."""
+    return np if getattr(t, "ndim", 0) else math
 
 
 def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[float, float]]]],
@@ -551,33 +619,49 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
     if t0 <= 1.0:
         raise ValueError("t0 must exceed 1")
 
-    def psi(i, t):
-        a, b, ts = comps[i]
-        lg = math.log(b * t)
+    def psi(xp, b, ts, t):
+        lg = xp.log(b * t)
         return sum(w * lg**e for w, e in ts)
 
-    def psi_prime(i, t):
-        a, b, ts = comps[i]
-        lg = math.log(b * t)
+    def psi_prime(xp, b, ts, t):
+        lg = xp.log(b * t)
         return sum(w * e * lg ** (e - 1.0) for w, e in ts) / t
 
+    # One formula for scalars and arrays.  Scalars go through math, which
+    # keeps the values that classify, expand and evaluate record bit for bit
+    # (numpy's exp differs from math.exp in the last bit on some inputs);
+    # arrays broadcast through numpy, one row per component.
     def component_values(t):
-        return np.array([a * math.exp(-psi(i, t)) for i, (a, _, _) in enumerate(comps)])
+        xp = _xp(t)
+        return np.array([a * xp.exp(-psi(xp, b, ts, t)) for a, b, ts in comps])
 
     def sf_value(t):
         return float(np.sum(component_values(t)))
 
+    def positive_sum(vals, t):
+        total = vals.sum(axis=0)
+        if (total <= 0.0).any():
+            raise ValueError("mixture survival nonpositive at t = "
+                             f"{np.extract(total <= 0.0, t)[0]}")
+        return total
+
     def log_sf(t):
-        vals = component_values(t)
-        total = float(np.sum(vals))
-        if total <= 0.0:
-            raise ValueError(f"mixture survival nonpositive at t = {t}")
-        return math.log(total)
+        return _xp(t).log(positive_sum(component_values(t), t))
+
+    def weighted_psi_prime(vals, t):
+        xp = _xp(t)
+        return sum(v * psi_prime(xp, b, ts, t) for v, (_, b, ts) in zip(vals, comps))
 
     def hazard_value(t):
         vals = component_values(t)
-        num = sum(v * psi_prime(i, t) for i, v in enumerate(vals))
-        return num / float(np.sum(vals))
+        return weighted_psi_prime(vals, t) / vals.sum(axis=0)
+
+    def log_sf_slope(t):
+        # (log S(t), t h(t)) for the quantile solver, from one evaluation of
+        # the components
+        vals = component_values(t)
+        total = positive_sum(vals, t)
+        return np.log(total), t * weighted_psi_prime(vals, t) / total
 
     # validity: survival must be positive and nonincreasing from t0 onward
     probe = np.geomspace(t0, t0 * 10.0 ** check_grid_decades, 64)
@@ -607,8 +691,7 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
         tail_components=component_values,
     )
     body_cdf, body_pdf = _ramp_body(t0, sbar_t0, body_left)
-    ppf = _tail_ppf(upper.log_survival, t0, 1.0 - sbar_t0,
-                    lambda p: body_left + p / (1.0 - sbar_t0) * (t0 - body_left))
     return TailDistribution(upper=upper, body_cdf=body_cdf, body_pdf=body_pdf,
-                            ppf=ppf, body_left=body_left, name=name,
+                            ppf=_tail_ppf(log_sf_slope, t0, sbar_t0, body_left),
+                            body_left=body_left, name=name,
                             quad_breaks=(body_left, t0))

@@ -69,7 +69,12 @@ class LogPowerSum:
         return LogPowerSum(tuple((k, r, g) for (r, g), k in sorted(acc.items()) if k != 0.0))
 
     def antiderivative_from(self, t0: float) -> Callable:
-        """t -> integral from t0 to t; closed form when possible, quadrature else."""
+        """t -> integral from t0 to t; closed form when possible, quadrature else.
+
+        Closed-form terms broadcast over an array t.  quad takes one upper
+        limit at a time, so the quadrature terms of an array t are integrated
+        element by element: the scalar fallback of the array paths.
+        """
         closed = []
         numeric = []
         for kappa, rho, gamma in self.terms:
@@ -81,12 +86,17 @@ class LogPowerSum:
             else:
                 numeric.append((kappa, rho, gamma))
 
-        def cum(t: float) -> float:
+        part = LogPowerSum(tuple(numeric))
+
+        def integral(t):
+            val, _ = quad(part, t0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
+            return val
+
+        def cum(t):
             total = sum(f(t) - f(t0) for f in closed)
             if numeric:
-                part = LogPowerSum(tuple(numeric))
-                val, _ = quad(part, t0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
-                total += val
+                total += (integral(t) if np.ndim(t) == 0 else
+                          np.reshape([integral(x) for x in np.ravel(t)], np.shape(t)))
             return total
 
         return cum

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from scipy.optimize import brentq
+
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` positive integers summing to `total`."""
@@ -108,3 +110,20 @@ def weibull_raw_moment(a: float, k: int, symmetric: bool = False) -> float:
 def geometric_power_sum(first: float, ratio: float, n: int) -> float:
     """sum_{k>=0} (first * ratio^k)^n."""
     return first**n / (1.0 - ratio**n)
+
+
+def brentq_quantile(dist, p: float) -> float:
+    """Quantile of a linear-ramp-body distribution, scalar brentq on the
+    tail's log-survival log S(t) = log(1 - p): the reference for the
+    library's array quantile solver."""
+    up = dist.upper
+    if p <= 1.0 - up.sbar_t0:
+        return dist.body_left + p / (1.0 - up.sbar_t0) * (up.t0 - dist.body_left)
+    target = math.log1p(-p)
+    if up.log_survival(up.t0) <= target:  # p rounds onto the body mass
+        return up.t0
+    hi = 2.0 * up.t0
+    while up.log_survival(hi) > target:
+        hi *= 2.0
+    return brentq(lambda t: up.log_survival(t) - target, up.t0, hi,
+                  xtol=1e-300, rtol=1e-15)

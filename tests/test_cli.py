@@ -161,6 +161,19 @@ def test_cli_report_round_trip(tmp_path):
     assert verdict["roundtrip_ok"] is True
 
 
+def test_cli_report_verified_independent_of_directory(tmp_path):
+    path = write_config(tmp_path, BASE)
+    verified = []
+    for name in ("a", "deeper/b"):
+        out = str(tmp_path / name)
+        assert main(["evaluate", "--config", path, "--out", out]) == EXIT_OK
+        assert main(["report", "--config", os.path.join(out, "report.json"),
+                     "--out", out]) == EXIT_OK
+        verified.append((tmp_path / name / "report_verified.json").read_bytes())
+    assert verified[0] == verified[1]
+    assert json.loads(verified[0])["source"] == "report.json"
+
+
 def test_cli_report_detects_tampering(tmp_path):
     path = write_config(tmp_path, BASE)
     out = str(tmp_path / "out")
@@ -200,6 +213,22 @@ def test_cli_smoothness_exit_code(tmp_path):
     out = str(tmp_path / "out")
     assert main(["expand", "--config", path, "--out", out,
                  "--order", "9"]) == EXIT_SMOOTHNESS
+
+
+def test_cli_oracle_ignores_expansion_settings(tmp_path):
+    # the oracle builds no expansion: an order the model cannot support
+    # changes nothing in its output
+    with open(cfg("weibull_oracle_check.json")) as fh:
+        doc = json.load(fh)
+    doc["oracle"]["n"] = 20000
+    outs = []
+    for order in (2, 40):
+        doc["expansion"]["order"] = order
+        path = write_config(tmp_path, doc, f"order{order}.json")
+        out = tmp_path / f"order{order}"
+        assert main(["oracle", "--config", path, "--out", str(out)]) == EXIT_OK
+        outs.append((out / "oracle.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_cli_missing_config_file(tmp_path):

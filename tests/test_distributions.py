@@ -1,14 +1,16 @@
 """Assembled distributions: CDF consistency, moments, quantiles, scaled tails."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import lighttails as lt
+from lighttails.config import build_distribution, load_config
 
-from helpers import weibull_raw_moment
+from helpers import brentq_quantile, weibull_raw_moment
 
 
 def all_families():
@@ -202,6 +204,103 @@ def test_mixture_rejects_invalid_tail():
     with pytest.raises(ValueError):
         lt.log_power_mixture([(1.0, 1.0, [(1.0, 1.5)]),
                               (-2.0, 1.0, [(1.0, 1.4)])], t0=2.0)
+
+
+# -- quantiles and survival without closed forms -----------------------------------
+
+
+def shipped(name):
+    return build_distribution(load_config(
+        os.path.join(os.path.dirname(__file__), "..", "configs", name + ".json")))
+
+
+def root_find_families():
+    return [
+        shipped("cancellation_pair"),
+        shipped("logweibull_second_order"),
+        lt.custom_hazard([(0.5, -0.5, 0.0), (1.0, -1.0, 0.5)], t0=2.0, sbar_t0=0.4,
+                         rv_index=-0.5, name="custom_closed_form"),
+    ]
+
+
+ROOT_FIND_IDS = ["cancellation_pair", "logweibull_second_order", "custom_closed_form"]
+# a p within 1e-15 of 1 included: its quantile sits deepest in the tail
+TAIL_PS = np.concatenate([np.linspace(0.01, 0.99, 99),
+                          1.0 - np.geomspace(1e-3, 1e-15, 25),
+                          [np.nextafter(1.0, 0.0)]])
+
+
+@pytest.mark.parametrize("dist", root_find_families(), ids=ROOT_FIND_IDS)
+def test_root_find_quantiles_match_brentq(dist):
+    np.testing.assert_allclose(dist.ppf(TAIL_PS),
+                               [brentq_quantile(dist, p) for p in TAIL_PS], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dist", root_find_families(), ids=ROOT_FIND_IDS)
+def test_root_find_quantile_at_body_mass(dist):
+    body_mass = 1.0 - dist.upper.sbar_t0
+    ps = np.array([np.nextafter(body_mass, 0.0), body_mass, np.nextafter(body_mass, 1.0)])
+    got = dist.ppf(ps)
+    np.testing.assert_allclose(got, [brentq_quantile(dist, p) for p in ps], rtol=1e-12)
+    assert got[0] < dist.upper.t0 and got[2] >= got[1]
+    assert got[1] == pytest.approx(dist.upper.t0, rel=1e-15)
+
+
+@pytest.mark.parametrize("dist", root_find_families(), ids=ROOT_FIND_IDS)
+def test_root_find_quantiles_monotone(dist):
+    ps = np.sort(np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 4001),
+                                 1.0 - np.geomspace(1e-6, 1e-16, 200)]))
+    assert np.all(np.diff(dist.ppf(ps)) >= 0.0)
+
+
+@pytest.mark.parametrize("dist", root_find_families(), ids=ROOT_FIND_IDS)
+def test_root_find_quantile_domain(dist):
+    for p in (0.0, 1.0, -0.2, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            dist.ppf(p)
+    with pytest.raises(ValueError):
+        dist.ppf(np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        dist.ppf(np.array([[0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("dist", root_find_families(), ids=ROOT_FIND_IDS)
+def test_root_find_quantile_partition_independent(dist):
+    # the (seed, variable, block) stream contract: a draw may not depend on
+    # which other draws share its array
+    u = np.concatenate([np.random.default_rng(3).random(400), TAIL_PS])
+    whole = dist.ppf(u)
+    assert [dist.ppf(u[k:k + 1])[0] for k in range(u.size)] == whole.tolist()
+    assert [dist.ppf(float(v)) for v in u[:50]] == whole[:50].tolist()
+    assert dist.ppf(u[:500].reshape(-1, 4)).ravel().tolist() == whole[:500].tolist()
+
+
+@pytest.mark.parametrize("name", ["cancellation_pair", "logweibull_second_order"])
+def test_mixture_sf_batch_matches_scalar(name):
+    dist = shipped(name)
+    xs = np.concatenate([[0.5, 1.0, 1.999, 2.0], np.geomspace(2.0, 1e6, 200)])
+    np.testing.assert_allclose(dist.sf_batch(xs), [dist.sf(x) for x in xs], rtol=1e-14)
+
+
+def test_mixture_array_survival_rejects_nonpositive():
+    # valid on the checked grid [2, 20]; the negative piece dominates past t ~ 36
+    mix = lt.log_power_mixture([(1.0, 1.0, [(1.0, 1.5)]), (-0.5, 1.0, [(1.0, 1.4)])],
+                               t0=2.0, check_grid_decades=1.0)
+    assert mix.sf_batch(np.array([3.0, 10.0])).min() > 0.0
+    with pytest.raises(ValueError, match="nonpositive"):
+        mix.upper.cum_hazard(np.array([10.0, 100.0]))
+    with pytest.raises(ValueError, match="nonpositive"):
+        mix.sf_batch(np.array([10.0, 100.0]))
+
+
+def test_custom_hazard_quadrature_term_samples():
+    # t^-0.5 log t has no closed-form antiderivative here: the cumulated
+    # hazard integrates it by quad, one element at a time
+    cu = lt.custom_hazard([(1.0, -0.5, 1.0)], t0=2.0, sbar_t0=0.4, rv_index=-0.5)
+    ps = np.array([0.1, 0.6, 0.61, 0.9, 0.999, 1.0 - 1e-12])
+    np.testing.assert_allclose(cu.ppf(ps), [brentq_quantile(cu, p) for p in ps], rtol=1e-12)
+    xs = np.array([1.0, 3.0, 30.0, 300.0])
+    np.testing.assert_allclose(cu.sf_batch(xs), [cu.sf(x) for x in xs], rtol=1e-13)
 
 
 def test_two_sided_requires_balance_metadata():

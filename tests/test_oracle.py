@@ -8,6 +8,8 @@ from scipy.integrate import dblquad, quad
 
 import lighttails as lt
 
+from helpers import brentq_quantile
+
 
 @pytest.fixture(scope="module")
 def weibull04():
@@ -87,6 +89,25 @@ def test_conditional_beats_plain_on_shipped_configs(name, t):
     assert cond.std_err < plain.std_err
     joint = math.hypot(plain.std_err, cond.std_err)
     assert abs(plain.p_hat - cond.p_hat) <= 4.0 * joint
+
+
+@pytest.mark.parametrize("name", ["cancellation_pair.json", "logweibull_second_order.json"])
+def test_mixture_oracle_matches_brentq_quantiles(name):
+    # seeded estimates drawn through the array quantile solver and through
+    # scalar brentq quantiles differ by rounding only: 1e-9 relative at most
+    import dataclasses
+    import os
+
+    from lighttails.config import build_distribution, build_weights, load_config
+    doc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    dist = build_distribution(doc)
+    seq = build_weights(doc, dist)
+    ref = dataclasses.replace(
+        dist, ppf=np.vectorize(lambda p: brentq_quantile(dist, p), otypes=[float]))
+    got = lt.conditional_mc(dist, seq, 100.0, 500, seed=9, eps_trunc=1e-4)
+    want = lt.conditional_mc(ref, seq, 100.0, 500, seed=9, eps_trunc=1e-4)
+    for key in ("p_hat", "std_err", "truncation_bias_bound"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-9), key
 
 
 def test_estimator_bounds(weibull04, pair_seq):

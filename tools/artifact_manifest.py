@@ -2,9 +2,9 @@
 exits 1 and names each artifact whose hash differs from OLD.json.
 
 Runs classify, expand, evaluate, oracle, compare, then report, on each
-configs/*.json; weibull_oracle_check also with method plain_mc and quadrature,
-logweibull_second_order only with oracle.n = 50 (its shipped budget does not
-finish).  Output goes to a temporary directory, renamed <work> before hashing.
+configs/*.json at its shipped budget; weibull_oracle_check also with method
+plain_mc and quadrature.  Output goes to a temporary directory; no artifact
+records it.
 """
 
 import argparse
@@ -18,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 from lighttails import config  # noqa: E402
 
-VARIANTS = {"logweibull_second_order": {"": {"n": 50}}, "weibull_oracle_check": {
+VARIANTS = {"weibull_oracle_check": {
     "": {}, "+plain_mc": {"method": "plain_mc"}, "+quadrature": {"method": "quadrature"}}}
 
 
@@ -37,8 +37,7 @@ def manifest(work: str) -> dict:
             config.run_command("report", os.path.join(out_dir, "report.json"), out_dir)
             for art in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, art), "rb") as fh:
-                    data = fh.read().replace(work.encode(), b"<work>")
-                out[f"{name}/{art}"] = hashlib.sha256(data).hexdigest()
+                    out[f"{name}/{art}"] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
