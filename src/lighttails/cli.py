@@ -4,9 +4,8 @@
 
 Commands: classify, expand, evaluate, oracle, compare, report.  All outputs
 are written atomically into the output directory; runs with identical config
-and seed produce byte-identical artifacts.  Environment overrides (and only
-these): LIGHTTAILS_OUT for the output directory, LIGHTTAILS_THREADS for the
-oracle thread count.
+and seed produce byte-identical artifacts.  The one environment override is
+LIGHTTAILS_OUT, for the output directory.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 regime out of
 scope or regime-condition failure, 4 insufficient smoothness, 1 other error.
@@ -52,14 +51,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get("LIGHTTAILS_OUT") or "."
     try:
-        threads = max(1, int(os.environ.get("LIGHTTAILS_THREADS", "1")))
-    except ValueError:
-        threads = 1
-
-    try:
         summary = run_command(args.command, args.config, out_dir,
-                              seed_override=args.seed, order_override=args.order,
-                              threads=threads)
+                              seed_override=args.seed, order_override=args.order)
     except ConfigError as exc:
         return _fail(out_dir, EXIT_SCHEMA, "config", exc,
                      path=getattr(exc, "path", ""))

@@ -202,8 +202,7 @@ def build_grid(doc: dict) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def build_budget(doc: dict, seed_override: int | None = None,
-                 threads: int = 1) -> orc.OracleBudget:
+def build_budget(doc: dict, seed_override: int | None = None) -> orc.OracleBudget:
     section = doc.get("oracle", {})
     seed = section.get("seed", 0) if seed_override is None else seed_override
     return orc.OracleBudget(
@@ -212,7 +211,6 @@ def build_budget(doc: dict, seed_override: int | None = None,
         seed=seed,
         eps_trunc=section.get("eps_trunc", 1e-9),
         slack=section.get("slack", 10.0),
-        threads=threads,
     )
 
 
@@ -339,8 +337,7 @@ def _evaluate(doc: dict, order_override: int | None):
 
 def run_command(command: str, config_path: str, out_dir: str,
                 seed_override: int | None = None,
-                order_override: int | None = None,
-                threads: int = 1) -> dict:
+                order_override: int | None = None) -> dict:
     """Execute one CLI command; returns a summary dict (also written to disk)."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}", path="<command>")
@@ -400,7 +397,7 @@ def run_command(command: str, config_path: str, out_dir: str,
         return out
 
     grid = build_grid(doc)
-    budget = build_budget(doc, seed_override, threads)
+    budget = build_budget(doc, seed_override)
 
     if command == "oracle":
         estimates = [orc._estimate(dist, seq, float(t), budget) for t in grid]

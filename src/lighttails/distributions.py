@@ -8,8 +8,7 @@ by adaptive quadrature of the survival decomposition
 
     E[X^k] = k * int_0^inf x^(k-1) [ P(X > x) + (-1)^k P(X < -x) ] dx
 
-and memoized; the cache population is idempotent, so concurrent read-through
-writes are safe.
+and memoized.
 
 Built-in families:
 
@@ -267,17 +266,49 @@ class TailDistribution:
 
 
 # ---------------------------------------------------------------------------
-# body and quantile helpers shared by the families
+# the two tail shapes: S = exp(-psi) in closed form, and a hazard-defined tail
+# above a linear body
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_parts(base_cdf, base_ppf):
-    """Mirror a positive-support family: each side carries half the mass."""
+def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
+                 support_left, symmetric, smooth_order, **metadata):
+    """A family with S(t) = exp(-psi(t)) in closed form above support_left.
+
+    base_sf and base_pdf are the scalar one-sided survival and density,
+    guarded at the support edge; base_sf stays in closed form so anchors far
+    below machine epsilon of 1 stay accurate, and the body CDF is its
+    complement.  psi_inv maps -log(1 - p) to the quantile, on arrays.  The
+    tail above t0 has hazard LogPowerSum(terms) and the family's own
+    cum_hazard (psi(t) - psi(t0) would round differently); metadata declares
+    its regime.  With symmetric=True both sides share one tail model and
+    each carries half the mass.
+    """
+    sbar = base_sf(t0)
+    upper = HazardModel(hazard_derivs=LogPowerSum(terms).hazard_derivatives(smooth_order),
+                        t0=t0, sbar_t0=0.5 * sbar if symmetric else sbar,
+                        cum_hazard=cum_hazard, smooth_order=smooth_order, **metadata)
+    breaks = (support_left, t0)
+
+    def base_ppf(p):
+        out = psi_inv(-np.log1p(-np.asarray(p, dtype=float)))
+        return float(out) if out.ndim == 0 else out
+
+    if not symmetric:
+        return TailDistribution(
+            upper=upper,
+            body_cdf=lambda x: 1.0 - base_sf(x) if x > support_left else 0.0,
+            body_pdf=base_pdf,
+            ppf=base_ppf,
+            body_left=support_left,
+            name=name,
+            quad_breaks=breaks,
+        )
 
     def body_cdf(x):
-        if x >= 0:
-            return 1.0 - 0.5 * (1.0 - base_cdf(x))
-        return 0.5 * (1.0 - base_cdf(-x))
+        # halves of the base CDF, not of base_sf: the two round differently
+        base_cdf = 1.0 - base_sf(abs(x))
+        return 1.0 - 0.5 * (1.0 - base_cdf) if x >= 0 else 0.5 * (1.0 - base_cdf)
 
     # both where-branches get evaluated, so their arguments are clipped away
     # from the base quantile's singular endpoint at 1
@@ -290,172 +321,35 @@ def _symmetric_parts(base_cdf, base_ppf):
         out = np.where(p >= 0.5, up, down)
         return float(out) if out.ndim == 0 else out
 
-    return body_cdf, ppf
-
-
-def _assemble(base_sf, base_pdf, base_ppf, upper_factory, t0, support_left,
-              symmetric, name, quad_breaks):
-    """Build a TailDistribution from one-sided closed forms.
-
-    base_sf is the exact survival (kept in closed form so anchors far below
-    machine epsilon of 1 stay accurate); the CDF is its complement.
-    """
-    base_cdf = lambda x: 1.0 - base_sf(x)
-    if not symmetric:
-        upper = upper_factory(base_sf(t0))
-        return TailDistribution(
-            upper=upper,
-            body_cdf=lambda x: base_cdf(x) if x > support_left else 0.0,
-            body_pdf=base_pdf,
-            ppf=base_ppf,
-            body_left=support_left,
-            symmetric=False,
-            name=name,
-            quad_breaks=quad_breaks,
-        )
-
-    sbar_half = 0.5 * base_sf(t0)
-    upper = upper_factory(sbar_half)
-    lower = upper_factory(sbar_half)
-    body_cdf, ppf = _symmetric_parts(base_cdf, base_ppf)
-
-    def body_pdf(x):
-        return 0.5 * base_pdf(abs(x))
-
     return TailDistribution(
         upper=upper,
-        lower=lower,
+        lower=upper,
         tail_balance_ratio=1.0,
         body_cdf=body_cdf,
-        body_pdf=body_pdf,
+        body_pdf=lambda x: 0.5 * base_pdf(abs(x)),
         ppf=ppf,
         body_left=-t0,
         symmetric=True,
         name=name + "_symmetric",
-        quad_breaks=tuple(sorted(set(quad_breaks) | {-b for b in quad_breaks})),
+        quad_breaks=tuple(sorted(set(breaks) | {-b for b in breaks})),
     )
 
 
-# ---------------------------------------------------------------------------
-# built-in families
-# ---------------------------------------------------------------------------
+def _ramped(upper: HazardModel, log_sf_slope: Callable, body_left: float,
+            name: str) -> TailDistribution:
+    """A hazard-defined upper tail above a linear body.
 
-_DEFAULT_SMOOTH_ORDER = 8
-
-
-def weibull_type(a: float, t0: float = 2.0, symmetric: bool = False,
-                 smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
-    """Stretched-exponential tail S(t) = exp(-t^a) with 0 < a < 1."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("weibull_type needs 0 < a < 1 (rapidly varying, subexponential)")
-    if t0 <= 1.0:
-        raise ValueError("t0 must exceed 1")
-
-    h = LogPowerSum(((a, a - 1.0, 0.0),))
-
-    def upper_factory(sbar):
-        return HazardModel(
-            hazard_derivs=h.hazard_derivatives(smooth_order),
-            t0=t0,
-            sbar_t0=sbar,
-            cum_hazard=lambda t: t**a - t0**a,
-            rv_index=a - 1.0,
-            smooth_order=smooth_order,
-        )
-
-    base_sf = lambda x: math.exp(-(x ** a)) if x > 0 else 1.0
-    base_pdf = lambda x: a * x ** (a - 1.0) * math.exp(-(x ** a)) if x > 0 else 0.0
-
-    def base_ppf(p):
-        p = np.asarray(p, dtype=float)
-        out = (-np.log1p(-p)) ** (1.0 / a)
-        return float(out) if out.ndim == 0 else out
-
-    return _assemble(base_sf, base_pdf, base_ppf, upper_factory, t0,
-                     support_left=0.0, symmetric=symmetric,
-                     name=f"weibull_type(a={a})", quad_breaks=(0.0, t0))
-
-
-def log_weibull(a: float, t0: float = math.e, symmetric: bool = False,
-                smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
-    """Tail S(t) = exp(-(log t)^a) with 1 < a < 2, support [1, inf)."""
-    if not 1.0 < a < 2.0:
-        raise ValueError("log_weibull needs 1 < a < 2 (hazard below the critical scale)")
-    if t0 <= 1.0:
-        raise ValueError("t0 must exceed 1")
-
-    h = LogPowerSum(((a, -1.0, a - 1.0),))
-
-    def upper_factory(sbar):
-        return HazardModel(
-            hazard_derivs=h.hazard_derivatives(smooth_order),
-            t0=t0,
-            sbar_t0=sbar,
-            cum_hazard=lambda t: np.log(t) ** a - math.log(t0) ** a,
-            rv_index=-1.0,
-            log_exponent=a - 1.0,
-            smooth_order=smooth_order,
-        )
-
-    base_sf = lambda x: math.exp(-(math.log(x) ** a)) if x > 1.0 else 1.0
-    base_pdf = lambda x: (a * math.log(x) ** (a - 1.0) / x
-                          * math.exp(-(math.log(x) ** a))) if x > 1.0 else 0.0
-
-    def base_ppf(p):
-        p = np.asarray(p, dtype=float)
-        out = np.exp((-np.log1p(-p)) ** (1.0 / a))
-        return float(out) if out.ndim == 0 else out
-
-    return _assemble(base_sf, base_pdf, base_ppf, upper_factory, t0,
-                     support_left=1.0, symmetric=symmetric,
-                     name=f"log_weibull(a={a})", quad_breaks=(1.0, t0))
-
-
-def lognormal_type(theta: float, t0: float = math.e, symmetric: bool = False,
-                   smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
-    """Tail S(t) = exp(-theta * log(t)^2); hazard ~ 2*theta * t^-1 log t."""
-    if not theta > 0.0:
-        raise ValueError("lognormal_type needs theta > 0")
-    if t0 <= 1.0:
-        raise ValueError("t0 must exceed 1")
-
-    h = LogPowerSum(((2.0 * theta, -1.0, 1.0),))
-
-    def upper_factory(sbar):
-        return HazardModel(
-            hazard_derivs=h.hazard_derivatives(smooth_order),
-            t0=t0,
-            sbar_t0=sbar,
-            cum_hazard=lambda t: theta * (np.log(t) ** 2 - math.log(t0) ** 2),
-            rv_index=-1.0,
-            log_exponent=1.0,
-            lambda_coeff=2.0 * theta,
-            smooth_order=smooth_order,
-        )
-
-    base_sf = lambda x: math.exp(-theta * math.log(x) ** 2) if x > 1.0 else 1.0
-    base_pdf = lambda x: (2.0 * theta * math.log(x) / x
-                          * math.exp(-theta * math.log(x) ** 2)) if x > 1.0 else 0.0
-
-    def base_ppf(p):
-        p = np.asarray(p, dtype=float)
-        out = np.exp(np.sqrt(-np.log1p(-p) / theta))
-        return float(out) if out.ndim == 0 else out
-
-    return _assemble(base_sf, base_pdf, base_ppf, upper_factory, t0,
-                     support_left=1.0, symmetric=symmetric,
-                     name=f"lognormal_type(theta={theta})", quad_breaks=(1.0, t0))
-
-
-# ---------------------------------------------------------------------------
-# custom constructors
-# ---------------------------------------------------------------------------
-
-
-def _ramp_body(t0: float, sbar_t0: float, body_left: float = 0.0):
-    """Linear body CDF from 0 at body_left to 1 - sbar_t0 at t0."""
-    mass = 1.0 - sbar_t0
+    The body CDF rises linearly from 0 at body_left to 1 - S(t0) at the tail
+    anchor t0.  log_sf_slope maps an array t >= t0 to (log S(t), t h(t)).
+    Tail quantiles solve log S(t) = log(1 - p) on whole arrays; scalars go
+    through the same path as 0-d arrays.  Each element's iterates depend on
+    its own p only, so a draw does not depend on how a block of draws is
+    partitioned.
+    """
+    t0 = upper.t0
+    mass = 1.0 - upper.sbar_t0
     width = t0 - body_left
+    log_sbar = math.log(upper.sbar_t0)
 
     def body_cdf(x):
         if x <= body_left:
@@ -467,33 +361,20 @@ def _ramp_body(t0: float, sbar_t0: float, body_left: float = 0.0):
     def body_pdf(x):
         return mass / width if body_left < x < t0 else 0.0
 
-    return body_cdf, body_pdf
-
-
-def _tail_ppf(log_sf_slope: Callable, t0: float, sbar_t0: float,
-              body_left: float) -> Callable:
-    """Quantile of a linear-ramp body (see _ramp_body) below an upper tail.
-
-    log_sf_slope maps an array t >= t0 to (log S(t), t h(t)).  Tail quantiles
-    solve log S(t) = log(1 - p) on whole arrays; scalars go through the same
-    path as 0-d arrays.  Each element's iterates depend on its own p only, so
-    a draw does not depend on how a block of draws is partitioned.
-    """
-    body_mass = 1.0 - sbar_t0
-    log_sbar = math.log(sbar_t0)
-
     def ppf(p):
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1)
         if not np.all((flat > 0.0) & (flat < 1.0)):
             raise ValueError("quantile defined on (0, 1)")
-        out = body_left + flat / body_mass * (t0 - body_left)
-        tail = flat > body_mass
+        out = body_left + flat / mass * width
+        tail = flat > mass
         if tail.any():
             out[tail] = _tail_quantile(log_sf_slope, t0, log_sbar, np.log1p(-flat[tail]))
         return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
-    return ppf
+    return TailDistribution(upper=upper, body_cdf=body_cdf, body_pdf=body_pdf,
+                            ppf=ppf, body_left=body_left, name=name,
+                            quad_breaks=(body_left, t0))
 
 
 _PPF_RTOL = 1e-14   # relative step in t (= step in log t) that ends the iteration
@@ -558,6 +439,77 @@ def _tail_quantile(log_sf_slope: Callable, t0: float, log_sbar: float,
     raise RuntimeError("quantile iteration did not converge")
 
 
+# ---------------------------------------------------------------------------
+# built-in families
+# ---------------------------------------------------------------------------
+
+_DEFAULT_SMOOTH_ORDER = 8
+
+
+def weibull_type(a: float, t0: float = 2.0, symmetric: bool = False,
+                 smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
+    """Stretched-exponential tail S(t) = exp(-t^a) with 0 < a < 1."""
+    if not 0.0 < a < 1.0:
+        raise ValueError("weibull_type needs 0 < a < 1 (rapidly varying, subexponential)")
+    if t0 <= 1.0:
+        raise ValueError("t0 must exceed 1")
+    return _closed_form(
+        f"weibull_type(a={a})",
+        lambda x: math.exp(-(x ** a)) if x > 0 else 1.0,
+        lambda x: a * x ** (a - 1.0) * math.exp(-(x ** a)) if x > 0 else 0.0,
+        lambda y: y ** (1.0 / a),
+        ((a, a - 1.0, 0.0),),
+        lambda t: t**a - t0**a,
+        t0, 0.0, symmetric, smooth_order,
+        rv_index=a - 1.0,
+    )
+
+
+def log_weibull(a: float, t0: float = math.e, symmetric: bool = False,
+                smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
+    """Tail S(t) = exp(-(log t)^a) with 1 < a < 2, support [1, inf)."""
+    if not 1.0 < a < 2.0:
+        raise ValueError("log_weibull needs 1 < a < 2 (hazard below the critical scale)")
+    if t0 <= 1.0:
+        raise ValueError("t0 must exceed 1")
+    return _closed_form(
+        f"log_weibull(a={a})",
+        lambda x: math.exp(-(math.log(x) ** a)) if x > 1.0 else 1.0,
+        lambda x: (a * math.log(x) ** (a - 1.0) / x
+                   * math.exp(-(math.log(x) ** a))) if x > 1.0 else 0.0,
+        lambda y: np.exp(y ** (1.0 / a)),
+        ((a, -1.0, a - 1.0),),
+        lambda t: np.log(t) ** a - math.log(t0) ** a,
+        t0, 1.0, symmetric, smooth_order,
+        rv_index=-1.0, log_exponent=a - 1.0,
+    )
+
+
+def lognormal_type(theta: float, t0: float = math.e, symmetric: bool = False,
+                   smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
+    """Tail S(t) = exp(-theta * log(t)^2); hazard ~ 2*theta * t^-1 log t."""
+    if not theta > 0.0:
+        raise ValueError("lognormal_type needs theta > 0")
+    if t0 <= 1.0:
+        raise ValueError("t0 must exceed 1")
+    return _closed_form(
+        f"lognormal_type(theta={theta})",
+        lambda x: math.exp(-theta * math.log(x) ** 2) if x > 1.0 else 1.0,
+        lambda x: (2.0 * theta * math.log(x) / x
+                   * math.exp(-theta * math.log(x) ** 2)) if x > 1.0 else 0.0,
+        lambda y: np.exp(np.sqrt(y / theta)),
+        ((2.0 * theta, -1.0, 1.0),),
+        lambda t: theta * (np.log(t) ** 2 - math.log(t0) ** 2),
+        t0, 1.0, symmetric, smooth_order,
+        rv_index=-1.0, log_exponent=1.0, lambda_coeff=2.0 * theta,
+    )
+
+
+# ---------------------------------------------------------------------------
+# custom constructors
+# ---------------------------------------------------------------------------
+
+
 def custom_hazard(terms: Sequence[tuple[float, float, float]],
                   t0: float,
                   sbar_t0: float,
@@ -585,12 +537,8 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
         smooth_order=smooth_order,
     )
     log_sbar = math.log(sbar_t0)
-    ppf = _tail_ppf(lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)),
-                    t0, sbar_t0, body_left)
-    body_cdf, body_pdf = _ramp_body(t0, sbar_t0, body_left)
-    return TailDistribution(upper=upper, body_cdf=body_cdf, body_pdf=body_pdf,
-                            ppf=ppf, body_left=body_left, name=name,
-                            quad_breaks=(body_left, t0))
+    return _ramped(upper, lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)),
+                   body_left, name)
 
 
 def _xp(t):
@@ -690,8 +638,4 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
         smooth_order=0,
         tail_components=component_values,
     )
-    body_cdf, body_pdf = _ramp_body(t0, sbar_t0, body_left)
-    return TailDistribution(upper=upper, body_cdf=body_cdf, body_pdf=body_pdf,
-                            ppf=_tail_ppf(log_sf_slope, t0, sbar_t0, body_left),
-                            body_left=body_left, name=name,
-                            quad_breaks=(body_left, t0))
+    return _ramped(upper, log_sf_slope, body_left, name)

@@ -36,7 +36,8 @@ import numpy as np
 from .distributions import TailDistribution
 from .errors import (DomainError, OutOfScopeError, RegimeConditionError,
                      SmoothnessError)
-from .hazard import HazardModel, functional_diverges, validate_metadata
+from .hazard import (HazardModel, functional_diverges, subcritical_functional,
+                     validate_metadata)
 from .hazardpoly import survival_derivative_polys
 from .laplace import character_from_moments, residual_moments
 from .weights import WeightSequence
@@ -101,12 +102,7 @@ def classify(model: HazardModel, grid=None) -> Regime:
     else:
         # subcritical needs the boundedness of t h(t)^2 / h(1/h(t))
         h = np.array([model.hazard(t) for t in grid])
-        functional = np.full(len(grid), np.nan)
-        for i, t in enumerate(grid):
-            arg = 1.0 / h[i]
-            if arg > model.t0:
-                functional[i] = t * h[i] ** 2 / model.hazard(arg)
-        if functional_diverges(functional):
+        if functional_diverges(subcritical_functional(model, grid, h)):
             raise RegimeConditionError(
                 "subcritical condition violated: t h(t)^2 / h(1/h(t)) grows without "
                 "bound on the diagnostic grid"

@@ -234,6 +234,17 @@ def _extrapolate_in_inverse_log(t1: float, v1: float, t2: float, v2: float) -> f
     return (v2 * l2 - v1 * l1) / (l2 - l1)
 
 
+def subcritical_functional(model: HazardModel, grid, h: np.ndarray) -> np.ndarray:
+    """t h(t)^2 / h(1/h(t)) over the grid, given h on it; NaN where 1/h(t) is
+    not inside the tail domain."""
+    functional = np.full(len(grid), np.nan)
+    for i, t in enumerate(grid):
+        arg = 1.0 / h[i]
+        if arg > model.t0:
+            functional[i] = t * h[i] ** 2 / model.hazard(arg)
+    return functional
+
+
 def functional_diverges(values: np.ndarray) -> bool:
     """Heuristic divergence test: monotone growth by more than 10x across the grid."""
     v = values[np.isfinite(values)]
@@ -273,12 +284,7 @@ def validate_metadata(model: HazardModel, grid: Sequence[float],
             lambda_est = _extrapolate_in_inverse_log(
                 grid[-2], critical_ratio[-2], grid[-1], critical_ratio[-1])
 
-    # t h(t)^2 / h(1/h(t)), defined where 1/h(t) is inside the tail domain
-    functional = np.full_like(h, np.nan)
-    for i, t in enumerate(grid):
-        arg = 1.0 / h[i]
-        if arg > model.t0:
-            functional[i] = t * h[i] ** 2 / model.hazard(arg)
+    functional = subcritical_functional(model, grid, h)
     bounded = not functional_diverges(functional)
 
     flags: list[str] = []

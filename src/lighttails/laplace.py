@@ -43,16 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Moments:
-    """Raw moments mu_0..mu_m (mu_0 = 1), optionally absolute moments alongside."""
+    """Raw moments mu_0..mu_m (mu_0 = 1)."""
 
     values: tuple[float, ...]
-    abs_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not self.values or self.values[0] != 1.0:
             raise ValueError("moment vector must start with mu_0 = 1")
-        if self.abs_values is not None and len(self.abs_values) != len(self.values):
-            raise ValueError("absolute moments must match the order")
 
     @property
     def order(self) -> int:

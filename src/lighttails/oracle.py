@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,6 @@ class OracleBudget:
     seed: int = 0
     eps_trunc: float = 1e-9
     slack: float = 10.0
-    threads: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,87 +286,72 @@ class ScaledFactor:
         return math.log(v) - math.log(abs(self.c))
 
 
+class _LogInterpolant:
+    """x -> log f(x) for an exact solve f.  Once prepared on a node grid it
+    answers inside its window [nodes[0], hi] from a monotone interpolant of
+    the exact values, and outside it from the exact solve."""
+
+    def __init__(self, exact):
+        self.exact = exact
+        self.interp = None
+        self.window = (math.inf, -math.inf)
+
+    def log_exact(self, x):
+        v = self.exact(x)
+        return math.log(v) if v > 0 else -math.inf
+
+    def prepare(self, xs, hi: float):
+        from scipy.interpolate import PchipInterpolator
+        ys = [self.log_exact(float(x)) for x in xs]
+        if all(math.isfinite(y) for y in ys):
+            self.interp = PchipInterpolator(xs, ys)
+            self.window = (float(xs[0]), hi)
+
+    def __call__(self, x):
+        if self.interp is not None and self.window[0] <= x <= self.window[1]:
+            return float(self.interp(x))
+        return self.log_exact(x)
+
+
 class ConvolvedFactor:
     """Sum of two factors; survival and density via pairwise quadrature.
 
-    Exact values are memoized; when a query range is known in advance (the
-    outer convolution integrates this factor across a fixed window) the factor
-    prepares monotone interpolants of its log-survival and log-density on a
-    node grid, trading one batch of exact solves for cheap evaluations inside
-    the adaptive outer quadrature.
+    When a query range is known in advance (the outer convolution integrates
+    this factor across a fixed window) the factor prepares monotone
+    interpolants of its log-survival and log-density on a node grid, trading
+    one batch of exact solves for cheap evaluations inside the adaptive outer
+    quadrature.
     """
 
     def __init__(self, a, b, tol_rel: float = 1e-9, nodes: int = 129):
-        self.a = a
-        self.b = b
-        self.tol_rel = tol_rel
         self.nodes = nodes
         self.support_left = a.support_left + b.support_left
         self.support_right = a.support_right + b.support_right
         self.breaks = tuple(sorted(
             {x + y for x in a.breaks for y in b.breaks}))[:16]
-        self._sf_cache: dict[float, float] = {}
-        self._pdf_cache: dict[float, float] = {}
-        self._sf_interp = None
-        self._sf_window = (math.inf, -math.inf)
-        self._pdf_interp = None
-        self._pdf_window = (math.inf, -math.inf)
+        self.logsf = _LogInterpolant(lambda x: min(1.0, max(0.0, convolve_pair_sf(
+            a, b, x, tol_rel=tol_rel, strict=False)[0])))
+        self.logpdf = _LogInterpolant(
+            lambda x: _density_convolution(a, b, x, tol_rel=tol_rel))
 
-    def _exact_logsf(self, x):
-        v = self._sf_cache.get(x)
-        if v is None:
-            v, _ = convolve_pair_sf(self.a, self.b, x, tol_rel=self.tol_rel,
-                                    strict=False)
-            v = min(1.0, max(0.0, v))
-            self._sf_cache[x] = v
-        return math.log(v) if v > 0 else -math.inf
-
-    def _exact_logpdf(self, x):
-        v = self._pdf_cache.get(x)
-        if v is None:
-            v = _density_convolution(self.a, self.b, x, tol_rel=self.tol_rel)
-            self._pdf_cache[x] = v
-        return math.log(v) if v > 0 else -math.inf
-
-    def prepare_sf(self, lo: float, hi: float):
-        from scipy.interpolate import PchipInterpolator
-        lo = max(lo, self.support_left + 1e-9 * max(1.0, abs(self.support_left)))
-        if hi <= lo:
-            return
-        xs = np.linspace(lo, hi, self.nodes)
-        ys = [self._exact_logsf(float(x)) for x in xs]
-        if all(math.isfinite(y) for y in ys):
-            self._sf_interp = PchipInterpolator(xs, ys)
-            self._sf_window = (lo, hi)
-
-    def prepare_pdf(self, lo: float, hi: float):
-        from scipy.interpolate import PchipInterpolator
+    def prepare(self, t: float, other):
+        """Interpolants over the windows that the outer integrals at t,
+        against the other factor of the split, hit."""
+        lo_other = other.support_left if math.isfinite(other.support_left) else -t
         edge = self.support_left
-        lo = max(lo, edge)
-        if hi <= lo:
-            return
+        lo = max(t / 2.0 - 1e-9 * abs(t), edge + 1e-9 * max(1.0, abs(edge)))
+        hi = t - lo_other + 1e-9 * abs(t)
+        if hi > lo:
+            self.logsf.prepare(np.linspace(lo, hi, self.nodes), hi)
         # densities may be steep (even singular) toward the support edge, so
         # nodes are geometric in the distance from it
-        span = hi - edge
-        offsets = np.geomspace(span * 1e-9, span, self.nodes)
-        xs = edge + offsets
-        ys = [self._exact_logpdf(float(x)) for x in xs]
-        if all(math.isfinite(y) for y in ys):
-            self._pdf_interp = PchipInterpolator(xs, ys)
-            self._pdf_window = (float(xs[0]), hi)
+        hi = t / 2.0 + 1e-9 * abs(t)
+        if hi > edge:
+            span = hi - edge
+            self.logpdf.prepare(edge + np.geomspace(span * 1e-9, span, self.nodes), hi)
 
     def sf(self, x):
         return math.exp(self.logsf(x))
-
-    def logsf(self, x):
-        if self._sf_interp is not None and self._sf_window[0] <= x <= self._sf_window[1]:
-            return float(self._sf_interp(x))
-        return self._exact_logsf(x)
-
-    def logpdf(self, x):
-        if self._pdf_interp is not None and self._pdf_window[0] <= x <= self._pdf_window[1]:
-            return float(self._pdf_interp(x))
-        return self._exact_logpdf(x)
 
 
 def _panel_edges(lo: float, hi: float, probes, ladder: float) -> list[float]:
@@ -506,9 +489,7 @@ def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float
                                                            tol_rel=inner_tol)
     for side, other in ((left, right), (right, left)):
         if isinstance(side, ConvolvedFactor):
-            lo_other = other.support_left if math.isfinite(other.support_left) else -t
-            side.prepare_sf(t / 2.0 - 1e-9 * abs(t), t - lo_other + 1e-9 * abs(t))
-            side.prepare_pdf(side.support_left, t / 2.0 + 1e-9 * abs(t))
+            side.prepare(t, other)
     return convolve_pair_sf(left, right, t, tol_rel, strict=False)
 
 
@@ -570,12 +551,7 @@ def compare_with_oracle(expansion: TailExpansion, dist: TailDistribution,
     statistical error plus the remainder-scale allowance.
     """
     table = evaluate(expansion, dist, t_grid)
-    ts = list(table.t)
-    if budget.threads > 1:
-        with ThreadPoolExecutor(max_workers=budget.threads) as pool:
-            estimates = list(pool.map(lambda t: _estimate(dist, seq, t, budget), ts))
-    else:
-        estimates = [_estimate(dist, seq, t, budget) for t in ts]
+    estimates = [_estimate(dist, seq, t, budget) for t in table.t]
 
     oracle_p = np.array([e.p_hat for e in estimates])
     oracle_se = np.array([e.std_err for e in estimates])

@@ -183,20 +183,12 @@ class WeightSequence:
         for _, w in self.entries:
             groups.setdefault(abs(w), [0, 0])[0 if w > 0 else 1] += 1
 
-        gen_mags: list[float] = []
         if self.generator is not None and count is not None:
             # enough generator values that, merged with the head, `count` levels exist
             need = count + len(groups) + 2
             v = self.generator.first_value
             for _ in range(need):
-                sign = 0 if v > 0 else 1
-                mag = abs(v)
-                if mag in groups or mag in gen_mags:
-                    groups.setdefault(mag, [0, 0])[sign] += 1
-                else:
-                    gen_mags.append(mag)
-                    groups[mag] = [0, 0]
-                    groups[mag][sign] = 1
+                groups.setdefault(abs(v), [0, 0])[0 if v > 0 else 1] += 1
                 v *= self.generator.ratio
 
         ordered = sorted(groups.items(), key=lambda kv: -kv[0])

@@ -244,17 +244,6 @@ def test_cli_env_out_dir(tmp_path, monkeypatch):
     assert (env_out / "classify.json").exists()
 
 
-def test_cli_thread_env_keeps_results(tmp_path, monkeypatch):
-    path = write_config(tmp_path, BASE)
-    out1 = str(tmp_path / "a")
-    assert main(["compare", "--config", path, "--out", out1]) == EXIT_OK
-    monkeypatch.setenv("LIGHTTAILS_THREADS", "4")
-    out2 = str(tmp_path / "b")
-    assert main(["compare", "--config", path, "--out", out2]) == EXIT_OK
-    assert (tmp_path / "a" / "compare.csv").read_bytes() == \
-        (tmp_path / "b" / "compare.csv").read_bytes()
-
-
 def test_cli_boundary_weight_round_trips(tmp_path):
     # the boundary config carries exp(-1) through JSON at full precision
     doc = load_config(cfg("lognormal_gate_boundary.json"))

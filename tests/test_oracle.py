@@ -256,13 +256,3 @@ def test_compare_critical_two_term_band():
     budget = lt.OracleBudget(method="conditional_mc", n=200_000, seed=9, slack=10.0)
     table = lt.compare_with_oracle(exp, ln, seq, np.geomspace(60.0, 600.0, 3), budget)
     assert table.passed.all()
-
-
-def test_compare_thread_count_invariant(weibull04, pair_seq):
-    exp = lt.expand(weibull04, pair_seq, 0)
-    grid = np.geomspace(125.3, 300.0, 3)
-    b1 = lt.OracleBudget(method="conditional_mc", n=50_000, seed=9, threads=1)
-    b2 = lt.OracleBudget(method="conditional_mc", n=50_000, seed=9, threads=3)
-    t1 = lt.compare_with_oracle(exp, weibull04, pair_seq, grid, b1)
-    t2 = lt.compare_with_oracle(exp, weibull04, pair_seq, grid, b2)
-    assert list(t1.oracle_p) == list(t2.oracle_p)

@@ -3,8 +3,9 @@ exits 1 and names each artifact whose hash differs from OLD.json.
 
 Runs classify, expand, evaluate, oracle, compare, then report, on each
 configs/*.json at its shipped budget; weibull_oracle_check also with method
-plain_mc and quadrature.  Output goes to a temporary directory; no artifact
-records it.
+plain_mc and quadrature, and with log_weibull(a = 1.5) under conditional_mc,
+under quadrature and symmetric; lognormal_gate_above also symmetric.  Output
+goes to a temporary directory; no artifact records it.
 """
 
 import argparse
@@ -18,8 +19,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 from lighttails import config  # noqa: E402
 
-VARIANTS = {"weibull_oracle_check": {
-    "": {}, "+plain_mc": {"method": "plain_mc"}, "+quadrature": {"method": "quadrature"}}}
+# per config: artifact-name suffix -> sections laid over the shipped ones, so
+# every closed-form family runs one-sided and symmetric
+LOGWEIBULL = {"family": "logweibull", "params": {"a": 1.5}}
+QUADRATURE = {"method": "quadrature"}
+VARIANTS = {
+    "weibull_oracle_check": {
+        "": {},
+        "+plain_mc": {"oracle": {"method": "plain_mc"}},
+        "+quadrature": {"oracle": QUADRATURE},
+        "+logweibull": {"distribution": LOGWEIBULL},
+        "+logweibull+quadrature": {"distribution": LOGWEIBULL, "oracle": QUADRATURE},
+        "+logweibull+symmetric": {"distribution": {**LOGWEIBULL, "symmetric": True}},
+    },
+    "lognormal_gate_above": {"": {}, "+symmetric": {"distribution": {"symmetric": True}}},
+}
 
 
 def manifest(work: str) -> dict:
@@ -27,11 +41,12 @@ def manifest(work: str) -> dict:
     for fn in sorted(os.listdir(os.path.join(ROOT, "configs"))):
         with open(os.path.join(ROOT, "configs", fn)) as fh:
             doc = json.load(fh)
-        for suffix, oracle in VARIANTS.get(fn[:-5], {"": {}}).items():
+        for suffix, patch in VARIANTS.get(fn[:-5], {"": {}}).items():
             name = fn[:-5] + suffix
             path, out_dir = os.path.join(work, name + ".json"), os.path.join(work, name)
             with open(path, "w") as fh:
-                json.dump({**doc, "oracle": {**doc.get("oracle", {}), **oracle}}, fh)
+                json.dump({**doc, **{key: {**doc.get(key, {}), **section}
+                                     for key, section in patch.items()}}, fh)
             for command in ("classify", "expand", "evaluate", "oracle", "compare"):
                 config.run_command(command, path, out_dir)
             config.run_command("report", os.path.join(out_dir, "report.json"), out_dir)
