@@ -123,38 +123,32 @@ class TailDistribution:
     # -- vectorized CDF paths for the samplers ------------------------------
 
     def sf_batch(self, x) -> np.ndarray:
-        """Survival over an array; tail region vectorized when the cumulated
-        hazard accepts arrays, everything else through the scalar path."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        tail = x >= self.upper.t0
-        if tail.any():
-            try:
-                cum = np.asarray(self.upper.cum_hazard(x[tail]), dtype=float)
-                out[tail] = self.upper.sbar_t0 * np.exp(-cum)
-            except (TypeError, ValueError):
-                out[tail] = [self.sf(v) for v in x[tail]]
-        rest = ~tail
-        if rest.any():
-            out[rest] = [self.sf(v) for v in x[rest]]
-        return out
+        return self._tail_batch(x, False)
 
     def cdf_batch(self, x) -> np.ndarray:
+        return self._tail_batch(x, True)
+
+    def _tail_batch(self, x, lower: bool) -> np.ndarray:
+        """sf, or cdf with lower=True, over an array: sbar_t0 * exp(-cum_hazard)
+        on the points in that tail (on the whole array, ungathered, when all
+        are), the scalar path elsewhere and wherever the cumulated hazard raises."""
         x = np.asarray(x, dtype=float)
+        model, s, scalar = (self.lower, -x, self.cdf) if lower else (self.upper, x, self.sf)
         out = np.empty_like(x)
-        handled = np.zeros(x.shape, dtype=bool)
-        if self.lower is not None:
-            low = x <= -self.lower.t0
-            if low.any():
-                try:
-                    cum = np.asarray(self.lower.cum_hazard(-x[low]), dtype=float)
-                    out[low] = self.lower.sbar_t0 * np.exp(-cum)
-                    handled |= low
-                except (TypeError, ValueError):
-                    pass
-        rest = ~handled
+        rest = np.ones(x.shape, dtype=bool)
+        if model is not None:
+            tail = s >= model.t0
+            try:
+                if tail.all():
+                    return model.sbar_t0 * np.exp(-np.asarray(model.cum_hazard(s), dtype=float))
+                if tail.any():
+                    cum = np.asarray(model.cum_hazard(s[tail]), dtype=float)
+                    out[tail] = model.sbar_t0 * np.exp(-cum)
+                    rest = ~tail
+            except (TypeError, ValueError):
+                pass
         if rest.any():
-            out[rest] = [self.cdf(v) for v in x[rest]]
+            out[rest] = [scalar(v) for v in x[rest]]
         return out
 
     # -- scaled tails ------------------------------------------------------

@@ -162,21 +162,34 @@ def _summand_blocks(dist: TailDistribution, entries, n: int, seed: int):
         yield summands
 
 
-# The kernels are generators over the block stream, so one block's arrays
-# stay alive while the next block is drawn.  Freed in between, they leave a
-# free region that the allocator returns to the system and faults back in
-# for every block, which doubles the page faults of a call.
+def _top_two(summands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of two or more rows, the largest and second-largest entry,
+    a repeated maximum included: np.sort(summands, axis=0)[-1] and [-2] (up
+    to the sign of a zero), from a running top two instead of a sort."""
+    largest = np.maximum(summands[0], summands[1])
+    second = np.minimum(summands[0], summands[1])
+    for row in summands[2:]:
+        np.maximum(second, np.minimum(largest, row), out=second)
+        np.maximum(largest, row, out=largest)
+    return largest, second
 
 
-def _conditional_values(dist, entries, t, blocks):
-    """Per sample, sum_i P(c_i X > max(M'_i, t - S'_i) | rest)."""
-    for summands in blocks:
-        if len(entries) == 1:
-            yield _scaled_sf_batch(dist, entries[0][1], np.full(summands.shape[1], t))
-            continue
+# The kernels are generators, so a block's arrays stay alive while the next
+# block is drawn: freed in between, they doubled the page faults of a call.
+
+
+def _conditional_values(dist, entries, t, n, seed):
+    """Per sample, sum_i P(c_i X > max(M'_i, t - S'_i) | rest), where M'_i is
+    the second-largest summand if summand i is the largest, else the largest.
+    With one variable every sample is P(c X > t): nothing is drawn."""
+    if len(entries) == 1:
+        value = _scaled_sf_batch(dist, entries[0][1], np.array([t]))[0]
+        for done in range(0, n, _BLOCK):
+            yield np.full(min(_BLOCK, n - done), value)
+        return
+    for summands in _summand_blocks(dist, entries, n, seed):
         total = summands.sum(axis=0)
-        order = np.sort(summands, axis=0)
-        largest, second = order[-1], order[-2]
+        largest, second = _top_two(summands)
         value = np.zeros(summands.shape[1])
         for row, (i, w) in enumerate(entries):
             resid_sum = total - summands[row]
@@ -186,19 +199,18 @@ def _conditional_values(dist, entries, t, blocks):
         yield value
 
 
-def _plain_values(dist, entries, t, blocks):
+def _plain_values(dist, entries, t, n, seed):
     """Per sample, the indicator of the truncated sum exceeding t."""
-    for summands in blocks:
+    for summands in _summand_blocks(dist, entries, n, seed):
         yield (summands.sum(axis=0) > t).astype(float)
 
 
 def _monte_carlo(dist, seq, t, n, seed, eps_trunc, kernel, method) -> OracleEstimate:
-    """Sample mean of the kernel's values over the seeded summand blocks."""
+    """Sample mean of the kernel's values over n seeded samples."""
     if n < 1:
         raise ValueError("sample count must be positive")
     n_trunc, entries = _truncation(seq, eps_trunc)
-    p_hat, std_err, n_done = _sample_stats(
-        kernel(dist, entries, t, _summand_blocks(dist, entries, n, seed)))
+    p_hat, std_err, n_done = _sample_stats(kernel(dist, entries, t, n, seed))
     return OracleEstimate(t=t, p_hat=p_hat, std_err=std_err, n_samples=n_done,
                           truncation_n=n_trunc,
                           truncation_bias_bound=_truncation_bias_bound(
@@ -210,9 +222,8 @@ def conditional_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int
                    seed: int, eps_trunc: float = 1e-9) -> OracleEstimate:
     """Tail estimate by argmax-conditional Monte Carlo on the truncated sum.
 
-    Each sample draws all truncated variables, then sums over candidate
-    indices i the probability that a fresh c_i X clears both the residual
-    maximum and the level t minus the residual sum; this is exactly the
+    Each sample sums over candidate indices i the probability that a fresh
+    c_i X clears both the residual maximum and t minus the residual sum: the
     conditional probability of {sum > t, summand i largest}, so the sample
     mean is unbiased for the truncated model.
     """
@@ -236,8 +247,7 @@ class PointMassFactor:
 
     def __init__(self, at: float = 0.0):
         self.at = at
-        self.support_left = at
-        self.support_right = at
+        self.support_left = self.support_right = at
         self.breaks = (at,)
 
     def sf(self, x):
@@ -281,9 +291,7 @@ class ScaledFactor:
 
     def logpdf(self, x):
         v = self.dist.pdf(x / self.c)
-        if v <= 0.0:
-            return -math.inf
-        return math.log(v) - math.log(abs(self.c))
+        return -math.inf if v <= 0.0 else math.log(v) - math.log(abs(self.c))
 
 
 class _LogInterpolant:
@@ -423,8 +431,7 @@ def _t_integral(f_logsf, k_factor, t: float, tol_rel: float) -> tuple[float, flo
             return -math.inf
         return f_logsf(t - x) + lp
 
-    probes = list(k_factor.breaks)
-    return _log_quad_panels(log_g, lo, hi, probes, tol_rel)
+    return _log_quad_panels(log_g, lo, hi, k_factor.breaks, tol_rel)
 
 
 def convolve_pair_sf(a, b, t: float, tol_rel: float = 1e-9,
@@ -464,8 +471,7 @@ def _density_convolution(a, b, t: float, tol_rel: float) -> float:
         return la + lb
 
     probes = list(a.breaks) + [t - p for p in b.breaks]
-    val, _ = _log_quad_panels(log_g, lo, hi, probes, tol_rel)
-    return val
+    return _log_quad_panels(log_g, lo, hi, probes, tol_rel)[0]
 
 
 def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float]:

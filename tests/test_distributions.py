@@ -267,6 +267,14 @@ def test_batch_paths_match_scalar():
                                    [dist.cdf(x) for x in xs], rtol=1e-13)
 
 
+def test_all_tail_batch_matches_masked_path():
+    # with every point in the tail the batch skips the gather; the bits stay
+    d = lt.weibull_type(0.5, symmetric=True)
+    xs = np.geomspace(d.upper.t0, 1e4, 50)
+    assert np.array_equal(d.sf_batch(xs), d.sf_batch(np.append(xs, 0.5))[:-1])
+    assert np.array_equal(d.cdf_batch(-xs), d.cdf_batch(np.append(-xs, 0.5))[:-1])
+
+
 # -- custom constructors -----------------------------------------------------------
 
 

@@ -1,12 +1,16 @@
 """Monte Carlo and quadrature oracles: unbiasedness, determinism, ConvTM checks."""
 
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
 import lighttails as lt
+from lighttails.config import build_distribution, build_weights, load_config
+from lighttails.oracle import _top_two
 
 from helpers import brentq_quantile
 
@@ -21,15 +25,86 @@ def pair_seq():
     return lt.WeightSequence([1.0, 0.5])
 
 
+def _shipped(name):
+    doc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    dist = build_distribution(doc)
+    return dist, build_weights(doc, dist)
+
+
 # -- conditional Monte Carlo ---------------------------------------------------
 
 
 def test_single_weight_estimator_is_constant(weibull04):
+    def ppf(u):
+        raise AssertionError("one variable is integrated out: nothing to draw")
+
     seq = lt.WeightSequence([1.0])
-    est = lt.conditional_mc(weibull04, seq, 50.0, 1000, seed=1)
+    est = lt.conditional_mc(dataclasses.replace(weibull04, ppf=ppf), seq, 50.0,
+                            (1 << 18) + 1000, seed=1)
     assert est.p_hat == pytest.approx(weibull04.sf(50.0), rel=1e-14)
     assert est.std_err == 0.0
     assert est.truncation_bias_bound == 0.0
+    assert est.n_samples == (1 << 18) + 1000
+
+
+@pytest.mark.parametrize("rows", [2, 3, 31])
+def test_top_two_matches_sort(rows):
+    rng = np.random.default_rng(rows)
+    ties = rng.integers(-3, 4, size=(rows, 300)).astype(float)
+    spread = rng.standard_normal((rows, 300))
+    dup_max = np.linspace(-1.0, 1.0, rows)
+    dup_max[0] = dup_max[-1] = 7.0
+    zeros = np.full(rows, -2.0)
+    zeros[:2] = (-0.0, 0.0)
+    special = np.column_stack([np.full(rows, 1.5), dup_max, -np.arange(1.0, rows + 1.0),
+                               zeros, zeros[::-1]])
+    for m in (ties, -ties, spread, special):
+        order = np.sort(m, axis=0)
+        largest, second = _top_two(m)
+        # equality as floats compare: the sort leaves the order of -0.0 and
+        # 0.0 to its algorithm, and no survival tells the two apart
+        np.testing.assert_array_equal(largest, order[-1])
+        np.testing.assert_array_equal(second, order[-2])
+    largest, second = _top_two(special)
+    assert largest[1] == second[1] == 7.0 and largest[0] == second[0] == 1.5
+
+
+# float.hex of seeded (p_hat, std_err): an edit to the sampling or to a kernel
+# that moves one bit of an estimate fails here, without a manifest run
+SEEDED_BITS = [
+    ("one", 1000, "0x1.12a2b8258dbc4p-7", "0x0.0p+0"),
+    ("pair", 20000, "0x1.68222d940e1b9p-11", "0x1.9dd8309076b35p-21"),
+    ("triple", 20000, "0x1.708dc074805fcp-11", "0x1.d3625a4977ceap-21"),
+    ("symmetric_moments", 20000, "0x1.3673805755f13p-9", "0x1.507a94dec735ep-18"),
+    ("negative_pair", 20000, "0x1.fd197bf2247d9p-14", "0x1.4d76e5de2a271p-23"),
+    ("two_blocks", (1 << 18) + 1000, "0x1.33b95a4dd3938p-10", "0x1.8cbb17c97343cp-22"),
+    ("mixture", 2000, "0x1.bdffc432a4d12p-15", "0x1.f17e396e2b5c6p-24"),
+    ("plain_pair", 20000, "0x1.6f0068db8bac7p-10", "0x1.153d6351cfec3p-12"),
+]
+
+
+@pytest.mark.parametrize("case,n,p_hex,se_hex", SEEDED_BITS,
+                         ids=[case[0] for case in SEEDED_BITS])
+def test_seeded_estimates_keep_their_bits(weibull04, pair_seq, case, n, p_hex, se_hex):
+    symmetric = lt.weibull_type(0.5, symmetric=True)
+    estimator, dist, seq, t, seed, eps, rows = {
+        "one": (lt.conditional_mc, weibull04, lt.WeightSequence([1.0]), 50.0, 1, 1e-9, 1),
+        "pair": (lt.conditional_mc, weibull04, pair_seq, 150.0, 7, 1e-9, 2),
+        "triple": (lt.conditional_mc, weibull04, lt.WeightSequence([1.0, 0.5, 0.25]),
+                   150.0, 7, 1e-9, 3),
+        "symmetric_moments": (lt.conditional_mc, *_shipped("symmetric_moments.json"),
+                              30.25, 9, 1e-9, 31),
+        "negative_pair": (lt.conditional_mc, symmetric,
+                          lt.WeightSequence([1.0, -0.5], sign_mode="balanced"),
+                          70.0, 3, 1e-9, 2),
+        "two_blocks": (lt.conditional_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
+        "mixture": (lt.conditional_mc, *_shipped("cancellation_pair.json"),
+                    100.0, 9, 1e-4, 2),
+        "plain_pair": (lt.plain_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
+    }[case]
+    est = estimator(dist, seq, t, n, seed=seed, eps_trunc=eps)
+    assert est.truncation_n == rows and est.n_samples == n
+    assert (est.p_hat.hex(), est.std_err.hex()) == (p_hex, se_hex)
 
 
 def test_conditional_mc_deterministic(weibull04, pair_seq):
@@ -73,13 +148,7 @@ SHIPPED_VARIANCE_POINTS = [
 
 @pytest.mark.parametrize("name,t", SHIPPED_VARIANCE_POINTS)
 def test_conditional_beats_plain_on_shipped_configs(name, t):
-    import os
-
-    from lighttails.config import (build_distribution, build_weights,
-                                   load_config)
-    doc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
-    dist = build_distribution(doc)
-    seq = build_weights(doc, dist)
+    dist, seq = _shipped(name)
     n = 8000 if "pair" in name or "logweibull" in name else 40000
     # both estimators share the truncated model, so a coarse truncation keeps
     # the variance comparison fair while sparing the root-finding quantiles
@@ -95,13 +164,7 @@ def test_conditional_beats_plain_on_shipped_configs(name, t):
 def test_mixture_oracle_matches_brentq_quantiles(name):
     # seeded estimates drawn through the array quantile solver and through
     # scalar brentq quantiles differ by rounding only: 1e-9 relative at most
-    import dataclasses
-    import os
-
-    from lighttails.config import build_distribution, build_weights, load_config
-    doc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
-    dist = build_distribution(doc)
-    seq = build_weights(doc, dist)
+    dist, seq = _shipped(name)
     ref = dataclasses.replace(
         dist, ppf=np.vectorize(lambda p: brentq_quantile(dist, p), otypes=[float]))
     got = lt.conditional_mc(dist, seq, 100.0, 500, seed=9, eps_trunc=1e-4)
