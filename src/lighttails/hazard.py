@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,15 +50,26 @@ class LogPowerSum:
     terms: tuple[tuple[float, float, float], ...]  # (kappa, rho, gamma)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        logt = np.log(t)
-        out = np.zeros_like(t)
+        """h(t) for a float t (Python or numpy), or elementwise over an array.
+
+        A float skips the array round trip but keeps np.power and np.log:
+        their loops differ from libm in the last bit on a few percent of
+        inputs, and the quadrature and evaluate artifacts record numpy's
+        bits.  The mixture's _xp takes math for scalars for the same reason:
+        its artifacts were recorded from math.
+        """
+        scalar = isinstance(t, float)
+        t = t if scalar else np.asarray(t, dtype=float)
+        logt = np.log(t) if self._has_log else None
+        out = 0.0 if scalar else np.zeros_like(t)
         for kappa, rho, gamma in self.terms:
-            piece = kappa * t**rho
-            if gamma != 0.0:
-                piece = piece * logt**gamma
-            out = out + piece
-        return float(out) if out.ndim == 0 else out
+            piece = kappa * np.power(t, rho)
+            out = out + (piece * logt**gamma if gamma != 0.0 else piece)
+        return float(out) if scalar or out.ndim == 0 else out
+
+    @cached_property
+    def _has_log(self) -> bool:
+        return any(gamma != 0.0 for _, _, gamma in self.terms)
 
     def derivative(self) -> "LogPowerSum":
         acc: dict[tuple[float, float], float] = {}

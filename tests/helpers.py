@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
 from scipy.optimize import brentq
 
 
@@ -127,3 +128,18 @@ def brentq_quantile(dist, p: float) -> float:
         hi *= 2.0
     return brentq(lambda t: up.log_survival(t) - target, up.t0, hi,
                   xtol=1e-300, rtol=1e-15)
+
+
+def log_power_sum_reference(terms, t):
+    """sum kappa * t^rho * (log t)^gamma as one array formula: a scalar t
+    becomes a 0-d array, so t^rho and log t take numpy's ufunc loops.  The
+    reference for the bits of LogPowerSum's scalar and array paths."""
+    t = np.asarray(t, dtype=float)
+    logt = np.log(t)
+    out = np.zeros_like(t)
+    for kappa, rho, gamma in terms:
+        piece = kappa * t**rho
+        if gamma != 0.0:
+            piece = piece * logt**gamma
+        out = out + piece
+    return float(out) if out.ndim == 0 else out

@@ -10,7 +10,8 @@ import lighttails as lt
 from lighttails.hazardpoly import (monomial_weight, poly_value,
                                    survival_derivative_polys)
 
-from helpers import faa_di_bruno_ratio, hand_survival_ratio, richardson_derivative
+from helpers import (faa_di_bruno_ratio, hand_survival_ratio, log_power_sum_reference,
+                     richardson_derivative)
 
 FAMILIES = {
     "weibull": lt.weibull_type(0.5),
@@ -90,6 +91,42 @@ def test_rapid_variation():
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         # the slowest family (log-scale tail) only reaches ~0.02 by t = 1e7
         assert ratios[-1] < math.log(0.05)
+
+
+# -- bits of the hazard rate --------------------------------------------------
+
+BIT_POINTS = np.geomspace(1.01, 1e12, 10_000)
+BIT_INPUTS = list(zip(BIT_POINTS.tolist(), BIT_POINTS, [np.asarray(x) for x in BIT_POINTS]))
+
+
+def _assert_reference_bits(h, every=1):
+    # a Python float, an np.float64 and a 0-d array each give the reference's
+    # float exactly, and an array its array
+    bad = []
+    for x, x64, x0 in BIT_INPUTS[::every]:
+        want = log_power_sum_reference(h.terms, x0)
+        got = (h(x), h(x64), h(x0))
+        if not (got == (want,) * 3 and all(type(v) is float for v in got)):
+            bad.append((x, want, got))
+    assert not bad, f"{len(bad)} points differ, first {bad[0]}"
+    np.testing.assert_array_equal(h(BIT_POINTS), log_power_sum_reference(h.terms, BIT_POINTS))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_hazard_derivatives_keep_reference_bits(name):
+    m = FAMILIES[name].upper
+    _assert_reference_bits(m.hazard_derivs[0])
+    # every tenth point for the derivatives, which hold up to nine terms each,
+    # so the test stays within a few seconds
+    for h in m.hazard_derivs[1:m.smooth_order + 1]:
+        _assert_reference_bits(h, every=10)
+
+
+@pytest.mark.parametrize("rho", [-1.0, -2.0, -0.6, 0.5, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 0.5, -1.5])
+def test_custom_hazard_terms_keep_reference_bits(rho, gamma):
+    dist = lt.custom_hazard([(1.3, rho, gamma)], t0=2.0, sbar_t0=0.5, rv_index=-0.5)
+    _assert_reference_bits(dist.upper.hazard_derivs[0])
 
 
 # -- exact derivatives -------------------------------------------------------

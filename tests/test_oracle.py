@@ -288,6 +288,32 @@ def test_quadrature_estimate_fields(weibull04, pair_seq):
     assert est.truncation_n == 2
 
 
+# float.hex of quadrature p_hat at the quadrature-deep benchmark's pair ends and
+# its triple point: an edit to the factors' callbacks or the panel probes that
+# moves one bit fails here, without a manifest run
+QUADRATURE_BITS = [
+    ("weibull", [1.0, 0.5], 700.0, "0x1.28e90790a0e2fp-20"),
+    ("weibull", [1.0, 0.5], 3e5, "0x1.1587f4964bc1ep-224"),
+    ("lognormal", [1.0, math.exp(-1.0)], 50.0, "0x1.248adab95dff4p-11"),
+    ("lognormal", [1.0, math.exp(-1.0)], 1e7, "0x1.83be91fb5d9fep-188"),
+    ("weibull", [1.0, 0.5, 0.25], 700.0, "0x1.2af4ddf991ee1p-20"),
+]
+
+
+@pytest.mark.parametrize("family,weights,t,p_hex", QUADRATURE_BITS,
+                         ids=[f"{f}{len(w)}@{t:g}" for f, w, t, _ in QUADRATURE_BITS])
+def test_quadrature_keeps_its_bits(weibull04, family, weights, t, p_hex):
+    dist = weibull04 if family == "weibull" else lt.lognormal_type(0.5)
+    est = lt.quadrature_estimate(dist, lt.WeightSequence(weights), t)
+    assert est.truncation_n == len(weights) and est.p_hat.hex() == p_hex
+
+
+def test_pair_error_bound_keeps_its_bits(weibull04):
+    value, err = lt.convolve_pair_sf(lt.ScaledFactor(weibull04, 1.0),
+                                     lt.ScaledFactor(weibull04, 0.5), 3e5)
+    assert (value.hex(), err.hex()) == ("0x1.1587f4964bc1ep-224", "0x1.008a826f43be5p-260")
+
+
 # -- comparison tables --------------------------------------------------------------
 
 

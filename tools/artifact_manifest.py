@@ -3,9 +3,10 @@ exits 1 and names each artifact whose hash differs from OLD.json.
 
 Runs classify, expand, evaluate, oracle, compare, then report, on each
 configs/*.json at its shipped budget; weibull_oracle_check also with method
-plain_mc and quadrature, and with log_weibull(a = 1.5) under conditional_mc,
-under quadrature and symmetric; lognormal_gate_above also symmetric.  Output
-goes to a temporary directory; no artifact records it.
+plain_mc and quadrature, with log_weibull(a = 1.5) under conditional_mc,
+under quadrature and symmetric, and with a closed-form custom hazard;
+lognormal_gate_above also symmetric; lognormal_gate_boundary also under
+quadrature.  Output goes to a temporary directory; no artifact records it.
 """
 
 import argparse
@@ -23,6 +24,10 @@ from lighttails import config  # noqa: E402
 # every closed-form family runs one-sided and symmetric
 LOGWEIBULL = {"family": "logweibull", "params": {"a": 1.5}}
 QUADRATURE = {"method": "quadrature"}
+# a Weibull-type power plus a critical-scale log power, both integrated in
+# closed form, so the hazard and its derivatives sum terms with and without logs
+CUSTOM = {"family": "custom",
+          "params": {"terms": [[0.4, -0.6, 0.0], [0.1, -1.0, 1.0]], "rv_index": -0.6}}
 VARIANTS = {
     "weibull_oracle_check": {
         "": {},
@@ -31,8 +36,10 @@ VARIANTS = {
         "+logweibull": {"distribution": LOGWEIBULL},
         "+logweibull+quadrature": {"distribution": LOGWEIBULL, "oracle": QUADRATURE},
         "+logweibull+symmetric": {"distribution": {**LOGWEIBULL, "symmetric": True}},
+        "+custom": {"distribution": CUSTOM},
     },
     "lognormal_gate_above": {"": {}, "+symmetric": {"distribution": {"symmetric": True}}},
+    "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE}},
 }
 
 
