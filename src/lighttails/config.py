@@ -173,7 +173,7 @@ def build_weights(doc: dict, dist: TailDistribution) -> WeightSequence:
     section = doc["weights"]
     weights = section["weights"]
     gen_spec = section.get("generator")
-    sign_mode = "balanced" if dist.lower is not None else "one_sided"
+    sign_mode = "balanced" if dist.symmetric else "one_sided"
     generator = None
     if gen_spec:
         if gen_spec["from_index"] != len(weights) + 1:
@@ -298,10 +298,10 @@ def expansion_to_json(exp: xp.TailExpansion) -> dict:
     }
 
 
-def _evaluation_columns(table, totals, inserted=()):
+def _evaluation_columns(table, inserted=()):
     """CSV header and columns of an evaluation; the (name, column) pairs in
     `inserted` go between the remainder benchmark and the cancellation flag."""
-    named = [("t", table.t), ("expansion_total", totals)]
+    named = [("t", table.t), ("expansion_total", table.totals)]
     named += [(f"term_{k}_{lab}", table.term_values[:, k])
               for k, lab in enumerate(table.term_labels)]
     named += [("remainder_benchmark", table.benchmark), *inserted,
@@ -350,7 +350,7 @@ def run_command(command: str, config_path: str, out_dir: str,
 
     if command == "evaluate":
         exp, table = _evaluate(doc, order_override)
-        header, cols = _evaluation_columns(table, table.totals)
+        header, cols = _evaluation_columns(table)
         write_csv(os.path.join(out_dir, "evaluation.csv"), header, cols)
         report = {
             "config": doc,
@@ -413,7 +413,8 @@ def run_command(command: str, config_path: str, out_dir: str,
     # compare
     exp = build_expansion(doc, dist, seq, order_override)
     table = orc.compare_with_oracle(exp, dist, seq, grid, budget)
-    header, cols = _evaluation_columns(table, table.expansion_total, [
+    ev = table.evaluation
+    header, cols = _evaluation_columns(ev, [
         (name, getattr(table, name)) for name in
         ("oracle_p", "oracle_stderr", "deviation", "deviation_over_benchmark")])
     write_csv(os.path.join(out_dir, "compare.csv"), header + ["passed"],
@@ -424,15 +425,15 @@ def run_command(command: str, config_path: str, out_dir: str,
                    ("n_samples", "seed", "method")} if table.estimates else {},
         "rows": [
             {
-                "t": float(table.t[i]),
-                "expansion_total": float(table.expansion_total[i]),
+                "t": float(ev.t[i]),
+                "expansion_total": float(ev.totals[i]),
                 "oracle_p": float(table.oracle_p[i]),
                 "oracle_stderr": float(table.oracle_stderr[i]),
                 "deviation": float(table.deviation[i]),
                 "deviation_over_benchmark": float(table.deviation_over_benchmark[i]),
                 "passed": bool(table.passed[i]),
             }
-            for i in range(len(table.t))
+            for i in range(len(ev.t))
         ],
     }
     write_json(os.path.join(out_dir, "compare.json"), out)

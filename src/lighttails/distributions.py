@@ -1,9 +1,9 @@
 """Full distributions assembled from hazard-rate tails plus an explicit body.
 
-A TailDistribution combines an upper-tail HazardModel, an optional lower-tail
-model for two-sided innovations (with the convention that both tails share
-their regular-variation metadata), a body CDF on the interval between the
-tail anchors, and a quantile function for the samplers.  Moments are computed
+A TailDistribution combines an upper-tail HazardModel, a body CDF and density
+on the interval between the tail anchors, and a quantile function for the
+samplers.  A symmetric law is two-sided: its lower tail is the upper one
+mirrored, P(X < -x) = P(X > x) beyond the anchor.  Moments are computed
 by adaptive quadrature of the survival decomposition
 
     E[X^k] = k * int_0^inf x^(k-1) [ P(X > x) + (-1)^k P(X < -x) ] dx
@@ -20,8 +20,8 @@ Built-in families:
                         powers of log(scale_i * t); exposes its signed pieces
                         for cancellation detection
 
-Each family accepts symmetric=True, which mirrors half the mass to the
-negative axis (tail balance ratio 1).
+Each closed-form family accepts symmetric=True, which mirrors half the mass
+to the negative axis.
 """
 
 from __future__ import annotations
@@ -51,15 +51,15 @@ _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
 
 @dataclass(frozen=True)
 class TailDistribution:
-    """One innovation distribution: body CDF plus hazard-rate tails."""
+    """One innovation distribution: body CDF and density plus a hazard-rate
+    upper tail; symmetric=True mirrors that tail below -upper.t0, so the body
+    then spans [-t0, t0] and a negative scale c reads the tail at t/|c|."""
 
     upper: HazardModel
     body_cdf: Callable
+    body_pdf: Callable
     ppf: Callable
     body_left: float
-    lower: HazardModel | None = None
-    tail_balance_ratio: float | None = None
-    body_pdf: Callable | None = None
     symmetric: bool = False
     name: str = "custom"
     quad_breaks: tuple[float, ...] = ()
@@ -69,15 +69,8 @@ class TailDistribution:
         gap = abs(self.body_cdf(self.upper.t0) - (1.0 - self.upper.sbar_t0))
         if gap > _JUNCTION_TOL:
             raise ValueError(f"body/upper-tail junction discontinuity {gap:.3e}")
-        if self.lower is not None:
-            if self.tail_balance_ratio is None or not self.tail_balance_ratio > 0:
-                raise ValueError("two-sided model requires a positive tail_balance_ratio")
-            if self.lower.rv_index != self.upper.rv_index or \
-               self.lower.log_exponent != self.upper.log_exponent:
-                raise ValueError(
-                    "balanced two-sided tails must share rv_index and log_exponent"
-                )
-            gap = abs(self.body_cdf(self.body_left) - self.lower.sbar_t0)
+        if self.symmetric:
+            gap = abs(self.body_cdf(self.body_left) - self.upper.sbar_t0)
             if gap > _JUNCTION_TOL:
                 raise ValueError(f"body/lower-tail junction discontinuity {gap:.3e}")
 
@@ -87,8 +80,8 @@ class TailDistribution:
         if x >= self.upper.t0:
             return 1.0 - self.upper.survival(x)
         if x <= self.body_left:
-            if self.lower is not None and -x >= self.lower.t0:
-                return self.lower.survival(-x)
+            if self.symmetric and -x >= self.upper.t0:
+                return self.upper.survival(-x)
             return 0.0
         return self.body_cdf(x)
 
@@ -105,20 +98,15 @@ class TailDistribution:
     def pdf(self, x: float) -> float:
         if x >= self.upper.t0:
             return self.upper.hazard(x) * self.upper.survival(x)
-        if x <= self.body_left and self.lower is not None:
-            s = -x
-            if s >= self.lower.t0:
-                return self.lower.hazard(s) * self.lower.survival(s)
-            return 0.0
         if x <= self.body_left:
+            if self.symmetric and -x >= self.upper.t0:
+                return self.upper.hazard(-x) * self.upper.survival(-x)
             return 0.0
-        if self.body_pdf is None:
-            raise NotImplementedError(f"{self.name}: no body density available")
         return self.body_pdf(x)
 
     @property
     def support_left(self) -> float:
-        return -math.inf if self.lower is not None else self.body_left
+        return -math.inf if self.symmetric else self.body_left
 
     # -- vectorized CDF paths for the samplers ------------------------------
 
@@ -131,12 +119,14 @@ class TailDistribution:
     def _tail_batch(self, x, lower: bool) -> np.ndarray:
         """sf, or cdf with lower=True, over an array: sbar_t0 * exp(-cum_hazard)
         on the points in that tail (on the whole array, ungathered, when all
-        are), the scalar path elsewhere and wherever the cumulated hazard raises."""
+        are), the scalar path elsewhere and wherever the cumulated hazard raises.
+        A lower tail exists only when symmetric, as the upper one read at -x."""
         x = np.asarray(x, dtype=float)
-        model, s, scalar = (self.lower, -x, self.cdf) if lower else (self.upper, x, self.sf)
+        model = self.upper
+        s, scalar = (-x, self.cdf) if lower else (x, self.sf)
         out = np.empty_like(x)
         rest = np.ones(x.shape, dtype=bool)
-        if model is not None:
+        if self.symmetric or not lower:
             tail = s >= model.t0
             try:
                 if tail.all():
@@ -156,9 +146,9 @@ class TailDistribution:
     def _require_scale(self, c: float):
         if c == 0.0:
             raise DegenerateWeightError("scale c = 0 is the point mass at zero")
-        if c < 0.0 and self.lower is None:
+        if c < 0.0 and not self.symmetric:
             raise UnsupportedSignError(
-                "negative scale needs a lower-tail model (distribution vanishes below)"
+                "negative scale needs a symmetric law (distribution vanishes below)"
             )
 
     def scaled_sf(self, c: float, x: float) -> float:
@@ -166,12 +156,14 @@ class TailDistribution:
         self._require_scale(c)
         return self.sf(x / c) if c > 0 else self.cdf(x / c)
 
+    def scaled_sf_batch(self, c: float, x) -> np.ndarray:
+        """scaled_sf over an array."""
+        return self.sf_batch(x / c) if c > 0 else self.cdf_batch(x / c)
+
     def scaled_logsf(self, c: float, t: float) -> float:
         """log P(c*X > t) in the tail domain (t/|c| beyond the anchor)."""
         self._require_scale(c)
-        if c > 0:
-            return self.upper.log_survival(t / c)
-        return self.lower.log_survival(t / abs(c))
+        return self.upper.log_survival(t / abs(c))
 
     def scaled_sf_deriv(self, c: float, k: int, t: float) -> float:
         sign, logabs = self.scaled_sf_deriv_signed_log(c, k, t)
@@ -182,21 +174,20 @@ class TailDistribution:
 
         For c > 0 this is c^-k * S^(k)(t/c) from the upper tail.  For c < 0,
         P(c*X > t) = L(t/|c|) with L the survival of -X, so each derivative
-        pulls out one factor |c|^-1 and differentiates L; the lower-tail model
-        represents exactly L.
+        pulls out one factor |c|^-1 and differentiates L; a symmetric law's L
+        is the upper tail itself.
         """
         self._require_scale(c)
-        model = self.upper if c > 0 else self.lower
         a = abs(c)
-        sign, logabs = model.survival_derivative_signed_log(k, t / a)
+        sign, logabs = self.upper.survival_derivative_signed_log(k, t / a)
         return sign, logabs - k * math.log(a)
 
     def tail_component_values(self, c: float, t: float) -> np.ndarray | None:
         """Signed closed-form pieces of P(c*X > t) when the tail exposes them."""
-        model = self.upper if c > 0 else self.lower
-        if model is None or model.tail_components is None:
+        self._require_scale(c)
+        if self.upper.tail_components is None:
             return None
-        return np.asarray(model.tail_components(t / abs(c)), dtype=float)
+        return np.asarray(self.upper.tail_components(t / abs(c)), dtype=float)
 
     # -- moments -----------------------------------------------------------
 
@@ -229,14 +220,10 @@ class TailDistribution:
 
     def _tail_power_integral(self, k: int, upper: bool) -> float:
         """int_0^inf x^(k-1) * P(side) dx for one side of the axis."""
-        if upper:
-            weight = self.sf
-            anchor = self.upper.t0
-        else:
-            if self.lower is None:
-                return 0.0 if self.body_left >= 0 else self._body_negative_integral(k)
-            weight = lambda x: self.cdf(-x)
-            anchor = self.lower.t0
+        if not (upper or self.symmetric):
+            return self._body_negative_integral(k)
+        weight = self.sf if upper else (lambda x: self.cdf(-x))
+        anchor = self.upper.t0
 
         def f(x):
             return x ** (k - 1) * weight(x)
@@ -317,8 +304,6 @@ def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
 
     return TailDistribution(
         upper=upper,
-        lower=upper,
-        tail_balance_ratio=1.0,
         body_cdf=body_cdf,
         body_pdf=lambda x: 0.5 * base_pdf(abs(x)),
         ppf=ppf,

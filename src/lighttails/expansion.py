@@ -166,15 +166,13 @@ class TailExpansion:
     flags: tuple[str, ...] = ()
 
 
-def _check_smoothness(dist: TailDistribution, order: int, negative_scales: bool):
+def _check_smoothness(dist: TailDistribution, order: int):
     if order > dist.upper.smooth_order:
         raise SmoothnessError(required=order, available=dist.upper.smooth_order)
-    if negative_scales and dist.lower is not None and order > dist.lower.smooth_order:
-        raise SmoothnessError(required=order, available=dist.lower.smooth_order)
 
 
 def _check_sign_compatibility(dist: TailDistribution, seq: WeightSequence):
-    if seq.sign_mode == "balanced" and dist.lower is None:
+    if seq.sign_mode == "balanced" and not dist.symmetric:
         raise OutOfScopeError(
             "balanced weights need a two-sided (strongly tail balanced) distribution"
         )
@@ -204,7 +202,7 @@ def expand_supercritical(dist: TailDistribution, seq: WeightSequence, m: int,
     _check_sign_compatibility(dist, seq)
     regime = regime or Regime(RegimeKind.SUPERCRITICAL)
     maximal = seq.maximal_indices()
-    _check_smoothness(dist, m, any(seq.weight(i) < 0 for i in maximal))
+    _check_smoothness(dist, m)
 
     rho = dist.upper.rv_index
     gamma = dist.upper.log_exponent
@@ -292,35 +290,32 @@ def expand_critical(dist: TailDistribution, seq: WeightSequence, k: int,
     threshold = c1 * math.exp(-k / lam)
     # enumerate candidates slightly past the threshold, then apply the exact log test
     enumeration_floor = threshold * (1.0 - 1e-9)
-    by_scale: dict[float, int] = {}
-    for _, w in seq.iter_weights(min_magnitude=enumeration_floor):
+    # per kept scale s: [count, x = k + lam * log(|s|/c1), first index]
+    by_scale: dict[float, list] = {}
+    for i, w in seq.iter_weights(min_magnitude=enumeration_floor):
+        if w in by_scale:
+            by_scale[w][0] += 1
+            continue
         x = k + lam * math.log(abs(w) / c1)
         if x >= -_ORDER_TOL * max(1.0, k):
-            by_scale[w] = by_scale.get(w, 0) + 1
-
-    has_negative = any(s < 0 for s in by_scale)
-    max_char_order = max(
-        min(k, math.floor(k + lam * math.log(abs(s) / c1) + _ORDER_TOL))
-        for s in by_scale)
-    _check_smoothness(dist, max_char_order, has_negative)
+            by_scale[w] = [1, x, i]
+    orders = {s: min(k, math.floor(x + _ORDER_TOL)) for s, (_, x, _) in by_scale.items()}
+    depths = {s: k - x for s, (_, x, _) in by_scale.items()}  # lam * log(c1/|s|)
+    _check_smoothness(dist, max(orders.values()))
 
     # raw terms with their decay pairs
     magnitudes = sorted({abs(s) for s in by_scale}, reverse=True)
     level_of = {mag: r for r, mag in enumerate(magnitudes, start=1)}
     raw = []  # (scale, j, coeff, p, q, level, order_s)
     characters = []
-    for s, count in sorted(by_scale.items(), key=lambda kv: (-abs(kv[0]), -kv[0])):
-        x = k + lam * math.log(abs(s) / c1)
-        order_s = min(k, math.floor(x + _ORDER_TOL))
-        order_s = max(order_s, 0)
-        depth = k - x  # lam * log(c1/|s|), 0 at the top scale
-        rep_index = next(i for i, w in seq.iter_weights(min_magnitude=enumeration_floor)
-                         if w == s)
+    for s, (count, _, rep_index) in sorted(by_scale.items(),
+                                           key=lambda kv: (-abs(kv[0]), -kv[0])):
+        order_s = max(orders[s], 0)
         ch = character_from_moments(residual_moments(dist, seq, rep_index, order_s),
                                     order_s)
         characters.append((s, order_s, ch.coeffs))
         for j, a in enumerate(ch.coeffs):
-            raw.append((s, j, count * a, depth + j, j * gamma,
+            raw.append((s, j, count * a, depths[s] + j, j * gamma,
                         level_of[abs(s)], order_s))
 
     # prune by order bookkeeping:
@@ -333,7 +328,6 @@ def expand_critical(dist: TailDistribution, seq: WeightSequence, k: int,
     #    correction, above-threshold the second scale replaces it, and a
     #    boundary scale (depth exactly k) displaces nothing.
     remainder_pair = (float(k), k * gamma)
-    depths = {s: k - (k + lam * math.log(abs(s) / c1)) for s in by_scale}
     kept_terms = []
     for s, j, coeff, p, q, level, order_s in raw:
         if j >= 1:

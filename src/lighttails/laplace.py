@@ -167,9 +167,8 @@ def residual_moments(dist: TailDistribution, seq: WeightSequence, i: int,
 def apply_character(ch: LaplaceCharacter, dist: TailDistribution, c: float,
                     t: float) -> float:
     """Evaluate (L applied to the scaled survival) at t: sum_i a_i D^i P(cX > .)."""
-    model = dist.upper if c > 0 else dist.lower
-    if model is not None and ch.order > model.smooth_order:
-        raise SmoothnessError(required=ch.order, available=model.smooth_order)
+    if ch.order > dist.upper.smooth_order:
+        raise SmoothnessError(required=ch.order, available=dist.upper.smooth_order)
     total = 0.0
     for i, a in enumerate(ch.coeffs):
         if a == 0.0:

@@ -46,7 +46,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import TailDistribution
 from .errors import LightTailsError
-from .expansion import TailExpansion, evaluate
+from .expansion import EvaluationTable, TailExpansion, evaluate
 from .weights import WeightSequence
 
 __all__ = [
@@ -138,10 +138,6 @@ def _sample_stats(value_blocks) -> tuple[float, float, int]:
     return mean, math.sqrt(var / n), n
 
 
-def _scaled_sf_batch(dist: TailDistribution, c: float, x: np.ndarray) -> np.ndarray:
-    return dist.sf_batch(x / c) if c > 0 else dist.cdf_batch(x / c)
-
-
 def _truncation(seq: WeightSequence, eps_trunc: float):
     """Truncation level N and the kept entries: the first N with tail weight
     below eps_trunc, never short of a maximal entry."""
@@ -183,7 +179,7 @@ def _conditional_values(dist, entries, t, n, seed):
     the second-largest summand if summand i is the largest, else the largest.
     With one variable every sample is P(c X > t): nothing is drawn."""
     if len(entries) == 1:
-        value = _scaled_sf_batch(dist, entries[0][1], np.array([t]))[0]
+        value = dist.scaled_sf_batch(entries[0][1], np.array([t]))[0]
         for done in range(0, n, _BLOCK):
             yield np.full(min(_BLOCK, n - done), value)
         return
@@ -195,7 +191,7 @@ def _conditional_values(dist, entries, t, n, seed):
             resid_sum = total - summands[row]
             resid_max = np.where(summands[row] == largest, second, largest)
             level = np.maximum(resid_max, t - resid_sum)
-            value += _scaled_sf_batch(dist, w, level)
+            value += dist.scaled_sf_batch(w, level)
         yield value
 
 
@@ -271,8 +267,8 @@ class ScaledFactor:
             self.support_left = -math.inf
             self.support_right = c * left if math.isfinite(left) else math.inf
         pts = {dist.body_left, dist.upper.t0}
-        if dist.lower is not None:
-            pts.add(-dist.lower.t0)
+        if dist.symmetric:
+            pts.add(-dist.upper.t0)
         pts.update(dist.quad_breaks)
         self.breaks = tuple(sorted(c * p for p in pts))
 
@@ -282,11 +278,11 @@ class ScaledFactor:
     def logsf(self, x):
         if self.c > 0:
             return self.dist.logsf(x / self.c)
-        # in the lower tail, its own log-survival: the linear complement
-        # loses precision in subnormals and then underflows to -inf
-        lower = self.dist.lower
-        if lower is not None and x / -self.c >= lower.t0:
-            return lower.log_survival(x / -self.c)
+        # in the mirrored lower tail, its own log-survival: the linear
+        # complement loses precision in subnormals and then underflows to -inf
+        upper = self.dist.upper
+        if self.dist.symmetric and x / -self.c >= upper.t0:
+            return upper.log_survival(x / -self.c)
         v = self.sf(x)
         return math.log(v) if v > 0 else -math.inf
 
@@ -525,17 +521,14 @@ def quadrature_estimate(dist: TailDistribution, seq: WeightSequence, t: float,
 
 @dataclass
 class ComparisonTable:
-    t: np.ndarray
-    expansion_total: np.ndarray
-    term_values: np.ndarray
-    term_labels: tuple[str, ...]
-    benchmark: np.ndarray
+    """Oracle estimates and deviations beside the evaluation they check."""
+
+    evaluation: EvaluationTable
     oracle_p: np.ndarray
     oracle_stderr: np.ndarray
     deviation: np.ndarray
     deviation_over_benchmark: np.ndarray
     passed: np.ndarray
-    cancellation: np.ndarray
     estimates: list[OracleEstimate] = field(default_factory=list)
 
 
@@ -570,16 +563,11 @@ def compare_with_oracle(expansion: TailExpansion, dist: TailDistribution,
                       table.benchmark * budget.slack)
     passed = deviation <= band
     return ComparisonTable(
-        t=table.t,
-        expansion_total=table.totals,
-        term_values=table.term_values,
-        term_labels=table.term_labels,
-        benchmark=table.benchmark,
+        evaluation=table,
         oracle_p=oracle_p,
         oracle_stderr=oracle_se,
         deviation=deviation,
         deviation_over_benchmark=dev_over_bench,
         passed=passed,
-        cancellation=table.cancellation,
         estimates=estimates,
     )

@@ -31,7 +31,7 @@ def all_families():
 
 @pytest.mark.parametrize("dist", all_families(), ids=lambda d: d.name)
 def test_cdf_monotone_and_junction_continuous(dist):
-    lo = dist.body_left - 2.0 if dist.lower is not None else dist.body_left
+    lo = dist.body_left - 2.0 if dist.symmetric else dist.body_left
     grid = np.concatenate([
         np.linspace(lo, dist.upper.t0 + 2.0, 100),
         np.geomspace(dist.upper.t0 + 2.0, 1e5, 40),
@@ -43,7 +43,7 @@ def test_cdf_monotone_and_junction_continuous(dist):
     t0 = dist.upper.t0
     assert dist.cdf(t0 - 1e-9) == pytest.approx(dist.cdf(t0 + 1e-9), abs=1e-8)
     assert abs(dist.body_cdf(t0) - (1.0 - dist.upper.sbar_t0)) <= 1e-12
-    if dist.lower is not None:
+    if dist.symmetric:
         bl = dist.body_left
         assert dist.cdf(bl - 1e-9) == pytest.approx(dist.cdf(bl + 1e-9), abs=1e-8)
     assert dist.cdf(grid[-1]) > 1.0 - 1e-10  # total mass
@@ -160,14 +160,13 @@ def test_closed_forms_bit_for_bit(dist):
         assert dist.ppf(float(p)) == ppf(float(p)), p
     np.testing.assert_array_equal(dist.ppf(ps), ppf(ps))
     ts = np.geomspace(t0, 1e6, 17)
-    for model in (dist.upper, dist.lower or dist.upper):
-        np.testing.assert_array_equal(model.cum_hazard(ts), cum(ts))
+    np.testing.assert_array_equal(dist.upper.cum_hazard(ts), cum(ts))
 
 
 def test_pdf_integrates_to_cdf():
     for dist in (lt.weibull_type(0.5), lt.weibull_type(0.5, symmetric=True),
                  lt.lognormal_type(0.5)):
-        lo = dist.body_left if dist.lower is None else -8.0
+        lo = -8.0 if dist.symmetric else dist.body_left
         for hi in (1.9, 5.0, 12.0):
             val, _ = quad(dist.pdf, lo, hi, points=[p for p in dist.quad_breaks
                                                     if lo < p < hi],
@@ -412,10 +411,13 @@ def test_custom_hazard_quadrature_term_samples():
     np.testing.assert_allclose(cu.sf_batch(xs), [cu.sf(x) for x in xs], rtol=1e-13)
 
 
-def test_two_sided_requires_balance_metadata():
+def test_symmetric_requires_mirrored_junction():
+    # the body meets the upper tail at t0 but leaves mass 0, not S(t0), below
+    # its left end -t0, where the mirrored tail takes over
     up = lt.weibull_type(0.5).upper
-    with pytest.raises(ValueError):
-        lt.TailDistribution(upper=up, body_cdf=lambda x: 1 - up.sbar_t0,
-                            ppf=lambda p: p, body_left=0.0,
-                            lower=lt.weibull_type(0.4).upper,
-                            tail_balance_ratio=1.0)
+    body_cdf = lambda x: 0.0 if x <= -up.t0 else 1 - up.sbar_t0
+    kw = dict(upper=up, body_cdf=body_cdf, body_pdf=lambda x: 0.0,
+              ppf=lambda p: p, body_left=-up.t0)
+    lt.TailDistribution(**kw)
+    with pytest.raises(ValueError, match="lower-tail junction"):
+        lt.TailDistribution(**kw, symmetric=True)

@@ -297,14 +297,18 @@ QUADRATURE_BITS = [
     ("lognormal", [1.0, math.exp(-1.0)], 50.0, "0x1.248adab95dff4p-11"),
     ("lognormal", [1.0, math.exp(-1.0)], 1e7, "0x1.83be91fb5d9fep-188"),
     ("weibull", [1.0, 0.5, 0.25], 700.0, "0x1.2af4ddf991ee1p-20"),
+    # a negative scale: the mirrored density and lower-tail log-survival
+    ("weibull_symmetric", [1.0, -0.5], 700.0, "0x1.24f08d935f8a7p-21"),
 ]
 
 
 @pytest.mark.parametrize("family,weights,t,p_hex", QUADRATURE_BITS,
                          ids=[f"{f}{len(w)}@{t:g}" for f, w, t, _ in QUADRATURE_BITS])
 def test_quadrature_keeps_its_bits(weibull04, family, weights, t, p_hex):
-    dist = weibull04 if family == "weibull" else lt.lognormal_type(0.5)
-    est = lt.quadrature_estimate(dist, lt.WeightSequence(weights), t)
+    dist = {"weibull": weibull04, "lognormal": lt.lognormal_type(0.5),
+            "weibull_symmetric": lt.weibull_type(0.4, symmetric=True)}[family]
+    seq = lt.WeightSequence(weights, sign_mode="balanced" if dist.symmetric else "one_sided")
+    est = lt.quadrature_estimate(dist, seq, t)
     assert est.truncation_n == len(weights) and est.p_hat.hex() == p_hex
 
 

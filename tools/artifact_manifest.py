@@ -4,8 +4,10 @@ exits 1 and names each artifact whose hash differs from OLD.json.
 Runs classify, expand, evaluate, oracle, compare, then report, on each
 configs/*.json at its shipped budget; weibull_oracle_check also with method
 plain_mc and quadrature, with log_weibull(a = 1.5) under conditional_mc,
-under quadrature and symmetric, and with a closed-form custom hazard;
-lognormal_gate_above also symmetric; lognormal_gate_boundary also under
+under quadrature and symmetric, and with a closed-form custom hazard, and
+symmetric with a negative weight: plain, under quadrature, and log_weibull
+with alternating geometric tail weights; lognormal_gate_above also symmetric,
+with and without a negative weight; lognormal_gate_boundary also under
 quadrature.  Output goes to a temporary directory; no artifact records it.
 """
 
@@ -28,6 +30,11 @@ QUADRATURE = {"method": "quadrature"}
 # closed form, so the hazard and its derivatives sum terms with and without logs
 CUSTOM = {"family": "custom",
           "params": {"terms": [[0.4, -0.6, 0.0], [0.1, -1.0, 1.0]], "rv_index": -0.6}}
+# negative scales need a two-sided law: weights [1, -0.5], then (alternating)
+# a geometric tail continuing the sign flip
+SYMMETRIC = {"symmetric": True}
+NEGATIVE = {"weights": [1.0, -0.5]}
+ALTERNATING = {**NEGATIVE, "generator": {"type": "geometric", "ratio": -0.5, "from_index": 3}}
 VARIANTS = {
     "weibull_oracle_check": {
         "": {},
@@ -37,8 +44,17 @@ VARIANTS = {
         "+logweibull+quadrature": {"distribution": LOGWEIBULL, "oracle": QUADRATURE},
         "+logweibull+symmetric": {"distribution": {**LOGWEIBULL, "symmetric": True}},
         "+custom": {"distribution": CUSTOM},
+        "+symmetric+negative": {"distribution": SYMMETRIC, "weights": NEGATIVE},
+        "+symmetric+negative+quadrature": {"distribution": SYMMETRIC, "weights": NEGATIVE,
+                                           "oracle": QUADRATURE},
+        "+logweibull+symmetric+alternating": {"distribution": {**LOGWEIBULL, **SYMMETRIC},
+                                              "weights": ALTERNATING},
     },
-    "lognormal_gate_above": {"": {}, "+symmetric": {"distribution": {"symmetric": True}}},
+    "lognormal_gate_above": {
+        "": {},
+        "+symmetric": {"distribution": SYMMETRIC},
+        "+symmetric+negative": {"distribution": SYMMETRIC, "weights": NEGATIVE},
+    },
     "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE}},
 }
 
