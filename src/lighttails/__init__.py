@@ -10,16 +10,14 @@ from .errors import (ConfigError, DegenerateWeightError, DomainError,
                      SmoothnessError, UnsupportedSignError)
 from .expansion import (EvaluationTable, ExpansionTerm, HazardScaleRewrite,
                         Regime, RegimeKind, RemainderScale, TailExpansion,
-                        classify, evaluate, expand, expand_critical,
-                        expand_subcritical, expand_supercritical,
-                        rewrite_in_hazard_scale)
+                        classify, evaluate, expand, rewrite_in_hazard_scale)
 from .hazard import HazardModel, LogPowerSum, MetadataDiagnostics, validate_metadata
 from .laplace import (LaplaceCharacter, Moments, apply_character,
                       character_from_moments, compose, convolve_moments,
                       cumulants_to_raw, identity_character, raw_to_cumulants,
                       residual_moments, scale_moments)
 from .oracle import (ComparisonTable, OracleBudget, OracleEstimate,
-                     PointMassFactor, QuadratureToleranceError, ScaledFactor,
+                     QuadratureToleranceError, ScaledFactor,
                      compare_with_oracle, conditional_mc, convolve_pair_sf,
                      convolved_sf, plain_mc, quadrature_estimate)
 from .weights import GeometricTail, Level, Ordering, WeightSequence
@@ -34,12 +32,11 @@ __all__ = [
     "Moments", "LaplaceCharacter", "identity_character", "character_from_moments",
     "compose", "apply_character", "residual_moments", "raw_to_cumulants",
     "cumulants_to_raw", "convolve_moments", "scale_moments",
-    "Regime", "RegimeKind", "classify", "expand", "expand_subcritical",
-    "expand_critical", "expand_supercritical", "TailExpansion", "ExpansionTerm",
+    "Regime", "RegimeKind", "classify", "expand", "TailExpansion", "ExpansionTerm",
     "RemainderScale", "rewrite_in_hazard_scale", "HazardScaleRewrite",
     "evaluate", "EvaluationTable",
     "OracleEstimate", "OracleBudget", "conditional_mc", "plain_mc",
-    "quadrature_estimate", "ScaledFactor", "PointMassFactor",
+    "quadrature_estimate", "ScaledFactor",
     "convolve_pair_sf", "convolved_sf", "compare_with_oracle", "ComparisonTable",
     "QuadratureToleranceError",
     "LightTailsError", "DomainError", "SmoothnessError", "DegenerateWeightError",

@@ -69,10 +69,9 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "order": {"type": "integer", "minimum": 0},
-                "regime_override": {
-                    "type": ["string", "null"],
-                    "enum": ["subcritical", "critical", "supercritical", None],
-                },
+                # null only: classify alone decides the regime; the key stays
+                # because every shipped config sets it
+                "regime_override": {"type": "null"},
             },
         },
         "grid": {
@@ -217,13 +216,7 @@ def build_budget(doc: dict, seed_override: int | None = None) -> orc.OracleBudge
 def build_expansion(doc: dict, dist, seq, order_override: int | None = None):
     section = doc.get("expansion", {})
     order = order_override if order_override is not None else section.get("order", 1)
-    override = section.get("regime_override")
-    regime = None
-    if override:
-        kind = xp.RegimeKind(override)
-        lam = dist.upper.lambda_coeff if kind is xp.RegimeKind.CRITICAL else None
-        regime = xp.Regime(kind=kind, lam=lam, provenance="declared")
-    return xp.expand(dist, seq, order, regime=regime)
+    return xp.expand(dist, seq, order)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +456,7 @@ def _run_report(report_path: str, out_dir: str) -> dict:
             return a == b or (a != a and b != b)  # NaN marks domain gaps
         return a == b
 
-    mismatches = []
-    for key in ("t", "totals", "term_values", "benchmark", "cancellation"):
-        if not same(regenerated[key], stored[key]):
-            mismatches.append(key)
+    mismatches = [key for key in regenerated if not same(regenerated[key], stored.get(key))]
     out = {
         "roundtrip_ok": not mismatches,
         "mismatched_fields": mismatches,

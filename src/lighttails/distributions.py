@@ -204,17 +204,6 @@ class TailDistribution:
             self._moment_cache[k] = cached
         return cached
 
-    def abs_moment(self, k: int) -> float:
-        if k == 0:
-            return 1.0
-        key = ("abs", k)
-        cached = self._moment_cache.get(key)
-        if cached is None:
-            cached = k * (self._tail_power_integral(k, upper=True)
-                          + self._tail_power_integral(k, upper=False))
-            self._moment_cache[key] = cached
-        return cached
-
     def moments(self, order: int) -> tuple[float, ...]:
         return tuple(self.moment(i) for i in range(order + 1))
 

@@ -44,8 +44,7 @@ from .weights import WeightSequence
 
 __all__ = [
     "RegimeKind", "Regime", "classify",
-    "ExpansionTerm", "RemainderScale", "TailExpansion",
-    "expand", "expand_supercritical", "expand_subcritical", "expand_critical",
+    "ExpansionTerm", "RemainderScale", "TailExpansion", "expand",
     "HazardMonomial", "HazardScaleRewrite", "rewrite_in_hazard_scale",
     "EvaluationTable", "evaluate",
 ]
@@ -171,23 +170,18 @@ def _check_smoothness(dist: TailDistribution, order: int):
         raise SmoothnessError(required=order, available=dist.upper.smooth_order)
 
 
-def _check_sign_compatibility(dist: TailDistribution, seq: WeightSequence):
+def expand(dist: TailDistribution, seq: WeightSequence, order: int) -> TailExpansion:
+    """Classify the declared hazard and assemble that regime's expansion."""
+    regime = classify(dist.upper)
     if seq.sign_mode == "balanced" and not dist.symmetric:
         raise OutOfScopeError(
             "balanced weights need a two-sided (strongly tail balanced) distribution"
         )
-
-
-def expand(dist: TailDistribution, seq: WeightSequence, order: int,
-           regime: Regime | None = None) -> TailExpansion:
-    """Dispatch on the (declared or supplied) regime."""
-    if regime is None:
-        regime = classify(dist.upper)
     if regime.kind is RegimeKind.SUPERCRITICAL:
-        return expand_supercritical(dist, seq, order, regime)
+        return _expand_supercritical(dist, seq, order, regime)
     if regime.kind is RegimeKind.SUBCRITICAL:
-        return expand_subcritical(dist, seq, order, regime)
-    return expand_critical(dist, seq, order, regime)
+        return _expand_subcritical(dist, seq, order, regime)
+    return _expand_critical(dist, seq, order, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +189,10 @@ def expand(dist: TailDistribution, seq: WeightSequence, order: int,
 # ---------------------------------------------------------------------------
 
 
-def expand_supercritical(dist: TailDistribution, seq: WeightSequence, m: int,
-                         regime: Regime | None = None) -> TailExpansion:
+def _expand_supercritical(dist: TailDistribution, seq: WeightSequence, m: int,
+                          regime: Regime) -> TailExpansion:
     if m < 0:
         raise ValueError("expansion order must be nonnegative")
-    _check_sign_compatibility(dist, seq)
-    regime = regime or Regime(RegimeKind.SUPERCRITICAL)
     maximal = seq.maximal_indices()
     _check_smoothness(dist, m)
 
@@ -235,13 +227,10 @@ def expand_supercritical(dist: TailDistribution, seq: WeightSequence, m: int,
 # ---------------------------------------------------------------------------
 
 
-def expand_subcritical(dist: TailDistribution, seq: WeightSequence, m: int,
-                       regime: Regime | None = None) -> TailExpansion:
+def _expand_subcritical(dist: TailDistribution, seq: WeightSequence, m: int,
+                        regime: Regime) -> TailExpansion:
     if m < 1:
         raise ValueError("subcritical expansion order must be a positive integer")
-    _check_sign_compatibility(dist, seq)
-    regime = regime or Regime(RegimeKind.SUBCRITICAL)
-
     levels = seq.levels(m)
     flags = []
     if len(levels) < m:
@@ -274,15 +263,10 @@ def _strictly_smaller(p1, q1, p2, q2) -> bool:
     return abs(p1 - p2) <= _ORDER_TOL and q1 < q2 - _ORDER_TOL
 
 
-def expand_critical(dist: TailDistribution, seq: WeightSequence, k: int,
-                    regime: Regime | None = None) -> TailExpansion:
+def _expand_critical(dist: TailDistribution, seq: WeightSequence, k: int,
+                     regime: Regime) -> TailExpansion:
     if k < 1:
         raise ValueError("critical expansion order must be a positive integer")
-    _check_sign_compatibility(dist, seq)
-    if regime is None:
-        regime = classify(dist.upper)
-    if regime.kind is not RegimeKind.CRITICAL:
-        raise OutOfScopeError("expand_critical needs a critical-regime model")
     lam = regime.lam
     gamma = dist.upper.log_exponent  # == 1 in this regime
 

@@ -52,7 +52,7 @@ from .weights import WeightSequence
 __all__ = [
     "OracleEstimate", "OracleBudget", "QuadratureToleranceError",
     "conditional_mc", "plain_mc", "quadrature_estimate",
-    "ScaledFactor", "PointMassFactor", "convolve_pair_sf", "convolved_sf",
+    "ScaledFactor", "convolve_pair_sf", "convolved_sf",
     "ComparisonTable", "compare_with_oracle",
 ]
 
@@ -238,24 +238,12 @@ def plain_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int,
 # ---------------------------------------------------------------------------
 
 
-class PointMassFactor:
-    """Degenerate factor at a point (the convolution unit when at == 0)."""
-
-    def __init__(self, at: float = 0.0):
-        self.at = at
-        self.support_left = self.support_right = at
-        self.breaks = (at,)
-
-    def sf(self, x):
-        return 1.0 if x < self.at else 0.0
-
-
 class ScaledFactor:
     """The distribution of c * X for an innovation X."""
 
     def __init__(self, dist: TailDistribution, c: float):
         if c == 0.0:
-            raise ValueError("use PointMassFactor for a zero scale")
+            raise ValueError("a factor needs a nonzero scale")
         self.dist = dist
         self.c = c
         self.log_abs_c = math.log(abs(c))
@@ -434,10 +422,6 @@ def _t_integral(f_logsf, k_factor, t: float, tol_rel: float) -> tuple[float, flo
 def convolve_pair_sf(a, b, t: float, tol_rel: float = 1e-9,
                      strict: bool = True) -> tuple[float, float]:
     """Survival of the sum of two independent factors at t, with an error bound."""
-    if isinstance(a, PointMassFactor):
-        return b.sf(t - a.at), 0.0
-    if isinstance(b, PointMassFactor):
-        return a.sf(t - b.at), 0.0
     i1, e1 = _t_integral(a.logsf, b, t, tol_rel)
     i2, e2 = _t_integral(b.logsf, a, t, tol_rel)
     half = a.sf(t / 2.0) * b.sf(t / 2.0)
@@ -472,24 +456,24 @@ def _density_convolution(a, b, t: float, tol_rel: float) -> float:
 
 
 def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float]:
-    """Survival of a sum of up to four factors by pairwise recursion."""
-    live = [f for f in factors if not (isinstance(f, PointMassFactor) and f.at == 0.0)]
-    if len(live) > 4:
-        raise ValueError("quadrature convolution supports at most four factors")
-    if not live:
-        return (1.0 if t < 0 else 0.0), 0.0
-    if len(live) == 1:
-        return live[0].sf(t), 0.0
-    if len(live) == 2:
-        return convolve_pair_sf(live[0], live[1], t, tol_rel)
+    """Survival of a sum of one to four factors by pairwise recursion."""
+    if not 1 <= len(factors) <= 4:
+        raise ValueError("quadrature convolution takes one to four factors")
+    if len(factors) == 1:
+        return factors[0].sf(t), 0.0
+    if len(factors) == 2:
+        return convolve_pair_sf(factors[0], factors[1], t, tol_rel)
+    # ConvolvedFactor.prepare places its density nodes from a finite support edge
+    if not all(math.isfinite(f.support_left) for f in factors):
+        raise ValueError("quadrature convolution of three or more factors needs "
+                         "factors bounded below")
     # group so each side of the top split is at most a pair, and precompute
     # interpolants of each composite over the window the outer integrals hit
-    inner_tol = tol_rel / 4.0
-    mid = len(live) // 2
-    left = live[0] if mid == 1 else ConvolvedFactor(live[0], live[1], tol_rel=inner_tol)
-    rest = live[mid:]
-    right = rest[0] if len(rest) == 1 else ConvolvedFactor(rest[0], rest[1],
-                                                           tol_rel=inner_tol)
+    def side(part):
+        return part[0] if len(part) == 1 else ConvolvedFactor(*part, tol_rel=tol_rel / 4.0)
+
+    mid = len(factors) // 2
+    left, right = side(factors[:mid]), side(factors[mid:])
     for side, other in ((left, right), (right, left)):
         if isinstance(side, ConvolvedFactor):
             side.prepare(t, other)

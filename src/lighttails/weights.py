@@ -68,10 +68,6 @@ class Level:
     pos_count: int
     neg_count: int
 
-    @property
-    def multiplicity(self) -> int:
-        return self.pos_count + self.neg_count
-
 
 class WeightSequence:
     """Nonzero weights c_i, i = 1..n explicit, optionally continued geometrically."""

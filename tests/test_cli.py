@@ -185,6 +185,29 @@ def test_cli_report_detects_tampering(tmp_path):
     assert main(["report", "--config", str(report_path), "--out", out]) == EXIT_SCHEMA
 
 
+def test_cli_report_checks_every_field(tmp_path):
+    path = write_config(tmp_path, BASE)
+    out = str(tmp_path / "out")
+    main(["evaluate", "--config", path, "--out", out])
+    report_path = tmp_path / "out" / "report.json"
+    doc = json.loads(report_path.read_text())
+    doc["evaluation"]["term_labels"][0] = "S(t/0.25)"
+    report_path.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(report_path), "--out", out]) == EXIT_SCHEMA
+    verdict = json.loads((tmp_path / "out" / "report_verified.json").read_text())
+    assert verdict["mismatched_fields"] == ["term_labels"]
+
+
+def test_regime_override_must_be_null(tmp_path):
+    doc = json.loads(json.dumps(BASE))
+    doc["expansion"]["regime_override"] = "subcritical"
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["expand", "--config", path, "--out", out]) == EXIT_SCHEMA
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["error"]["path"] == "expansion/regime_override"
+
+
 def test_cli_schema_violation_exit_code(tmp_path):
     doc = json.loads(json.dumps(BASE))
     doc["weights"]["weights"] = []

@@ -206,14 +206,6 @@ def test_moment_cache_idempotent():
     assert 3 in d._moment_cache
 
 
-def test_abs_moments_match_moments_for_positive_support():
-    d = lt.lognormal_type(0.5)
-    for k in (1, 2, 3):
-        assert d.abs_moment(k) == pytest.approx(d.moment(k), rel=1e-10)
-    s = lt.weibull_type(0.5, symmetric=True)
-    assert s.abs_moment(1) == pytest.approx(weibull_raw_moment(0.5, 1), rel=1e-9)
-
-
 # -- scaled tails ----------------------------------------------------------------
 
 

@@ -164,7 +164,7 @@ def test_subcritical_level_shortfall_flag():
 def test_subcritical_needs_positive_order():
     mix = second_order_mixture()
     with pytest.raises(ValueError):
-        lt.expand_subcritical(mix, lt.WeightSequence([1.0]), 0)
+        lt.expand(mix, lt.WeightSequence([1.0]), 0)
 
 
 # -- critical ---------------------------------------------------------------------
@@ -228,12 +228,6 @@ def test_critical_generator_entries_included():
     assert scales == [1.0, 0.5, 0.25]
     orders = {t.scale: t.operator_order for t in exp.terms}
     assert orders == {1.0: 2, 0.5: 1, 0.25: 0}
-
-
-def test_critical_requires_critical_model():
-    w = lt.weibull_type(0.4)
-    with pytest.raises(lt.OutOfScopeError):
-        lt.expand_critical(w, lt.WeightSequence([1.0, 0.5]), 1)
 
 
 def test_critical_large_lambda_degenerates_to_maximal_class():

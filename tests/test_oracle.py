@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -205,12 +206,6 @@ def test_negative_scale_sampling():
 # -- quadrature convolution ------------------------------------------------------
 
 
-def test_point_mass_is_unit(weibull04):
-    f = lt.ScaledFactor(weibull04, 1.0)
-    val, err = lt.convolve_pair_sf(lt.PointMassFactor(0.0), f, 50.0)
-    assert val == weibull04.sf(50.0) and err == 0.0
-
-
 def test_negative_scale_logsf_keeps_lower_tail_precision():
     # P(-X > x) of a symmetric law is P(X > x); the linear complement read it
     # as -inf past the subnormal range
@@ -273,6 +268,17 @@ def test_three_factor_convolution_against_plain_mc():
                            tol_rel=1e-6)
     mc = lt.plain_mc(d, seq, t, 400_000, seed=21)
     assert abs(v - mc.p_hat) <= 3.0 * mc.std_err
+
+
+def test_quadrature_rejects_three_two_sided_factors():
+    # a two-sided pair has NaN density nodes: without the check this call runs
+    # for minutes on exact solves
+    d = lt.weibull_type(0.4, symmetric=True)
+    seq = lt.WeightSequence([1.0, 0.5, 0.25], sign_mode="balanced")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bounded below"):
+        lt.quadrature_estimate(d, seq, 700.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quadrature_estimate_rejects_many_factors(weibull04):
