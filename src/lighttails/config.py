@@ -30,6 +30,10 @@ __all__ = ["CONFIG_SCHEMA", "load_config", "build_distribution", "build_weights"
 
 COMMANDS = ("classify", "expand", "evaluate", "oracle", "compare", "report")
 
+# an artifact's regime always comes from the declared metadata: asymptotic
+# hypotheses cannot be decided from finitely many values (see validate_metadata)
+PROVENANCE = "declared"
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -51,7 +55,9 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["weights", "delta"],
             "properties": {
-                "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                # no zeros, so from_index counts the weights WeightSequence keeps
+                "weights": {"type": "array", "minItems": 1,
+                            "items": {"type": "number", "not": {"const": 0}}},
                 "generator": {
                     "type": ["object", "null"],
                     "required": ["type", "ratio", "from_index"],
@@ -127,9 +133,8 @@ def build_distribution(doc: dict) -> TailDistribution:
     family = section["family"]
     params = section["params"]
     symmetric = section.get("symmetric", False)
-    two_sided = section.get("two_sided", symmetric)
-    if two_sided and not symmetric:
-        raise ConfigError("two_sided currently requires symmetric=true",
+    if section.get("two_sided", symmetric) != symmetric:
+        raise ConfigError("two_sided, when given, must equal symmetric",
                           path="distribution/two_sided")
     kwargs = {}
     if "t0" in section:
@@ -172,21 +177,21 @@ def build_weights(doc: dict, dist: TailDistribution) -> WeightSequence:
     section = doc["weights"]
     weights = section["weights"]
     gen_spec = section.get("generator")
-    sign_mode = "balanced" if dist.symmetric else "one_sided"
-    generator = None
-    if gen_spec:
-        if gen_spec["from_index"] != len(weights) + 1:
-            raise ConfigError("generator must start right after the explicit weights",
-                              path="weights/generator/from_index")
-        last = weights[-1]
-        generator = GeometricTail(ratio=gen_spec["ratio"],
-                                  start_index=gen_spec["from_index"],
-                                  first_value=last * gen_spec["ratio"])
+    if gen_spec and gen_spec["from_index"] != len(weights) + 1:
+        raise ConfigError("generator must start right after the explicit weights",
+                          path="weights/generator/from_index")
     try:
-        return WeightSequence(weights, delta=section["delta"], sign_mode=sign_mode,
-                              generator=generator)
+        generator = None
+        if gen_spec:
+            generator = GeometricTail(ratio=gen_spec["ratio"],
+                                      start_index=gen_spec["from_index"],
+                                      first_value=weights[-1] * gen_spec["ratio"])
+        seq = WeightSequence(weights, delta=section["delta"], generator=generator)
     except ValueError as exc:
         raise ConfigError(str(exc), path="weights") from exc
+    if seq.has_negative and not dist.symmetric:
+        raise ConfigError("a negative weight needs symmetric=true", path="weights")
+    return seq
 
 
 def build_grid(doc: dict) -> np.ndarray:
@@ -264,7 +269,7 @@ def expansion_to_json(exp: xp.TailExpansion) -> dict:
     return {
         "regime": exp.regime.kind.value,
         "lambda": exp.regime.lam,
-        "provenance": exp.regime.provenance,
+        "provenance": PROVENANCE,
         "order_request": exp.order_request,
         "terms": [
             {
@@ -365,7 +370,7 @@ def run_command(command: str, config_path: str, out_dir: str,
         out = {
             "regime": regime.kind.value,
             "lambda": regime.lam,
-            "provenance": regime.provenance,
+            "provenance": PROVENANCE,
             "declared": {
                 "rv_index": model.rv_index,
                 "log_exponent": model.log_exponent,

@@ -35,6 +35,7 @@ from scipy.integrate import quad
 
 from .errors import DegenerateWeightError, DomainError, UnsupportedSignError
 from .hazard import HazardModel, LogPowerSum
+from .weights import Ordering
 
 __all__ = [
     "TailDistribution",
@@ -142,6 +143,17 @@ class TailDistribution:
         return out
 
     # -- scaled tails ------------------------------------------------------
+
+    def compare_scales(self, a: float, b: float) -> Ordering:
+        """Tail-dominance order of scales a, b: by |c| if the law is symmetric,
+        else by max(c, 0), as c X is bounded above when c <= 0."""
+        if self.symmetric:
+            a, b = abs(a), abs(b)
+        else:
+            a, b = max(a, 0.0), max(b, 0.0)
+        if a == b:
+            return Ordering.EQUIVALENT
+        return Ordering.PRECEDES if a < b else Ordering.SUCCEEDS
 
     def _require_scale(self, c: float):
         if c == 0.0:

@@ -1,7 +1,9 @@
 """Regime classification and assembly of the tail expansion of the weighted sum.
 
 How the hazard rate h of the innovation compares with the critical scale
-t^-1 log t decides which weights contribute and at which operator orders:
+t^-1 log t decides which weights contribute and at which operator orders;
+classify reads it from the declared metadata alone (asymptotic hypotheses
+cannot be decided from finitely many values), validate_metadata checks it:
 
   supercritical  h >> t^-1 log t (rv_index > -1, or log_exponent > 1).
                  Only scales equivalent to the largest contribute; each
@@ -36,8 +38,7 @@ import numpy as np
 from .distributions import TailDistribution
 from .errors import (DomainError, OutOfScopeError, RegimeConditionError,
                      SmoothnessError)
-from .hazard import (HazardModel, functional_diverges, subcritical_functional,
-                     validate_metadata)
+from .hazard import HazardModel, functional_diverges, subcritical_functional
 from .hazardpoly import survival_derivative_polys
 from .laplace import character_from_moments, residual_moments
 from .weights import WeightSequence
@@ -51,6 +52,8 @@ __all__ = [
 
 _ORDER_TOL = 1e-12
 _CANCEL_RATIO = 0.01
+_DIAGNOSTIC_DECADES = 6.0
+_DIAGNOSTIC_POINTS = 40
 
 
 class RegimeKind(str, Enum):
@@ -63,30 +66,23 @@ class RegimeKind(str, Enum):
 class Regime:
     kind: RegimeKind
     lam: float | None = None
-    provenance: str = "declared"
 
     def __post_init__(self):
         if self.kind is RegimeKind.CRITICAL and not (self.lam and self.lam > 0):
             raise ValueError("critical regime carries a positive lambda")
 
 
-def default_diagnostic_grid(model: HazardModel, decades: float = 6.0,
-                            points: int = 40) -> np.ndarray:
+def default_diagnostic_grid(model: HazardModel) -> np.ndarray:
     lo = max(4.0 * model.t0, 20.0)
-    return np.geomspace(lo, lo * 10.0 ** decades, points)
+    return np.geomspace(lo, lo * 10.0 ** _DIAGNOSTIC_DECADES, _DIAGNOSTIC_POINTS)
 
 
-def classify(model: HazardModel, grid=None) -> Regime:
-    """Decide the regime from declared metadata, numerically corroborated.
+def classify(model: HazardModel) -> Regime:
+    """Decide the regime from the declared metadata alone.
 
-    Passing a grid (or relying on the default) runs the advisory metadata
-    checks; disagreement raises rather than silently reclassifying, because
-    asymptotic hypotheses cannot be decided from finitely many evaluations.
+    Only the subcritical boundedness condition is checked, on the default
+    diagnostic grid; `hazard.validate_metadata` corroborates the rest.
     """
-    corroborate = grid is not None
-    if grid is None:
-        grid = default_diagnostic_grid(model)
-
     if model.rv_index > -1.0:
         kind, lam = RegimeKind.SUPERCRITICAL, None
     elif model.log_exponent > 1.0:
@@ -100,6 +96,7 @@ def classify(model: HazardModel, grid=None) -> Regime:
         kind, lam = RegimeKind.CRITICAL, model.lambda_coeff
     else:
         # subcritical needs the boundedness of t h(t)^2 / h(1/h(t))
+        grid = default_diagnostic_grid(model)
         h = np.array([model.hazard(t) for t in grid])
         if functional_diverges(subcritical_functional(model, grid, h)):
             raise RegimeConditionError(
@@ -107,17 +104,7 @@ def classify(model: HazardModel, grid=None) -> Regime:
                 "bound on the diagnostic grid"
             )
         kind, lam = RegimeKind.SUBCRITICAL, None
-
-    provenance = "declared"
-    if corroborate:
-        diag = validate_metadata(model, grid)
-        if diag.flags:
-            raise RegimeConditionError(
-                "declared metadata disagrees with grid estimates: " + "; ".join(diag.flags)
-            )
-        if not diag.inconclusive:
-            provenance = "numerically-corroborated"
-    return Regime(kind=kind, lam=lam, provenance=provenance)
+    return Regime(kind=kind, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +160,8 @@ def _check_smoothness(dist: TailDistribution, order: int):
 def expand(dist: TailDistribution, seq: WeightSequence, order: int) -> TailExpansion:
     """Classify the declared hazard and assemble that regime's expansion."""
     regime = classify(dist.upper)
-    if seq.sign_mode == "balanced" and not dist.symmetric:
-        raise OutOfScopeError(
-            "balanced weights need a two-sided (strongly tail balanced) distribution"
-        )
+    if seq.has_negative and not dist.symmetric:
+        raise OutOfScopeError("a negative weight needs a symmetric (two-sided) law")
     if regime.kind is RegimeKind.SUPERCRITICAL:
         return _expand_supercritical(dist, seq, order, regime)
     if regime.kind is RegimeKind.SUBCRITICAL:

@@ -37,6 +37,8 @@ __all__ = [
     "validate_metadata",
 ]
 
+_INDEX_TOL = 0.05  # how far a grid estimate may stray from the declared value
+
 
 @dataclass(frozen=True)
 class LogPowerSum:
@@ -208,18 +210,11 @@ class MetadataDiagnostics:
     """Numeric corroboration of declared hazard metadata on a grid."""
 
     rv_index_est: float
-    rv_index_declared: float
     log_exponent_est: float | None
     lambda_est: float | None
-    critical_ratio: np.ndarray          # t*h(t) / log t along the grid
-    subcritical_functional: np.ndarray  # t*h(t)^2 / h(1/h(t)) where defined
     subcritical_bounded: bool
     flags: list[str] = field(default_factory=list)
     inconclusive: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags and not self.inconclusive
 
 
 def _fit_log_power(grid: np.ndarray, h: np.ndarray) -> tuple[float, float]:
@@ -267,8 +262,7 @@ def functional_diverges(values: np.ndarray) -> bool:
     return increasing and v[-1] > 10.0 * max(v[0], float(np.median(v)))
 
 
-def validate_metadata(model: HazardModel, grid: Sequence[float],
-                      index_tol: float = 0.05) -> MetadataDiagnostics:
+def validate_metadata(model: HazardModel, grid: Sequence[float]) -> MetadataDiagnostics:
     """Estimate regular-variation metadata on an increasing grid; advisory only.
 
     The grid must lie inside (t0, infinity).  When it spans fewer than three
@@ -283,35 +277,32 @@ def validate_metadata(model: HazardModel, grid: Sequence[float],
     inconclusive = math.log10(grid[-1] / grid[0]) < 3.0 or len(grid) < 5
 
     h = np.array([model.hazard(t) for t in grid])
-    logt = np.log(grid)
     rv_est, gamma_est = _fit_log_power(grid, h)
-
-    critical_ratio = grid * h / logt
+    critical_ratio = grid * h / np.log(grid)  # t h(t) / log t
 
     log_exp_est = None
     lambda_est = None
-    if abs(rv_est + 1.0) <= 2 * index_tol:
+    if abs(rv_est + 1.0) <= 2 * _INDEX_TOL:
         log_exp_est = gamma_est
-        if abs(log_exp_est - 1.0) <= index_tol or model.log_exponent == 1.0:
+        if abs(log_exp_est - 1.0) <= _INDEX_TOL or model.log_exponent == 1.0:
             lambda_est = _extrapolate_in_inverse_log(
                 grid[-2], critical_ratio[-2], grid[-1], critical_ratio[-1])
 
-    functional = subcritical_functional(model, grid, h)
-    bounded = not functional_diverges(functional)
+    bounded = not functional_diverges(subcritical_functional(model, grid, h))
 
     flags: list[str] = []
     if not inconclusive:
-        if abs(rv_est - model.rv_index) > index_tol:
+        if abs(rv_est - model.rv_index) > _INDEX_TOL:
             flags.append(
                 f"estimated rv_index {rv_est:.4f} disagrees with declared {model.rv_index}"
             )
         lambda_ok = (model.lambda_coeff is not None and lambda_est is not None
                      and abs(lambda_est - model.lambda_coeff)
-                     <= index_tol * max(1.0, model.lambda_coeff))
+                     <= _INDEX_TOL * max(1.0, model.lambda_coeff))
         if model.rv_index == -1.0 and log_exp_est is not None:
             # a confirmed critical lambda certifies t h(t) / log t -> lambda, which
             # is stronger than the gamma fit (slowly varying corrections bias it)
-            if abs(log_exp_est - model.log_exponent) > index_tol and not (
+            if abs(log_exp_est - model.log_exponent) > _INDEX_TOL and not (
                     model.log_exponent == 1.0 and lambda_ok):
                 flags.append(
                     f"estimated log_exponent {log_exp_est:.4f} disagrees with "
@@ -325,11 +316,8 @@ def validate_metadata(model: HazardModel, grid: Sequence[float],
 
     return MetadataDiagnostics(
         rv_index_est=rv_est,
-        rv_index_declared=model.rv_index,
         log_exponent_est=log_exp_est,
         lambda_est=lambda_est,
-        critical_ratio=critical_ratio,
-        subcritical_functional=functional,
         subcritical_bounded=bounded,
         flags=flags,
         inconclusive=inconclusive,

@@ -7,11 +7,10 @@ sum |c_i|^delta is finite for the declared delta in (0, 1); geometric tails
 always satisfy it, so the constructor verifies the head by direct summation
 and the tail in closed form.
 
-Because the innovation tails are rapidly varying, scales compare by tail
-dominance: in balanced mode (two-sided innovations with balanced tails) two
-scales are equivalent exactly when their magnitudes are equal; in one-sided
-mode every nonpositive scale is equivalent to zero and precedes any positive
-scale.  Either way the induced ordering is total on equivalence classes.
+Weights of either sign are stored alike.  Whether a negative weight is
+allowed, and how scales compare by tail dominance, depend on the innovation
+law, so both are the law's to decide: `TailDistribution.compare_scales`
+orders scales, and a negative weight needs a symmetric law.
 """
 
 from __future__ import annotations
@@ -72,10 +71,7 @@ class Level:
 class WeightSequence:
     """Nonzero weights c_i, i = 1..n explicit, optionally continued geometrically."""
 
-    def __init__(self, weights, delta: float = 0.5, sign_mode: str = "one_sided",
-                 generator: GeometricTail | None = None):
-        if sign_mode not in ("one_sided", "balanced"):
-            raise ValueError("sign_mode must be 'one_sided' or 'balanced'")
+    def __init__(self, weights, delta: float = 0.5, generator: GeometricTail | None = None):
         if not 0.0 < delta < 1.0:
             raise ValueError("summability exponent delta must lie in (0, 1)")
         entries = []
@@ -84,24 +80,18 @@ class WeightSequence:
             w = float(w)
             if w == 0.0:
                 continue  # point mass at zero is the convolution unit
-            if sign_mode == "one_sided" and w < 0.0:
-                raise ValueError("one_sided mode admits only positive weights")
             entries.append((index, w))
             index += 1
         if not entries:
             raise ValueError("weight sequence must contain a nonzero entry")
         if generator is not None and generator.start_index != entries[-1][0] + 1:
             raise ValueError("generator must start right after the explicit entries")
-        if generator is not None and sign_mode == "one_sided" and (
-                generator.first_value < 0 or generator.ratio < 0):
-            raise ValueError("one_sided mode admits only positive generator weights")
         if generator is not None and abs(generator.first_value) > abs(entries[-1][1]):
             raise ValueError("generator must continue below the last explicit weight, "
                              "so that maximal entries stay explicit")
 
         self.entries: tuple[tuple[int, float], ...] = tuple(entries)
         self.delta = float(delta)
-        self.sign_mode = sign_mode
         self.generator = generator
         # head summed exactly, generator tail in closed form (always finite)
         self._delta_sum = sum(abs(w) ** delta for _, w in entries)
@@ -114,13 +104,20 @@ class WeightSequence:
     # -- basic access -------------------------------------------------------
 
     @classmethod
-    def geometric(cls, first: float, ratio: float, head: int = 1, delta: float = 0.5,
-                  sign_mode: str = "one_sided") -> "WeightSequence":
+    def geometric(cls, first: float, ratio: float, head: int = 1,
+                  delta: float = 0.5) -> "WeightSequence":
         """Fully geometric sequence c_i = first * ratio^(i-1) with `head` explicit entries."""
         weights = [first * ratio ** k for k in range(head)]
         gen = GeometricTail(ratio=ratio, start_index=head + 1,
                             first_value=first * ratio ** head)
-        return cls(weights, delta=delta, sign_mode=sign_mode, generator=gen)
+        return cls(weights, delta=delta, generator=gen)
+
+    @property
+    def has_negative(self) -> bool:
+        """Whether any weight, generated ones included, is negative."""
+        gen = self.generator
+        return any(w < 0.0 for _, w in self.entries) or (
+            gen is not None and (gen.first_value < 0.0 or gen.ratio < 0.0))
 
     @property
     def explicit_indices(self) -> tuple[int, ...]:
@@ -149,19 +146,6 @@ class WeightSequence:
                     break
                 yield i, w
                 i += 1
-
-    # -- ordering -----------------------------------------------------------
-
-    def compare(self, a: float, b: float) -> Ordering:
-        """Tail-dominance comparison of scales a, b under the standard conditions."""
-        if self.sign_mode == "one_sided":
-            a_cls = a if a > 0 else 0.0
-            b_cls = b if b > 0 else 0.0
-        else:
-            a_cls, b_cls = abs(a), abs(b)
-        if a_cls == b_cls:
-            return Ordering.EQUIVALENT
-        return Ordering.PRECEDES if a_cls < b_cls else Ordering.SUCCEEDS
 
     # -- levels ---------------------------------------------------------------
 
@@ -220,8 +204,7 @@ class WeightSequence:
             # keep generated values identical; re-anchor the start index
             gen = GeometricTail(ratio=gen.ratio, start_index=len(kept) + 1,
                                 first_value=gen.first_value)
-        return WeightSequence(kept, delta=self.delta, sign_mode=self.sign_mode,
-                              generator=gen)
+        return WeightSequence(kept, delta=self.delta, generator=gen)
 
     def power_sum(self, n: int) -> float:
         """sum_i c_i^n over the whole sequence (head exact, generator closed form)."""
@@ -284,5 +267,4 @@ class WeightSequence:
     def __repr__(self):
         head = ", ".join(f"{w:g}" for _, w in self.entries[:6])
         more = ", ..." if self.generator is not None or len(self.entries) > 6 else ""
-        return (f"WeightSequence([{head}{more}], delta={self.delta}, "
-                f"sign_mode={self.sign_mode!r})")
+        return f"WeightSequence([{head}{more}], delta={self.delta})"

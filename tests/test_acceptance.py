@@ -122,7 +122,7 @@ def test_criterion_3_residual_moment_identities():
     assert mv[1] == 0.0 and mv[3] == 0.0
     # brute-force multinomial oracle on a four-weight truncation
     weights = [1.0, 0.5, 0.25, 0.125]
-    trunc = lt.WeightSequence(weights, sign_mode="balanced")
+    trunc = lt.WeightSequence(weights)
     base = [weibull_raw_moment(0.5, k, symmetric=True) for k in range(5)]
     mv4 = lt.residual_moments(d, trunc, 1, 4)
     for n in (2, 4):

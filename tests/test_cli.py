@@ -81,9 +81,34 @@ def test_symmetric_distribution_gets_balanced_weights():
     doc = json.loads(json.dumps(BASE))
     doc["distribution"] = {"family": "weibull", "params": {"a": 0.5},
                            "two_sided": True, "symmetric": True}
+    doc["weights"]["weights"] = [1.0, -0.5]
     dist = build_distribution(doc)
     seq = build_weights(doc, dist)
-    assert seq.sign_mode == "balanced"
+    assert dist.symmetric and seq.has_negative
+
+
+GEOMETRIC = {"type": "geometric", "ratio": 0.5, "from_index": 3}
+
+
+@pytest.mark.parametrize("sections, path", [
+    ({"weights": {"generator": {**GEOMETRIC, "ratio": 1.5}}}, "weights"),
+    ({"weights": {"generator": {**GEOMETRIC, "ratio": 0}}}, "weights"),
+    ({"weights": {"weights": [1.0, 0.0], "generator": GEOMETRIC}}, "weights/weights/1"),
+    ({"weights": {"weights": [1.0, 0.0, 0.5], "generator": {**GEOMETRIC, "from_index": 4}}},
+     "weights/weights/1"),
+    ({"distribution": {"symmetric": True, "two_sided": False}}, "distribution/two_sided"),
+    ({"weights": {"weights": [1.0, -0.5]}}, "weights"),
+], ids=["ratio_above_one", "ratio_zero", "trailing_zero", "zero_with_generator",
+        "two_sided_contradicts_symmetric", "negative_on_one_sided"])
+def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
+    doc = json.loads(json.dumps(BASE))
+    for name, updates in sections.items():
+        doc[name].update(updates)
+    out = tmp_path / "out"
+    assert main(["expand", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_SCHEMA
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["path"] == path
 
 
 # -- CLI commands ------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_validate_metadata_weibull():
     diag = lt.validate_metadata(lt.weibull_type(0.3).upper,
                                 np.geomspace(50, 1e8, 40))
     assert diag.rv_index_est == pytest.approx(-0.7, abs=1e-6)
-    assert diag.ok
+    assert not diag.flags and not diag.inconclusive
 
 
 def test_validate_metadata_logweibull():
@@ -217,7 +217,7 @@ def test_validate_metadata_logweibull():
     assert diag.rv_index_est == pytest.approx(-1.0, abs=1e-6)
     assert diag.log_exponent_est == pytest.approx(0.5, abs=1e-6)
     assert diag.subcritical_bounded
-    assert diag.ok
+    assert not diag.flags and not diag.inconclusive
 
 
 def test_validate_metadata_lognormal_with_correction():
@@ -227,7 +227,7 @@ def test_validate_metadata_lognormal_with_correction():
                             lambda_coeff=1.0)
     diag = lt.validate_metadata(dist.upper, np.geomspace(50, 1e8, 40))
     assert diag.lambda_est == pytest.approx(1.0, abs=1e-6)
-    assert diag.ok
+    assert not diag.flags and not diag.inconclusive
 
 
 def test_validate_metadata_flags_wrong_declaration():

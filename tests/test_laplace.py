@@ -141,7 +141,7 @@ def test_residual_moments_brute_force_explicit():
 def test_residual_moments_brute_force_signed():
     d = lt.weibull_type(0.5, symmetric=True)
     weights = [1.0, -0.5, 0.25]
-    seq = lt.WeightSequence(weights, sign_mode="balanced")
+    seq = lt.WeightSequence(weights)
     base = [weibull_raw_moment(0.5, k, symmetric=True) for k in range(5)]
     mv = lt.residual_moments(d, seq, 2, 4)
     kept = [1.0, 0.25]

@@ -96,7 +96,7 @@ def test_seeded_estimates_keep_their_bits(weibull04, pair_seq, case, n, p_hex, s
         "symmetric_moments": (lt.conditional_mc, *_shipped("symmetric_moments.json"),
                               30.25, 9, 1e-9, 31),
         "negative_pair": (lt.conditional_mc, symmetric,
-                          lt.WeightSequence([1.0, -0.5], sign_mode="balanced"),
+                          lt.WeightSequence([1.0, -0.5]),
                           70.0, 3, 1e-9, 2),
         "two_blocks": (lt.conditional_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
         "mixture": (lt.conditional_mc, *_shipped("cancellation_pair.json"),
@@ -196,11 +196,24 @@ def test_truncation_bias_below_recorded_bound(weibull04):
 
 def test_negative_scale_sampling():
     s = lt.weibull_type(0.5, symmetric=True)
-    seq = lt.WeightSequence([1.0, -0.5], sign_mode="balanced")
+    seq = lt.WeightSequence([1.0, -0.5])
     t = 70.0
     mc = lt.conditional_mc(s, seq, t, 400_000, seed=3)
     q = lt.quadrature_estimate(s, seq, t)
     assert abs(mc.p_hat - q.p_hat) <= 3.0 * mc.std_err + 1e-12
+
+
+def test_negative_scale_on_one_sided_law():
+    # P(cX > y) = F(y/c) is exact for c < 0 on a one-sided law too, so both
+    # samplers take the weight; quadrature still refuses it
+    d = lt.weibull_type(0.4)
+    seq = lt.WeightSequence([1.0, -0.5])
+    cmc = lt.conditional_mc(d, seq, 60.0, 100_000, seed=1)
+    pmc = lt.plain_mc(d, seq, 60.0, 100_000, seed=1)
+    assert abs(cmc.p_hat - pmc.p_hat) <= 4.0 * math.hypot(cmc.std_err, pmc.std_err)
+    assert cmc.p_hat < d.sf(60.0)
+    with pytest.raises(lt.UnsupportedSignError):
+        lt.quadrature_estimate(d, seq, 60.0)
 
 
 # -- quadrature convolution ------------------------------------------------------
@@ -274,7 +287,7 @@ def test_quadrature_rejects_three_two_sided_factors():
     # a two-sided pair has NaN density nodes: without the check this call runs
     # for minutes on exact solves
     d = lt.weibull_type(0.4, symmetric=True)
-    seq = lt.WeightSequence([1.0, 0.5, 0.25], sign_mode="balanced")
+    seq = lt.WeightSequence([1.0, 0.5, 0.25])
     start = time.perf_counter()
     with pytest.raises(ValueError, match="bounded below"):
         lt.quadrature_estimate(d, seq, 700.0)
@@ -313,7 +326,7 @@ QUADRATURE_BITS = [
 def test_quadrature_keeps_its_bits(weibull04, family, weights, t, p_hex):
     dist = {"weibull": weibull04, "lognormal": lt.lognormal_type(0.5),
             "weibull_symmetric": lt.weibull_type(0.4, symmetric=True)}[family]
-    seq = lt.WeightSequence(weights, sign_mode="balanced" if dist.symmetric else "one_sided")
+    seq = lt.WeightSequence(weights)
     est = lt.quadrature_estimate(dist, seq, t)
     assert est.truncation_n == len(weights) and est.p_hat.hex() == p_hex
 

@@ -11,6 +11,8 @@ from helpers import geometric_power_sum
 
 finite_scales = st.floats(min_value=-4.0, max_value=4.0,
                           allow_nan=False, allow_infinity=False)
+ONE_SIDED = lt.weibull_type(0.4)
+SYMMETRIC = lt.weibull_type(0.4, symmetric=True)
 
 
 # -- construction ---------------------------------------------------------------
@@ -22,8 +24,14 @@ def test_zero_weights_dropped():
 
 
 def test_one_sided_rejects_negative():
-    with pytest.raises(ValueError):
-        lt.WeightSequence([1.0, -0.5])
+    # the sequence stores either sign; the law refuses a negative weight,
+    # generated ones included, when the expansion is built
+    assert not lt.WeightSequence.geometric(1.0, 0.5).has_negative
+    for seq in (lt.WeightSequence([1.0, -0.5]), lt.WeightSequence.geometric(1.0, -0.5)):
+        assert seq.has_negative
+        with pytest.raises(lt.OutOfScopeError):
+            lt.expand(ONE_SIDED, seq, 0)
+        assert lt.expand(SYMMETRIC, seq, 0).terms
 
 
 def test_empty_rejected():
@@ -46,35 +54,32 @@ def test_generator_must_continue_below_head():
 
 
 def test_compare_examples():
-    one = lt.WeightSequence([1.0, 0.5])
-    assert one.compare(0.5, 1.0) is Ordering.PRECEDES
-    assert one.compare(-3.0, 0.0) is Ordering.EQUIVALENT  # negatives collapse to 0
-    assert one.compare(-3.0, 1.0) is Ordering.PRECEDES
-    bal = lt.WeightSequence([1.0, 0.5], sign_mode="balanced")
-    assert bal.compare(-1.0, 1.0) is Ordering.EQUIVALENT
-    assert bal.compare(-2.0, 1.0) is Ordering.SUCCEEDS
+    assert ONE_SIDED.compare_scales(0.5, 1.0) is Ordering.PRECEDES
+    assert ONE_SIDED.compare_scales(-3.0, 0.0) is Ordering.EQUIVALENT  # negatives collapse to 0
+    assert ONE_SIDED.compare_scales(-3.0, 1.0) is Ordering.PRECEDES
+    assert SYMMETRIC.compare_scales(-1.0, 1.0) is Ordering.EQUIVALENT
+    assert SYMMETRIC.compare_scales(-2.0, 1.0) is Ordering.SUCCEEDS
 
 
 @given(a=finite_scales, b=finite_scales, c=finite_scales,
-       mode=st.sampled_from(["one_sided", "balanced"]))
+       dist=st.sampled_from([ONE_SIDED, SYMMETRIC]))
 @settings(max_examples=300, deadline=None)
-def test_compare_is_total_preorder(a, b, c, mode):
-    seq = lt.WeightSequence([1.0, 0.5], sign_mode=mode)
-    assert seq.compare(a, a) is Ordering.EQUIVALENT
-    ab, ba = seq.compare(a, b), seq.compare(b, a)
+def test_compare_is_total_preorder(a, b, c, dist):
+    compare = dist.compare_scales
+    assert compare(a, a) is Ordering.EQUIVALENT
+    ab, ba = compare(a, b), compare(b, a)
     flipped = {Ordering.PRECEDES: Ordering.SUCCEEDS,
                Ordering.SUCCEEDS: Ordering.PRECEDES,
                Ordering.EQUIVALENT: Ordering.EQUIVALENT}
     assert ba is flipped[ab]
     # transitivity of "precedes or equivalent"
-    if ab is not Ordering.SUCCEEDS and seq.compare(b, c) is not Ordering.SUCCEEDS:
-        assert seq.compare(a, c) is not Ordering.SUCCEEDS
+    if ab is not Ordering.SUCCEEDS and compare(b, c) is not Ordering.SUCCEEDS:
+        assert compare(a, c) is not Ordering.SUCCEEDS
 
 
 def test_balanced_opposite_signs_never_strict():
-    seq = lt.WeightSequence([1.0, 0.5], sign_mode="balanced")
     for m in (0.25, 0.5, 1.0, 2.0):
-        assert seq.compare(-m, m) is Ordering.EQUIVALENT
+        assert SYMMETRIC.compare_scales(-m, m) is Ordering.EQUIVALENT
 
 
 # -- levels ---------------------------------------------------------------------
@@ -88,7 +93,7 @@ def test_level_sequence_worked_listing():
 
 
 def test_level_sequence_signed():
-    seq = lt.WeightSequence([1.0, -1.0, 0.5], sign_mode="balanced")
+    seq = lt.WeightSequence([1.0, -1.0, 0.5])
     levels = seq.levels()
     assert (levels[0].magnitude, levels[0].pos_count, levels[0].neg_count) == (1.0, 1, 1)
     assert (levels[1].magnitude, levels[1].pos_count, levels[1].neg_count) == (0.5, 1, 0)
@@ -110,7 +115,7 @@ def test_levels_infinite_needs_count():
 def test_maximal_indices_multiplicity():
     seq = lt.WeightSequence([1.0, 1.0, 0.5])
     assert seq.maximal_indices() == (1, 2)
-    bal = lt.WeightSequence([1.0, -1.0, 0.5], sign_mode="balanced")
+    bal = lt.WeightSequence([1.0, -1.0, 0.5])
     assert bal.maximal_indices() == (1, 2)
 
 
@@ -163,7 +168,7 @@ def test_power_sums_closed_form():
 
 
 def test_negative_ratio_power_sums():
-    seq = lt.WeightSequence([1.0, -0.5], sign_mode="balanced",
+    seq = lt.WeightSequence([1.0, -0.5],
                             generator=GeometricTail(-0.5, 3, 0.25))
     assert seq.power_sum(1) == pytest.approx(1.0 - 0.5 + 0.25 / 1.5, rel=1e-14)
     assert seq.power_sum(2) == pytest.approx(1.0 + 0.25 + 0.0625 / 0.75, rel=1e-14)
