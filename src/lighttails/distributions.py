@@ -292,15 +292,13 @@ def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
         base_cdf = 1.0 - base_sf(abs(x))
         return 1.0 - 0.5 * (1.0 - base_cdf) if x >= 0 else 0.5 * (1.0 - base_cdf)
 
-    # both where-branches get evaluated, so their arguments are clipped away
-    # from the base quantile's singular endpoint at 1
+    # the base quantile at |2p - 1|, kept below its singular endpoint at 1;
+    # 2p - 1 is exact for p >= 1/2 and is -fl(1 - 2p) below
     top = np.nextafter(1.0, 0.0)
 
     def ppf(p):
-        p = np.asarray(p, dtype=float)
-        up = base_ppf(np.clip(1.0 - 2.0 * (1.0 - p), 0.0, top))
-        down = -base_ppf(np.clip(1.0 - 2.0 * p, 0.0, top))
-        out = np.where(p >= 0.5, up, down)
+        d = 2.0 * np.asarray(p, dtype=float) - 1.0
+        out = np.copysign(base_ppf(np.minimum(np.abs(d), top)), d)
         return float(out) if out.ndim == 0 else out
 
     return TailDistribution(

@@ -33,6 +33,9 @@ through numpy's SeedSequence/Philox, with a fixed block size.  Results are
 therefore reproducible from the seed alone, independent of how work is
 partitioned, and extending the truncation level appends variables without
 disturbing existing draws (which isolates truncation bias in paired runs).
+Inside a block the kernels work in column chunks; their work is per column,
+and a column sum adds the rows in the same order, so the chunk size moves no
+value and is not part of the contract.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 18
+_CHUNK = 1 << 13
 
 
 class QuadratureToleranceError(LightTailsError):
@@ -96,11 +100,6 @@ class OracleBudget:
 # ---------------------------------------------------------------------------
 
 
-def _block_uniforms(seed: int, var_index: int, block: int, size: int) -> np.ndarray:
-    ss = np.random.SeedSequence(seed, spawn_key=(var_index, block))
-    return np.random.Generator(np.random.Philox(ss)).random(size)
-
-
 def _truncation_bias_bound(dist: TailDistribution, seq: WeightSequence,
                            n_trunc: int, t: float, p_hat: float) -> float:
     """Bound on how far the dropped tail weights can move the estimate.
@@ -121,7 +120,8 @@ def _truncation_bias_bound(dist: TailDistribution, seq: WeightSequence,
 
 def _sample_stats(value_blocks) -> tuple[float, float, int]:
     # deviations are accumulated against a shift taken from the first block, so
-    # a constant estimator reports exactly zero variance
+    # a constant estimator reports exactly zero variance; each block is
+    # centred and squared in place
     shift = None
     dev = 0.0
     dev_sq = 0.0
@@ -129,9 +129,9 @@ def _sample_stats(value_blocks) -> tuple[float, float, int]:
     for block in value_blocks:
         if shift is None:
             shift = float(block[0])
-        centered = block - shift
-        dev += float(np.sum(centered))
-        dev_sq += float(np.sum(np.square(centered)))
+        np.subtract(block, shift, out=block)
+        dev += float(np.sum(block))
+        dev_sq += float(np.sum(np.square(block, out=block)))
         n += block.size
     mean = shift + dev / n
     var = max(0.0, (dev_sq - dev * dev / n) / (n - 1)) if n > 1 else 0.0
@@ -145,16 +145,24 @@ def _truncation(seq: WeightSequence, eps_trunc: float):
     return n_trunc, seq.truncated_entries(n_trunc)
 
 
+def _chunks(size: int):
+    """Column slices of at most _CHUNK, covering range(size)."""
+    return (slice(lo, lo + _CHUNK) for lo in range(0, size, _CHUNK))
+
+
 def _summand_blocks(dist: TailDistribution, entries, n: int, seed: int):
     """Each block's (variables x block) matrix of summands c_i X_i, drawn
-    into one buffer: a block is valid until the next one is drawn."""
+    into one buffer: a block is valid until the next one is drawn.  A row's
+    uniforms are drawn in place, then mapped to summands chunk by chunk."""
     buf = np.empty((len(entries), min(_BLOCK, n)))
     for b, done in enumerate(range(0, n, _BLOCK)):
-        size = min(_BLOCK, n - done)
-        summands = buf[:, :size]
+        summands = buf[:, :min(_BLOCK, n - done)]
         for row, (i, w) in enumerate(entries):
-            u = _block_uniforms(seed, i, b, size)
-            np.multiply(w, np.asarray(dist.ppf(u), dtype=float), out=summands[row])
+            ss = np.random.SeedSequence(seed, spawn_key=(i, b))
+            np.random.Generator(np.random.Philox(ss)).random(out=summands[row])
+            for cols in _chunks(summands.shape[1]):
+                u = summands[row, cols]
+                np.multiply(w, np.asarray(dist.ppf(u), dtype=float), out=u)
         yield summands
 
 
@@ -170,8 +178,10 @@ def _top_two(summands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return largest, second
 
 
-# The kernels are generators, so a block's arrays stay alive while the next
-# block is drawn: freed in between, they doubled the page faults of a call.
+# The kernels work through a block in column chunks of _CHUNK samples, so
+# each temporary is 64 KiB: it stays in cache, and the allocator reuses it
+# instead of mapping and faulting in fresh pages for every row.  Only the
+# summands and the values span the whole block.
 
 
 def _conditional_values(dist, entries, t, n, seed):
@@ -184,21 +194,25 @@ def _conditional_values(dist, entries, t, n, seed):
             yield np.full(min(_BLOCK, n - done), value)
         return
     for summands in _summand_blocks(dist, entries, n, seed):
-        total = summands.sum(axis=0)
-        largest, second = _top_two(summands)
         value = np.zeros(summands.shape[1])
-        for row, (i, w) in enumerate(entries):
-            resid_sum = total - summands[row]
-            resid_max = np.where(summands[row] == largest, second, largest)
-            level = np.maximum(resid_max, t - resid_sum)
-            value += dist.scaled_sf_batch(w, level)
+        for cols in _chunks(summands.shape[1]):
+            chunk, out = summands[:, cols], value[cols]
+            total = chunk.sum(axis=0)
+            largest, second = _top_two(chunk)
+            for row, (i, w) in enumerate(entries):
+                resid_max = np.where(chunk[row] == largest, second, largest)
+                level = np.maximum(resid_max, t - (total - chunk[row]))
+                out += dist.scaled_sf_batch(w, level)
         yield value
 
 
 def _plain_values(dist, entries, t, n, seed):
     """Per sample, the indicator of the truncated sum exceeding t."""
     for summands in _summand_blocks(dist, entries, n, seed):
-        yield (summands.sum(axis=0) > t).astype(float)
+        value = np.empty(summands.shape[1])
+        for cols in _chunks(summands.shape[1]):
+            np.greater(summands[:, cols].sum(axis=0), t, out=value[cols])
+        yield value
 
 
 def _monte_carlo(dist, seq, t, n, seed, eps_trunc, kernel, method) -> OracleEstimate:

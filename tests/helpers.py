@@ -143,3 +143,16 @@ def log_power_sum_reference(terms, t):
             piece = piece * logt**gamma
         out = out + piece
     return float(out) if out.ndim == 0 else out
+
+
+def two_branch_symmetric_ppf(one_sided, p):
+    """Quantile of the symmetric version of a closed-form law, from the
+    one-sided law's quantile: the upper branch at 1 - 2(1 - p) for p >= 1/2,
+    the mirrored lower branch at 1 - 2p below, both clipped below 1.  The
+    reference for the bits of the library's one-call symmetric quantile."""
+    p = np.asarray(p, dtype=float)
+    top = np.nextafter(1.0, 0.0)
+    up = one_sided.ppf(np.clip(1.0 - 2.0 * (1.0 - p), 0.0, top))
+    down = -np.asarray(one_sided.ppf(np.clip(1.0 - 2.0 * p, 0.0, top)))
+    out = np.where(p >= 0.5, up, down)
+    return float(out) if out.ndim == 0 else out

@@ -10,8 +10,9 @@ from scipy.integrate import quad
 
 import lighttails as lt
 from lighttails.config import build_distribution, load_config
+from lighttails.oracle import _CHUNK
 
-from helpers import brentq_quantile, weibull_raw_moment
+from helpers import brentq_quantile, two_branch_symmetric_ppf, weibull_raw_moment
 
 
 def all_families():
@@ -373,6 +374,34 @@ def test_root_find_quantile_partition_independent(dist):
     assert [dist.ppf(u[k:k + 1])[0] for k in range(u.size)] == whole.tolist()
     assert [dist.ppf(float(v)) for v in u[:50]] == whole[:50].tolist()
     assert dist.ppf(u[:500].reshape(-1, 4)).ravel().tolist() == whole[:500].tolist()
+
+
+@pytest.mark.parametrize("dist", all_families() + root_find_families(),
+                         ids=lambda d: d.name)
+def test_ppf_chunk_independent(dist):
+    # the Monte Carlo kernels map each block of uniforms in chunks of _CHUNK
+    u = np.random.default_rng(11).random(3 * _CHUNK + 100)
+    chunked = np.concatenate([dist.ppf(u[lo:lo + _CHUNK]) for lo in range(0, u.size, _CHUNK)])
+    assert np.array_equal(chunked, dist.ppf(u))
+
+
+SYMMETRIC_EDGES = [0.0, 5e-324, 2.0**-60, 1e-5, np.nextafter(0.5, 0.0), 0.5,
+                   np.nextafter(0.5, 1.0), 1.0 - 1e-5, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize("family,param", [(lt.weibull_type, 0.5), (lt.weibull_type, 0.4),
+                                          (lt.log_weibull, 1.5), (lt.lognormal_type, 0.5)])
+def test_symmetric_quantile_keeps_its_bits(family, param):
+    # one base quantile at |2p - 1| with the sign of 2p - 1, against the
+    # two-branch formula; int64 views so that the sign of a zero counts
+    dist, one_sided = family(param, symmetric=True), family(param)
+    u = np.concatenate([np.random.default_rng(5).random(10**6), SYMMETRIC_EDGES])
+    got, want = dist.ppf(u), two_branch_symmetric_ppf(one_sided, u)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for p in SYMMETRIC_EDGES:
+        got = dist.ppf(float(p))
+        assert type(got) is float
+        assert got.hex() == two_branch_symmetric_ppf(one_sided, float(p)).hex()
 
 
 @pytest.mark.parametrize("name", ["cancellation_pair", "logweibull_second_order"])

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import dblquad, quad
 
 import lighttails as lt
 from lighttails.config import build_distribution, build_weights, load_config
+from lighttails import oracle
 from lighttails.oracle import _top_two
 
 from helpers import brentq_quantile
@@ -81,14 +83,14 @@ SEEDED_BITS = [
     ("two_blocks", (1 << 18) + 1000, "0x1.33b95a4dd3938p-10", "0x1.8cbb17c97343cp-22"),
     ("mixture", 2000, "0x1.bdffc432a4d12p-15", "0x1.f17e396e2b5c6p-24"),
     ("plain_pair", 20000, "0x1.6f0068db8bac7p-10", "0x1.153d6351cfec3p-12"),
+    ("plain_two_blocks", (1 << 18) + 1000, "0x1.2bdb2bf710b9bp-10", "0x1.1460865cffa7ap-14"),
 ]
 
 
-@pytest.mark.parametrize("case,n,p_hex,se_hex", SEEDED_BITS,
-                         ids=[case[0] for case in SEEDED_BITS])
-def test_seeded_estimates_keep_their_bits(weibull04, pair_seq, case, n, p_hex, se_hex):
+def _seeded_case(case, weibull04, pair_seq):
+    """(estimator, law, weights, t, seed, eps_trunc, truncation rows) of a case."""
     symmetric = lt.weibull_type(0.5, symmetric=True)
-    estimator, dist, seq, t, seed, eps, rows = {
+    return {
         "one": (lt.conditional_mc, weibull04, lt.WeightSequence([1.0]), 50.0, 1, 1e-9, 1),
         "pair": (lt.conditional_mc, weibull04, pair_seq, 150.0, 7, 1e-9, 2),
         "triple": (lt.conditional_mc, weibull04, lt.WeightSequence([1.0, 0.5, 0.25]),
@@ -102,10 +104,49 @@ def test_seeded_estimates_keep_their_bits(weibull04, pair_seq, case, n, p_hex, s
         "mixture": (lt.conditional_mc, *_shipped("cancellation_pair.json"),
                     100.0, 9, 1e-4, 2),
         "plain_pair": (lt.plain_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
+        "plain_two_blocks": (lt.plain_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
     }[case]
+
+
+@pytest.mark.parametrize("case,n,p_hex,se_hex", SEEDED_BITS,
+                         ids=[case[0] for case in SEEDED_BITS])
+def test_seeded_estimates_keep_their_bits(weibull04, pair_seq, case, n, p_hex, se_hex):
+    estimator, dist, seq, t, seed, eps, rows = _seeded_case(case, weibull04, pair_seq)
     est = estimator(dist, seq, t, n, seed=seed, eps_trunc=eps)
     assert est.truncation_n == rows and est.n_samples == n
     assert (est.p_hat.hex(), est.std_err.hex()) == (p_hex, se_hex)
+
+
+@pytest.mark.parametrize("case", ["triple", "symmetric_moments", "negative_pair"])
+def test_chunk_size_moves_no_bits(weibull04, pair_seq, monkeypatch, case):
+    # chunks split a block's columns only: the chunk size is not part of the
+    # randomness contract
+    _, dist, seq, t, seed, eps, _ = _seeded_case(case, weibull04, pair_seq)
+
+    def bits():
+        return [(est.p_hat.hex(), est.std_err.hex())
+                for est in (estimator(dist, seq, t, 20000, seed=seed, eps_trunc=eps)
+                            for estimator in (lt.conditional_mc, lt.plain_mc))]
+
+    want = bits()
+    for chunk in (1000, 8191, oracle._BLOCK):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert bits() == want
+
+
+@pytest.mark.parametrize("estimator,n,bound_mb", [(lt.conditional_mc, 1 << 20, 11.0),
+                                                  (lt.plain_mc, 1 << 18, 9.0)])
+def test_sampling_memory_stays_bounded(weibull04, pair_seq, estimator, n, bound_mb):
+    # beyond a block's summands (2 MB a row) and its values (2 MB), every
+    # temporary spans one chunk of columns; the first call warms the caches
+    estimator(weibull04, pair_seq, 150.0, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        estimator(weibull04, pair_seq, 150.0, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 def test_conditional_mc_deterministic(weibull04, pair_seq):

@@ -8,7 +8,9 @@ under quadrature and symmetric, and with a closed-form custom hazard, and
 symmetric with a negative weight: plain, under quadrature, and log_weibull
 with alternating geometric tail weights; lognormal_gate_above also symmetric,
 with and without a negative weight; lognormal_gate_boundary also under
-quadrature.  Output goes to a temporary directory; no artifact records it.
+quadrature; symmetric_moments also with method plain_mc, the mirrored
+quantile over 31 variables.  Output goes to a temporary directory; no
+artifact records it.
 """
 
 import argparse
@@ -56,6 +58,7 @@ VARIANTS = {
         "+symmetric+negative": {"distribution": SYMMETRIC, "weights": NEGATIVE},
     },
     "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE}},
+    "symmetric_moments": {"": {}, "+plain_mc": {"oracle": {"method": "plain_mc"}}},
 }
 
 
