@@ -3,8 +3,9 @@ with light subexponential tails, validated against independent Monte Carlo
 and quadrature-convolution oracles.
 """
 
-from .distributions import (TailDistribution, custom_hazard, log_power_mixture,
-                            log_weibull, lognormal_type, weibull_type)
+from .distributions import (ScaledFactor, TailDistribution, custom_hazard,
+                            log_power_mixture, log_weibull, lognormal_type,
+                            weibull_type)
 from .errors import (ConfigError, DegenerateWeightError, DomainError,
                      LightTailsError, OutOfScopeError, RegimeConditionError,
                      SmoothnessError, UnsupportedSignError)
@@ -17,18 +18,17 @@ from .laplace import (LaplaceCharacter, Moments, apply_character,
                       cumulants_to_raw, identity_character, raw_to_cumulants,
                       residual_moments, scale_moments)
 from .oracle import (ComparisonTable, OracleBudget, OracleEstimate,
-                     QuadratureToleranceError, ScaledFactor,
-                     compare_with_oracle, conditional_mc, convolve_pair_sf,
-                     convolved_sf, plain_mc, quadrature_estimate)
-from .weights import GeometricTail, Level, Ordering, WeightSequence
+                     QuadratureToleranceError, compare_with_oracle, conditional_mc,
+                     convolve_pair_sf, convolved_sf, plain_mc, quadrature_estimate)
+from .weights import GeometricTail, Level, WeightSequence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TailDistribution", "weibull_type", "log_weibull", "lognormal_type",
+    "TailDistribution", "ScaledFactor", "weibull_type", "log_weibull", "lognormal_type",
     "custom_hazard", "log_power_mixture",
     "HazardModel", "LogPowerSum", "MetadataDiagnostics", "validate_metadata",
-    "WeightSequence", "GeometricTail", "Level", "Ordering",
+    "WeightSequence", "GeometricTail", "Level",
     "Moments", "LaplaceCharacter", "identity_character", "character_from_moments",
     "compose", "apply_character", "residual_moments", "raw_to_cumulants",
     "cumulants_to_raw", "convolve_moments", "scale_moments",
@@ -36,7 +36,7 @@ __all__ = [
     "RemainderScale", "rewrite_in_hazard_scale", "HazardScaleRewrite",
     "evaluate", "EvaluationTable",
     "OracleEstimate", "OracleBudget", "conditional_mc", "plain_mc",
-    "quadrature_estimate", "ScaledFactor",
+    "quadrature_estimate",
     "convolve_pair_sf", "convolved_sf", "compare_with_oracle", "ComparisonTable",
     "QuadratureToleranceError",
     "LightTailsError", "DomainError", "SmoothnessError", "DegenerateWeightError",

@@ -8,7 +8,8 @@ by adaptive quadrature of the survival decomposition
 
     E[X^k] = k * int_0^inf x^(k-1) [ P(X > x) + (-1)^k P(X < -x) ] dx
 
-and memoized.
+and memoized.  A ScaledFactor is the law of c * X, the one object that the
+expansion, conditional Monte Carlo and quadrature read scaled tails from.
 
 Built-in families:
 
@@ -33,12 +34,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DegenerateWeightError, DomainError, UnsupportedSignError
+from .errors import DegenerateWeightError, UnsupportedSignError
 from .hazard import HazardModel, LogPowerSum
-from .weights import Ordering
 
 __all__ = [
     "TailDistribution",
+    "ScaledFactor",
     "weibull_type",
     "log_weibull",
     "lognormal_type",
@@ -54,7 +55,7 @@ _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
 class TailDistribution:
     """One innovation distribution: body CDF and density plus a hazard-rate
     upper tail; symmetric=True mirrors that tail below -upper.t0, so the body
-    then spans [-t0, t0] and a negative scale c reads the tail at t/|c|."""
+    then spans [-t0, t0].  ScaledFactor gives the law of c * X."""
 
     upper: HazardModel
     body_cdf: Callable
@@ -142,65 +143,6 @@ class TailDistribution:
             out[rest] = [scalar(v) for v in x[rest]]
         return out
 
-    # -- scaled tails ------------------------------------------------------
-
-    def compare_scales(self, a: float, b: float) -> Ordering:
-        """Tail-dominance order of scales a, b: by |c| if the law is symmetric,
-        else by max(c, 0), as c X is bounded above when c <= 0."""
-        if self.symmetric:
-            a, b = abs(a), abs(b)
-        else:
-            a, b = max(a, 0.0), max(b, 0.0)
-        if a == b:
-            return Ordering.EQUIVALENT
-        return Ordering.PRECEDES if a < b else Ordering.SUCCEEDS
-
-    def _require_scale(self, c: float):
-        if c == 0.0:
-            raise DegenerateWeightError("scale c = 0 is the point mass at zero")
-        if c < 0.0 and not self.symmetric:
-            raise UnsupportedSignError(
-                "negative scale needs a symmetric law (distribution vanishes below)"
-            )
-
-    def scaled_sf(self, c: float, x: float) -> float:
-        """P(c*X > x) over the full range, body included."""
-        self._require_scale(c)
-        return self.sf(x / c) if c > 0 else self.cdf(x / c)
-
-    def scaled_sf_batch(self, c: float, x) -> np.ndarray:
-        """scaled_sf over an array."""
-        return self.sf_batch(x / c) if c > 0 else self.cdf_batch(x / c)
-
-    def scaled_logsf(self, c: float, t: float) -> float:
-        """log P(c*X > t) in the tail domain (t/|c| beyond the anchor)."""
-        self._require_scale(c)
-        return self.upper.log_survival(t / abs(c))
-
-    def scaled_sf_deriv(self, c: float, k: int, t: float) -> float:
-        sign, logabs = self.scaled_sf_deriv_signed_log(c, k, t)
-        return sign * math.exp(logabs) if sign else 0.0
-
-    def scaled_sf_deriv_signed_log(self, c: float, k: int, t: float) -> tuple[float, float]:
-        """(sign, log|.|) of the k-th derivative of t -> P(c*X > t), tail domain.
-
-        For c > 0 this is c^-k * S^(k)(t/c) from the upper tail.  For c < 0,
-        P(c*X > t) = L(t/|c|) with L the survival of -X, so each derivative
-        pulls out one factor |c|^-1 and differentiates L; a symmetric law's L
-        is the upper tail itself.
-        """
-        self._require_scale(c)
-        a = abs(c)
-        sign, logabs = self.upper.survival_derivative_signed_log(k, t / a)
-        return sign, logabs - k * math.log(a)
-
-    def tail_component_values(self, c: float, t: float) -> np.ndarray | None:
-        """Signed closed-form pieces of P(c*X > t) when the tail exposes them."""
-        self._require_scale(c)
-        if self.upper.tail_components is None:
-            return None
-        return np.asarray(self.upper.tail_components(t / abs(c)), dtype=float)
-
     # -- moments -----------------------------------------------------------
 
     def moment(self, k: int) -> float:
@@ -245,6 +187,78 @@ class TailDistribution:
         pos = self._tail_power_integral(k, upper=True)
         neg = self._tail_power_integral(k, upper=False)
         return k * (pos + (-1) ** k * neg)
+
+
+class ScaledFactor:
+    """The law of c * X for an innovation X and a scale c != 0: the one place
+    that knows what the sign of a scale means.
+
+    Over the full range, P(c*X > x) is S(x/c) for c > 0 and F(x/c) for c < 0,
+    on any law.  The tail-domain reads (log_tail_sf, tail_deriv_signed_log,
+    tail_components) take the upper tail at t/|c|; for c < 0 that is the
+    survival of -X, which only a symmetric law has a tail model for.
+    """
+
+    def __init__(self, dist: TailDistribution, c: float):
+        if c == 0.0:
+            raise DegenerateWeightError("scale c = 0 is the point mass at zero")
+        self.dist = dist
+        self.c = c
+        self.log_abs_c = math.log(abs(c))
+        edge = c * dist.support_left
+        self.support_left, self.support_right = ((edge, math.inf) if c > 0
+                                                 else (-math.inf, edge))
+        pts = {dist.body_left, dist.upper.t0}
+        if dist.symmetric:
+            pts.add(-dist.upper.t0)
+        pts.update(dist.quad_breaks)
+        self.breaks = tuple(sorted(c * p for p in pts))
+
+    def sf(self, x: float) -> float:
+        return self.dist.sf(x / self.c) if self.c > 0 else self.dist.cdf(x / self.c)
+
+    def sf_batch(self, x) -> np.ndarray:
+        return self.dist.sf_batch(x / self.c) if self.c > 0 else self.dist.cdf_batch(x / self.c)
+
+    def logsf(self, x: float) -> float:
+        if self.c > 0:
+            return self.dist.logsf(x / self.c)
+        # in the mirrored lower tail, its own log-survival: the linear
+        # complement loses precision in subnormals and then underflows to -inf
+        upper = self.dist.upper
+        if self.dist.symmetric and x / -self.c >= upper.t0:
+            return upper.log_survival(x / -self.c)
+        v = self.sf(x)
+        return math.log(v) if v > 0 else -math.inf
+
+    def logpdf(self, x: float) -> float:
+        v = self.dist.pdf(x / self.c)
+        return -math.inf if v <= 0.0 else math.log(v) - self.log_abs_c
+
+    def _tail_arg(self, t: float) -> float:
+        if self.c < 0 and not self.dist.symmetric:
+            raise UnsupportedSignError(
+                "negative scale needs a symmetric law (distribution vanishes below)")
+        return t / abs(self.c)
+
+    def log_tail_sf(self, t: float) -> float:
+        """log P(c*X > t)."""
+        return self.dist.upper.log_survival(self._tail_arg(t))
+
+    def tail_deriv_signed_log(self, k: int, t: float) -> tuple[float, float]:
+        """(sign, log|.|) of the k-th derivative of t -> P(c*X > t): each
+        derivative pulls out one factor |c|^-1, so this is |c|^-k times the
+        upper tail's k-th derivative at t/|c|."""
+        x = self._tail_arg(t)
+        sign, logabs = self.dist.upper.survival_derivative_signed_log(k, x)
+        return sign, logabs - k * self.log_abs_c
+
+    def tail_components(self, t: float) -> np.ndarray | None:
+        """Signed closed-form pieces of P(c*X > t) when the tail exposes them."""
+        x = self._tail_arg(t)
+        if self.dist.upper.tail_components is None:
+            return None
+        return np.asarray(self.dist.upper.tail_components(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import TailDistribution
+from .distributions import ScaledFactor, TailDistribution
 from .errors import (DomainError, OutOfScopeError, RegimeConditionError,
                      SmoothnessError)
 from .hazard import HazardModel, functional_diverges, subcritical_functional
@@ -493,13 +493,16 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
     cancellation = np.zeros(n_t, dtype=bool)
     domain_ok = np.ones(n_t, dtype=bool)
     notes: list[str] = []
+    rem = expansion.remainder
+    factor = {c: ScaledFactor(dist, c)
+              for c in {term.scale for term in expansion.terms} | {rem.scale}}
 
     for r, t in enumerate(t_grid):
         signs, logs = [], []
         components = []
         try:
             for col, term in enumerate(expansion.terms):
-                s, l = dist.scaled_sf_deriv_signed_log(term.scale, term.deriv_index, t)
+                s, l = factor[term.scale].tail_deriv_signed_log(term.deriv_index, t)
                 if term.coeff < 0:
                     s, l = -s, l + math.log(-term.coeff)
                 elif term.coeff > 0:
@@ -510,11 +513,10 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
                 signs.append(s)
                 logs.append(l)
                 if term.deriv_index == 0:
-                    comp = dist.tail_component_values(term.scale, t)
+                    comp = factor[term.scale].tail_components(t)
                     if comp is not None:
                         components.extend(float(term.coeff) * comp)
-            rem = expansion.remainder
-            log_bench = dist.scaled_logsf(rem.scale, t)
+            log_bench = factor[rem.scale].log_tail_sf(t)
             if rem.hazard_power:
                 log_bench += rem.hazard_power * math.log(dist.upper.hazard(t))
             benchmark[r] = math.exp(log_bench)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import TailDistribution
+from .distributions import ScaledFactor, TailDistribution
 from .errors import SmoothnessError
 from .weights import WeightSequence
 
@@ -169,9 +169,11 @@ def apply_character(ch: LaplaceCharacter, dist: TailDistribution, c: float,
     """Evaluate (L applied to the scaled survival) at t: sum_i a_i D^i P(cX > .)."""
     if ch.order > dist.upper.smooth_order:
         raise SmoothnessError(required=ch.order, available=dist.upper.smooth_order)
+    factor = ScaledFactor(dist, c)
     total = 0.0
     for i, a in enumerate(ch.coeffs):
         if a == 0.0:
             continue
-        total += a * dist.scaled_sf_deriv(c, i, t)
+        sign, logabs = factor.tail_deriv_signed_log(i, t)
+        total += a * sign * math.exp(logabs)
     return total

@@ -26,7 +26,10 @@ Three methods:
 
                    each integral computed adaptively on a log-normalized
                    integrand so tails far below 1e-300 in product scale stay
-                   representable.
+                   representable.  A factor is a ScaledFactor, the law of
+                   c_i X; three or four need every factor bounded below.
+
+The conditional kernel reads P(c_i X > .) through the same ScaledFactor.
 
 Randomness contract: streams are keyed by (seed, variable index, block index)
 through numpy's SeedSequence/Philox, with a fixed block size.  Results are
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .distributions import TailDistribution
+from .distributions import ScaledFactor, TailDistribution
 from .errors import LightTailsError
 from .expansion import EvaluationTable, TailExpansion, evaluate
 from .weights import WeightSequence
@@ -55,7 +58,7 @@ from .weights import WeightSequence
 __all__ = [
     "OracleEstimate", "OracleBudget", "QuadratureToleranceError",
     "conditional_mc", "plain_mc", "quadrature_estimate",
-    "ScaledFactor", "convolve_pair_sf", "convolved_sf",
+    "convolve_pair_sf", "convolved_sf",
     "ComparisonTable", "compare_with_oracle",
 ]
 
@@ -188,8 +191,9 @@ def _conditional_values(dist, entries, t, n, seed):
     """Per sample, sum_i P(c_i X > max(M'_i, t - S'_i) | rest), where M'_i is
     the second-largest summand if summand i is the largest, else the largest.
     With one variable every sample is P(c X > t): nothing is drawn."""
+    factors = [ScaledFactor(dist, w) for _, w in entries]
     if len(entries) == 1:
-        value = dist.scaled_sf_batch(entries[0][1], np.array([t]))[0]
+        value = factors[0].sf_batch(np.array([t]))[0]
         for done in range(0, n, _BLOCK):
             yield np.full(min(_BLOCK, n - done), value)
         return
@@ -199,10 +203,10 @@ def _conditional_values(dist, entries, t, n, seed):
             chunk, out = summands[:, cols], value[cols]
             total = chunk.sum(axis=0)
             largest, second = _top_two(chunk)
-            for row, (i, w) in enumerate(entries):
+            for row, factor in enumerate(factors):
                 resid_max = np.where(chunk[row] == largest, second, largest)
                 level = np.maximum(resid_max, t - (total - chunk[row]))
-                out += dist.scaled_sf_batch(w, level)
+                out += factor.sf_batch(level)
         yield value
 
 
@@ -250,47 +254,6 @@ def plain_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int,
 # ---------------------------------------------------------------------------
 # quadrature convolution factors
 # ---------------------------------------------------------------------------
-
-
-class ScaledFactor:
-    """The distribution of c * X for an innovation X."""
-
-    def __init__(self, dist: TailDistribution, c: float):
-        if c == 0.0:
-            raise ValueError("a factor needs a nonzero scale")
-        self.dist = dist
-        self.c = c
-        self.log_abs_c = math.log(abs(c))
-        left = dist.support_left
-        if c > 0:
-            self.support_left = c * left if math.isfinite(left) else -math.inf
-            self.support_right = math.inf
-        else:
-            self.support_left = -math.inf
-            self.support_right = c * left if math.isfinite(left) else math.inf
-        pts = {dist.body_left, dist.upper.t0}
-        if dist.symmetric:
-            pts.add(-dist.upper.t0)
-        pts.update(dist.quad_breaks)
-        self.breaks = tuple(sorted(c * p for p in pts))
-
-    def sf(self, x):
-        return self.dist.scaled_sf(self.c, x)
-
-    def logsf(self, x):
-        if self.c > 0:
-            return self.dist.logsf(x / self.c)
-        # in the mirrored lower tail, its own log-survival: the linear
-        # complement loses precision in subnormals and then underflows to -inf
-        upper = self.dist.upper
-        if self.dist.symmetric and x / -self.c >= upper.t0:
-            return upper.log_survival(x / -self.c)
-        v = self.sf(x)
-        return math.log(v) if v > 0 else -math.inf
-
-    def logpdf(self, x):
-        v = self.dist.pdf(x / self.c)
-        return -math.inf if v <= 0.0 else math.log(v) - self.log_abs_c
 
 
 class _LogInterpolant:
@@ -344,10 +307,9 @@ class ConvolvedFactor:
     def prepare(self, t: float, other):
         """Interpolants over the windows that the outer integrals at t,
         against the other factor of the split, hit."""
-        lo_other = other.support_left if math.isfinite(other.support_left) else -t
         edge = self.support_left
         lo = max(t / 2.0 - 1e-9 * abs(t), edge + 1e-9 * max(1.0, abs(edge)))
-        hi = t - lo_other + 1e-9 * abs(t)
+        hi = t - other.support_left + 1e-9 * abs(t)
         if hi > lo:
             self.logsf.prepare(np.linspace(lo, hi, self.nodes), hi)
         # densities may be steep (even singular) toward the support edge, so
@@ -449,10 +411,6 @@ def convolve_pair_sf(a, b, t: float, tol_rel: float = 1e-9,
 def _density_convolution(a, b, t: float, tol_rel: float) -> float:
     lo = max(a.support_left, t - b.support_right)
     hi = min(a.support_right, t - b.support_left)
-    if not math.isfinite(lo):
-        lo = min(t, hi) - 1e6
-    if not math.isfinite(hi):
-        hi = max(t, lo) + 1e6
     if hi <= lo:
         return 0.0
 
@@ -477,7 +435,8 @@ def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float
         return factors[0].sf(t), 0.0
     if len(factors) == 2:
         return convolve_pair_sf(factors[0], factors[1], t, tol_rel)
-    # ConvolvedFactor.prepare places its density nodes from a finite support edge
+    # ConvolvedFactor and _density_convolution work from finite left support
+    # edges; every factor then has c > 0, so its right edge is infinite
     if not all(math.isfinite(f.support_left) for f in factors):
         raise ValueError("quadrature convolution of three or more factors needs "
                          "factors bounded below")

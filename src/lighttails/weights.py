@@ -1,4 +1,4 @@
-"""Weight sequences for the infinite sum, with tail-dominance ordering.
+"""Weight sequences for the infinite sum, grouped into levels by magnitude.
 
 A sequence is an explicit head of nonzero weights plus an optional geometric
 generator continuing it (entry i beyond the head equals the last explicit
@@ -7,26 +7,19 @@ sum |c_i|^delta is finite for the declared delta in (0, 1); geometric tails
 always satisfy it, so the constructor verifies the head by direct summation
 and the tail in closed form.
 
-Weights of either sign are stored alike.  Whether a negative weight is
-allowed, and how scales compare by tail dominance, depend on the innovation
-law, so both are the law's to decide: `TailDistribution.compare_scales`
-orders scales, and a negative weight needs a symmetric law.
+Weights of either sign are stored alike.  What a negative weight means
+depends on the innovation law, so it is the law's to decide:
+`ScaledFactor` reads the law of c * X, and the expansion takes a negative
+weight only on a symmetric law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
-__all__ = ["Ordering", "GeometricTail", "Level", "WeightSequence"]
-
-
-class Ordering(Enum):
-    PRECEDES = "precedes"
-    EQUIVALENT = "equivalent"
-    SUCCEEDS = "succeeds"
+__all__ = ["GeometricTail", "Level", "WeightSequence"]
 
 
 @dataclass(frozen=True)

@@ -123,10 +123,15 @@ def test_cli_classify_expand_evaluate(tmp_path):
     assert main(["expand", "--config", path, "--out", out]) == EXIT_OK
     expansion = json.loads((tmp_path / "out" / "expansion.json").read_text())
     assert [t["j"] for t in expansion["terms"]] == [0, 1, 2]
-    assert main(["evaluate", "--config", path, "--out", out]) == EXIT_OK
-    lines = (tmp_path / "out" / "evaluation.csv").read_text().splitlines()
-    assert lines[0].startswith("t,expansion_total,term_0_c1_j0")
-    assert len(lines) == 4
+    for spacing, t_col in (("geometric", [50.0, 100.0, 200.0]),
+                           ("linear", [50.0, 125.0, 200.0])):
+        doc = {**BASE, "grid": {**BASE["grid"], "spacing": spacing}}
+        assert main(["evaluate", "--config", write_config(tmp_path, doc),
+                     "--out", out]) == EXIT_OK
+        lines = (tmp_path / "out" / "evaluation.csv").read_text().splitlines()
+        assert lines[0].startswith("t,expansion_total,term_0_c1_j0")
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(
+            t_col, rel=1e-15)
 
 
 def test_cli_order_override(tmp_path):

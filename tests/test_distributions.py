@@ -199,6 +199,23 @@ def test_moments_against_density_quadrature():
             assert dist.moment(k) == pytest.approx(direct, rel=1e-9)
 
 
+def test_moments_of_one_sided_law_with_body_below_zero():
+    # a one-sided law whose linear body starts below 0: the negative half-axis
+    # holds body mass only, which the survival decomposition integrates apart
+    laws = (lt.custom_hazard([(0.5, -0.5, 0.0)], t0=2.0, sbar_t0=0.4, rv_index=-0.5,
+                             body_left=-1.0),
+            lt.log_power_mixture([(1.0, 1.0, [(1.0, 1.5)]), (-1.0, 2.0, [(1.0, 1.5)])],
+                                 t0=2.0, body_left=-0.5))
+    for dist in laws:
+        assert dist.support_left < 0.0 and not dist.symmetric
+        for k in (1, 2, 3):
+            f = lambda x: x**k * dist.pdf(x)
+            body = quad(f, dist.body_left, dist.upper.t0, points=[0.0],
+                        epsabs=0.0, epsrel=1e-13)[0]
+            tail = quad(f, dist.upper.t0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            assert dist.moment(k) == pytest.approx(body + tail, rel=1e-12)
+
+
 def test_moment_cache_idempotent():
     d = lt.weibull_type(0.5)
     v1 = d.moment(3)
@@ -212,17 +229,23 @@ def test_moment_cache_idempotent():
 
 def test_scaled_sf_positive_scale():
     d = lt.weibull_type(0.5)
-    assert d.scaled_sf(0.5, 50.0) == pytest.approx(math.exp(-10.0), rel=1e-13)
-    assert d.scaled_sf(1.0, 100.0) == d.sf(100.0)
+    assert lt.ScaledFactor(d, 0.5).sf(50.0) == pytest.approx(math.exp(-10.0), rel=1e-13)
+    assert lt.ScaledFactor(d, 1.0).sf(100.0) == d.sf(100.0)
+
+
+def _deriv(factor, k, t):
+    sign, logabs = factor.tail_deriv_signed_log(k, t)
+    return sign * math.exp(logabs)
 
 
 def test_scaled_sf_negative_scale_mirrors_symmetric():
     s = lt.weibull_type(0.5, symmetric=True)
+    neg, pos = lt.ScaledFactor(s, -1.0), lt.ScaledFactor(s, 1.0)
     for t in (5.0, 20.0, 80.0):
-        assert s.scaled_sf(-1.0, t) == pytest.approx(s.sf(t), rel=1e-13)
+        assert neg.sf(t) == pytest.approx(s.sf(t), rel=1e-13)
+        assert neg.log_tail_sf(t) == pos.log_tail_sf(t)
         for k in (0, 1, 2, 3):
-            assert s.scaled_sf_deriv(-1.0, k, t) == pytest.approx(
-                s.scaled_sf_deriv(1.0, k, t), rel=1e-12)
+            assert _deriv(neg, k, t) == pytest.approx(_deriv(pos, k, t), rel=1e-12)
 
 
 def test_scaled_sf_deriv_scaling_rule():
@@ -230,7 +253,7 @@ def test_scaled_sf_deriv_scaling_rule():
     d = lt.weibull_type(0.5)
     c, t = 0.5, 60.0
     for k in (0, 1, 2, 3):
-        assert d.scaled_sf_deriv(c, k, t) == pytest.approx(
+        assert _deriv(lt.ScaledFactor(d, c), k, t) == pytest.approx(
             d.upper.survival_derivative(k, t / c) / c**k, rel=1e-12)
 
 
@@ -238,15 +261,21 @@ def test_scaled_sf_negative_derivative_sign():
     # P(cX > t) is nonincreasing in t for either sign of c
     s = lt.weibull_type(0.5, symmetric=True)
     for c in (1.0, -1.0, -0.5):
-        assert s.scaled_sf_deriv(c, 1, 40.0) < 0.0
+        assert lt.ScaledFactor(s, c).tail_deriv_signed_log(1, 40.0)[0] < 0.0
 
 
 def test_scale_errors():
+    # a zero scale is refused once, when the factor is built; a negative scale
+    # on a one-sided law has a full-range survival F(x/c) but no tail model
     d = lt.weibull_type(0.5)
     with pytest.raises(lt.DegenerateWeightError):
-        d.scaled_sf(0.0, 10.0)
-    with pytest.raises(lt.UnsupportedSignError):
-        d.scaled_sf(-1.0, 10.0)
+        lt.ScaledFactor(d, 0.0)
+    neg = lt.ScaledFactor(d, -1.0)
+    assert neg.sf(10.0) == 0.0 and neg.sf(-10.0) == d.cdf(10.0)
+    for tail_read in (neg.log_tail_sf, lambda t: neg.tail_deriv_signed_log(1, t),
+                      neg.tail_components):
+        with pytest.raises(lt.UnsupportedSignError):
+            tail_read(10.0)
 
 
 def test_batch_paths_match_scalar():
@@ -292,11 +321,11 @@ def test_mixture_components_and_validity():
         [(1.0, 1.0, [(1.0, 1.5)]), (-1.0, 2.0, [(1.0, 1.5)])], t0=2.0)
     for t in (3.0, 30.0, 3000.0):
         assert mix.sf(t) == pytest.approx(e1(t) - e1(2 * t), rel=1e-13)
-        comps = mix.tail_component_values(1.0, t)
+        comps = lt.ScaledFactor(mix, 1.0).tail_components(t)
         assert comps[0] == pytest.approx(e1(t), rel=1e-13)
         assert comps[1] == pytest.approx(-e1(2 * t), rel=1e-13)
     # scaled components evaluate at t / c
-    comps = mix.tail_component_values(0.5, 10.0)
+    comps = lt.ScaledFactor(mix, 0.5).tail_components(10.0)
     assert comps[0] == pytest.approx(e1(20.0), rel=1e-13)
 
 

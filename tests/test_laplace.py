@@ -195,7 +195,7 @@ def test_apply_truncation_difference():
     t = 40.0
     full = lt.apply_character(lt.character_from_moments(mv, 3), d, 1.0, t)
     partial = lt.apply_character(lt.character_from_moments(mv, 2), d, 1.0, t)
-    last = lt.character_from_moments(mv, 3).coeffs[3] * d.scaled_sf_deriv(1.0, 3, t)
+    last = lt.character_from_moments(mv, 3).coeffs[3] * d.upper.survival_derivative(3, t)
     assert full - partial == pytest.approx(last, rel=1e-10)
 
 

@@ -246,15 +246,24 @@ def test_negative_scale_sampling():
 
 def test_negative_scale_on_one_sided_law():
     # P(cX > y) = F(y/c) is exact for c < 0 on a one-sided law too, so both
-    # samplers take the weight; quadrature still refuses it
+    # samplers and quadrature take the weight
     d = lt.weibull_type(0.4)
     seq = lt.WeightSequence([1.0, -0.5])
     cmc = lt.conditional_mc(d, seq, 60.0, 100_000, seed=1)
     pmc = lt.plain_mc(d, seq, 60.0, 100_000, seed=1)
     assert abs(cmc.p_hat - pmc.p_hat) <= 4.0 * math.hypot(cmc.std_err, pmc.std_err)
     assert cmc.p_hat < d.sf(60.0)
-    with pytest.raises(lt.UnsupportedSignError):
-        lt.quadrature_estimate(d, seq, 60.0)
+    for c in (-0.5, -1.0):
+        seq = lt.WeightSequence([1.0, c])
+        for t in (20.0, 60.0, 300.0):
+            # P(X - |c| Y > t) = int S(t + |c| y) f(y) dy, with y = x^(1/0.4)
+            # so the density is exp(-x) and the integrand is smooth
+            direct, _ = quad(lambda x: d.sf(t + abs(c) * x ** 2.5) * math.exp(-x),
+                             0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+            q = lt.quadrature_estimate(d, seq, t).p_hat
+            assert q == pytest.approx(direct, rel=1e-12)
+            mc = lt.conditional_mc(d, seq, t, 100_000, seed=77)
+            assert abs(q - mc.p_hat) <= 4.0 * mc.std_err
 
 
 # -- quadrature convolution ------------------------------------------------------
@@ -322,6 +331,17 @@ def test_three_factor_convolution_against_plain_mc():
                            tol_rel=1e-6)
     mc = lt.plain_mc(d, seq, t, 400_000, seed=21)
     assert abs(v - mc.p_hat) <= 3.0 * mc.std_err
+
+
+def test_missed_quadrature_tolerance_fails_loudly(weibull04):
+    # the panels reach about 4.5e-12 at t = 700, well short of 1e-14
+    pair = (lt.ScaledFactor(weibull04, 1.0), lt.ScaledFactor(weibull04, 0.5))
+    with pytest.raises(lt.QuadratureToleranceError) as exc:
+        lt.convolve_pair_sf(*pair, 700.0, tol_rel=1e-14)
+    assert exc.value.requested == 1e-14 and exc.value.achieved > 1e-13
+    value, err = lt.convolve_pair_sf(*pair, 700.0, tol_rel=1e-14, strict=False)
+    assert value == pytest.approx(lt.convolve_pair_sf(*pair, 700.0)[0], rel=1e-9)
+    assert err / value == exc.value.achieved
 
 
 def test_quadrature_rejects_three_two_sided_factors():

@@ -1,16 +1,12 @@
-"""Weight sequences: ordering, levels, residuals, truncation, power sums."""
+"""Weight sequences: levels, residuals, truncation, power sums."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import lighttails as lt
-from lighttails.weights import GeometricTail, Ordering
+from lighttails.weights import GeometricTail
 
 from helpers import geometric_power_sum
 
-finite_scales = st.floats(min_value=-4.0, max_value=4.0,
-                          allow_nan=False, allow_infinity=False)
 ONE_SIDED = lt.weibull_type(0.4)
 SYMMETRIC = lt.weibull_type(0.4, symmetric=True)
 
@@ -48,38 +44,6 @@ def test_delta_summability_closed_form():
 def test_generator_must_continue_below_head():
     with pytest.raises(ValueError):
         lt.WeightSequence([1.0], generator=GeometricTail(0.5, 2, 2.0))
-
-
-# -- ordering ---------------------------------------------------------------------
-
-
-def test_compare_examples():
-    assert ONE_SIDED.compare_scales(0.5, 1.0) is Ordering.PRECEDES
-    assert ONE_SIDED.compare_scales(-3.0, 0.0) is Ordering.EQUIVALENT  # negatives collapse to 0
-    assert ONE_SIDED.compare_scales(-3.0, 1.0) is Ordering.PRECEDES
-    assert SYMMETRIC.compare_scales(-1.0, 1.0) is Ordering.EQUIVALENT
-    assert SYMMETRIC.compare_scales(-2.0, 1.0) is Ordering.SUCCEEDS
-
-
-@given(a=finite_scales, b=finite_scales, c=finite_scales,
-       dist=st.sampled_from([ONE_SIDED, SYMMETRIC]))
-@settings(max_examples=300, deadline=None)
-def test_compare_is_total_preorder(a, b, c, dist):
-    compare = dist.compare_scales
-    assert compare(a, a) is Ordering.EQUIVALENT
-    ab, ba = compare(a, b), compare(b, a)
-    flipped = {Ordering.PRECEDES: Ordering.SUCCEEDS,
-               Ordering.SUCCEEDS: Ordering.PRECEDES,
-               Ordering.EQUIVALENT: Ordering.EQUIVALENT}
-    assert ba is flipped[ab]
-    # transitivity of "precedes or equivalent"
-    if ab is not Ordering.SUCCEEDS and compare(b, c) is not Ordering.SUCCEEDS:
-        assert compare(a, c) is not Ordering.SUCCEEDS
-
-
-def test_balanced_opposite_signs_never_strict():
-    for m in (0.25, 0.5, 1.0, 2.0):
-        assert SYMMETRIC.compare_scales(-m, m) is Ordering.EQUIVALENT
 
 
 # -- levels ---------------------------------------------------------------------
