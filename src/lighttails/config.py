@@ -168,7 +168,7 @@ def build_distribution(doc: dict) -> TailDistribution:
             return log_power_mixture(comps, t0=section.get("t0", 2.0))
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc}", path="distribution/params") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), path="distribution") from exc
     raise ConfigError(f"unknown family {family!r}", path="distribution/family")
 
@@ -221,7 +221,10 @@ def build_budget(doc: dict, seed_override: int | None = None) -> orc.OracleBudge
 def build_expansion(doc: dict, dist, seq, order_override: int | None = None):
     section = doc.get("expansion", {})
     order = order_override if order_override is not None else section.get("order", 1)
-    return xp.expand(dist, seq, order)
+    try:
+        return xp.expand(dist, seq, order)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path="expansion/order") from exc
 
 
 # ---------------------------------------------------------------------------

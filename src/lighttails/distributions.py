@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -205,14 +206,24 @@ class ScaledFactor:
         self.dist = dist
         self.c = c
         self.log_abs_c = math.log(abs(c))
-        edge = c * dist.support_left
-        self.support_left, self.support_right = ((edge, math.inf) if c > 0
-                                                 else (-math.inf, edge))
+
+    # the support and the panel breaks serve quadrature alone, so only it pays
+    @cached_property
+    def support_left(self) -> float:
+        return self.c * self.dist.support_left if self.c > 0 else -math.inf
+
+    @cached_property
+    def support_right(self) -> float:
+        return math.inf if self.c > 0 else self.c * self.dist.support_left
+
+    @cached_property
+    def breaks(self) -> tuple[float, ...]:
+        dist = self.dist
         pts = {dist.body_left, dist.upper.t0}
         if dist.symmetric:
             pts.add(-dist.upper.t0)
         pts.update(dist.quad_breaks)
-        self.breaks = tuple(sorted(c * p for p in pts))
+        return tuple(sorted(self.c * p for p in pts))
 
     def sf(self, x: float) -> float:
         return self.dist.sf(x / self.c) if self.c > 0 else self.dist.cdf(x / self.c)

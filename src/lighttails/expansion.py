@@ -6,9 +6,11 @@ classify reads it from the declared metadata alone (asymptotic hypotheses
 cannot be decided from finitely many values), validate_metadata checks it:
 
   supercritical  h >> t^-1 log t (rv_index > -1, or log_exponent > 1).
-                 Only scales equivalent to the largest contribute; each
-                 carries the full order-m Laplace character of its residual
-                 sum; remainder o(h^m * top scaled tail).
+                 The critical rule below at lam = infinity: its threshold
+                 c_(1) * exp(-m/lam) rises to c_(1), so only scales equivalent
+                 to the largest contribute, each with the full order-m Laplace
+                 character of its residual sum; remainder o(h^m * top scaled
+                 tail).
 
   subcritical    h << t^-1 log t (rv_index == -1, log_exponent < 1, plus a
                  boundedness condition checked on a diagnostic grid).  The m
@@ -152,59 +154,14 @@ class TailExpansion:
     flags: tuple[str, ...] = ()
 
 
-def _check_smoothness(dist: TailDistribution, order: int):
-    if order > dist.upper.smooth_order:
-        raise SmoothnessError(required=order, available=dist.upper.smooth_order)
-
-
 def expand(dist: TailDistribution, seq: WeightSequence, order: int) -> TailExpansion:
     """Classify the declared hazard and assemble that regime's expansion."""
     regime = classify(dist.upper)
     if seq.has_negative and not dist.symmetric:
         raise OutOfScopeError("a negative weight needs a symmetric (two-sided) law")
-    if regime.kind is RegimeKind.SUPERCRITICAL:
-        return _expand_supercritical(dist, seq, order, regime)
     if regime.kind is RegimeKind.SUBCRITICAL:
         return _expand_subcritical(dist, seq, order, regime)
-    return _expand_critical(dist, seq, order, regime)
-
-
-# ---------------------------------------------------------------------------
-# supercritical: full characters on the maximal class
-# ---------------------------------------------------------------------------
-
-
-def _expand_supercritical(dist: TailDistribution, seq: WeightSequence, m: int,
-                          regime: Regime) -> TailExpansion:
-    if m < 0:
-        raise ValueError("expansion order must be nonnegative")
-    maximal = seq.maximal_indices()
-    _check_smoothness(dist, m)
-
-    rho = dist.upper.rv_index
-    gamma = dist.upper.log_exponent
-    merged: dict[tuple[float, int], float] = {}
-    characters = []
-    seen_scales = set()
-    for i in maximal:
-        c = seq.weight(i)
-        ch = character_from_moments(residual_moments(dist, seq, i, m), m)
-        if c not in seen_scales:
-            characters.append((c, m, ch.coeffs))
-            seen_scales.add(c)
-        for j, a in enumerate(ch.coeffs):
-            key = (c, j)
-            merged[key] = merged.get(key, 0.0) + a
-
-    terms = tuple(sorted(
-        (ExpansionTerm(scale=c, deriv_index=j, coeff=coeff, source_level=1,
-                       operator_order=m,
-                       decay_power=j * (-rho), decay_log=j * gamma)
-         for (c, j), coeff in merged.items()),
-        key=lambda t: (t.deriv_index, -t.scale)))
-    remainder = RemainderScale(hazard_power=m, scale=seq.max_magnitude)
-    return TailExpansion(terms=terms, remainder=remainder, regime=regime,
-                         order_request=m, characters=tuple(characters))
+    return _expand_characters(dist, seq, order, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +195,7 @@ def _expand_subcritical(dist: TailDistribution, seq: WeightSequence, m: int,
 
 
 # ---------------------------------------------------------------------------
-# critical: floor-reduced characters down to the inclusion threshold
+# critical and supercritical: floor-reduced characters down to the threshold
 # ---------------------------------------------------------------------------
 
 
@@ -248,29 +205,33 @@ def _strictly_smaller(p1, q1, p2, q2) -> bool:
     return abs(p1 - p2) <= _ORDER_TOL and q1 < q2 - _ORDER_TOL
 
 
-def _expand_critical(dist: TailDistribution, seq: WeightSequence, k: int,
-                     regime: Regime) -> TailExpansion:
-    if k < 1:
-        raise ValueError("critical expansion order must be a positive integer")
-    lam = regime.lam
-    gamma = dist.upper.log_exponent  # == 1 in this regime
+def _expand_characters(dist: TailDistribution, seq: WeightSequence, k: int,
+                       regime: Regime) -> TailExpansion:
+    lam = regime.lam  # None in the supercritical regime: lambda = infinity
+    least = 0 if lam is None else 1
+    if k < least:
+        raise ValueError(f"{regime.kind.value} expansion order must be at least {least}")
+    # the top scale always carries the full order k
+    if k > dist.upper.smooth_order:
+        raise SmoothnessError(required=k, available=dist.upper.smooth_order)
+    rho = dist.upper.rv_index
+    gamma = dist.upper.log_exponent
 
     c1 = seq.max_magnitude
-    threshold = c1 * math.exp(-k / lam)
-    # enumerate candidates slightly past the threshold, then apply the exact log test
-    enumeration_floor = threshold * (1.0 - 1e-9)
+    # enumerate candidates slightly past the threshold c1 e^(-k/lam), then apply
+    # the exact log test; at lambda = infinity the threshold is c1 itself
+    enumeration_floor = c1 if lam is None else c1 * math.exp(-k / lam) * (1.0 - 1e-9)
     # per kept scale s: [count, x = k + lam * log(|s|/c1), first index]
     by_scale: dict[float, list] = {}
     for i, w in seq.iter_weights(min_magnitude=enumeration_floor):
         if w in by_scale:
             by_scale[w][0] += 1
             continue
-        x = k + lam * math.log(abs(w) / c1)
+        x = float(k) if lam is None else k + lam * math.log(abs(w) / c1)
         if x >= -_ORDER_TOL * max(1.0, k):
             by_scale[w] = [1, x, i]
     orders = {s: min(k, math.floor(x + _ORDER_TOL)) for s, (_, x, _) in by_scale.items()}
     depths = {s: k - x for s, (_, x, _) in by_scale.items()}  # lam * log(c1/|s|)
-    _check_smoothness(dist, max(orders.values()))
 
     # raw terms with their decay pairs
     magnitudes = sorted({abs(s) for s in by_scale}, reverse=True)
@@ -284,7 +245,8 @@ def _expand_critical(dist: TailDistribution, seq: WeightSequence, k: int,
                                     order_s)
         characters.append((s, order_s, ch.coeffs))
         for j, a in enumerate(ch.coeffs):
-            raw.append((s, j, count * a, depths[s] + j, j * gamma,
+            # 0.0 + : a vanishing coefficient is +0.0, never -0.0
+            raw.append((s, j, 0.0 + count * a, depths[s] + j * (-rho), j * gamma,
                         level_of[abs(s)], order_s))
 
     # prune by order bookkeeping:
@@ -296,7 +258,7 @@ def _expand_critical(dist: TailDistribution, seq: WeightSequence, k: int,
     #    two-term case analysis: below-threshold keeps the derivative
     #    correction, above-threshold the second scale replaces it, and a
     #    boundary scale (depth exactly k) displaces nothing.
-    remainder_pair = (float(k), k * gamma)
+    remainder_pair = (k * (-rho), k * gamma)
     kept_terms = []
     for s, j, coeff, p, q, level, order_s in raw:
         if j >= 1:
@@ -374,22 +336,16 @@ def rewrite_in_hazard_scale(expansion: TailExpansion, dist: TailDistribution,
 
     rho = dist.upper.rv_index
     gamma = dist.upper.log_exponent
-    lam = expansion.regime.lam
-    c1 = expansion.remainder.scale
 
     entries = []
     for term in expansion.terms:
-        depth = 0.0
-        if abs(term.scale) != c1:
-            if lam is None:
-                raise ValueError("non-maximal scale in a supercritical expansion")
-            depth = lam * math.log(c1 / abs(term.scale))
-        polys = survival_derivative_polys(term.deriv_index)
-        for mono, cm in polys[term.deriv_index].items():
-            s = sum(e for e in mono)
-            p = depth + sum(e * (l - rho) for l, e in enumerate(mono))
-            q = gamma * s
-            entries.append((term.scale, mono, term.coeff * cm, p, q))
+        j = term.deriv_index
+        for mono, cm in survival_derivative_polys(j)[j].items():
+            # against h^j, each of the j - s derivatives that fall on one of
+            # the s hazard factors costs a further t^-(1+rho)
+            s = sum(mono)
+            p = term.decay_power + (1.0 + rho) * (j - s)
+            entries.append((term.scale, mono, term.coeff * cm, p, gamma * s))
 
     # merge identical (scale, monomial) contributions
     merged: dict[tuple[float, tuple[int, ...]], list] = {}

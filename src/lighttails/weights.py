@@ -178,26 +178,7 @@ class WeightSequence:
         top = self.max_magnitude
         return tuple(i for i, w in self.entries if abs(w) == top)
 
-    # -- residual and sums ----------------------------------------------------
-
-    def residual(self, i: int) -> "WeightSequence":
-        """The sequence with explicit entry i deleted (distribution of the sum without it)."""
-        if i not in self.explicit_indices:
-            raise KeyError(f"index {i} is not an explicit entry")
-        kept = [w for j, w in self.entries if j != i]
-        if not kept and self.generator is None:
-            raise ValueError("residual of a single-entry sequence is empty")
-        gen = self.generator
-        if gen is not None and not kept:
-            # promote one generated value into the head so the sequence stays valid
-            kept = [gen.first_value]
-            gen = GeometricTail(ratio=gen.ratio, start_index=2,
-                                first_value=gen.first_value * gen.ratio)
-        elif gen is not None:
-            # keep generated values identical; re-anchor the start index
-            gen = GeometricTail(ratio=gen.ratio, start_index=len(kept) + 1,
-                                first_value=gen.first_value)
-        return WeightSequence(kept, delta=self.delta, generator=gen)
+    # -- sums -----------------------------------------------------------------
 
     def power_sum(self, n: int) -> float:
         """sum_i c_i^n over the whole sequence (head exact, generator closed form)."""

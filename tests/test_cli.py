@@ -98,8 +98,11 @@ GEOMETRIC = {"type": "geometric", "ratio": 0.5, "from_index": 3}
      "weights/weights/1"),
     ({"distribution": {"symmetric": True, "two_sided": False}}, "distribution/two_sided"),
     ({"weights": {"weights": [1.0, -0.5]}}, "weights"),
+    ({"distribution": {"params": {"a": "0.4"}}}, "distribution"),
+    ({"distribution": {"params": {"a": None}}}, "distribution"),
 ], ids=["ratio_above_one", "ratio_zero", "trailing_zero", "zero_with_generator",
-        "two_sided_contradicts_symmetric", "negative_on_one_sided"])
+        "two_sided_contradicts_symmetric", "negative_on_one_sided",
+        "string_parameter", "null_parameter"])
 def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
     doc = json.loads(json.dumps(BASE))
     for name, updates in sections.items():
@@ -112,6 +115,19 @@ def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
 
 
 # -- CLI commands ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, order", [
+    ("lognormal_gate_above.json", "0"),
+    ("cancellation_pair.json", "0"),
+    ("weibull_oracle_check.json", "-1"),
+], ids=["critical_order_0", "subcritical_order_0", "order_minus_1"])
+def test_cli_rejected_order_exits_at_its_path(tmp_path, name, order):
+    out = tmp_path / "out"
+    assert main(["expand", "--config", cfg(name), "--out", str(out),
+                 "--order", order]) == EXIT_SCHEMA
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["path"] == "expansion/order"
 
 
 def test_cli_classify_expand_evaluate(tmp_path):

@@ -1,9 +1,12 @@
 """Regime classification, expansion assembly, hazard-scale rewriting, evaluation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lighttails as lt
 from lighttails.expansion import ExpansionTerm, RemainderScale, TailExpansion
@@ -107,6 +110,55 @@ def test_supercritical_balanced_includes_negative_scale():
     assert (1.0, 0) in scales and (-1.0, 0) in scales
     lead = {t.scale: t.coeff for t in exp.terms if t.deriv_index == 0}
     assert lead[1.0] == 1.0 and lead[-1.0] == 1.0
+
+
+def supercritical_rule(dist, seq, k):
+    """(scale, j) -> (coeff, p, q), read off the supercritical rule: each
+    distinct maximal scale s carries count(s) copies of the order-k character
+    of one residual sum, (-1)^j mu_j / j! at D^j, with decay pair
+    (j (-rho), j gamma)."""
+    top = seq.max_magnitude
+    counts = Counter(w for _, w in seq.entries if abs(w) == top)
+    rho, gamma = dist.upper.rv_index, dist.upper.log_exponent
+    out = {}
+    for s, count in counts.items():
+        mu = lt.residual_moments(dist, seq, next(i for i, w in seq.entries if w == s), k)
+        for j in range(k + 1):
+            out[s, j] = (count * (-1) ** j * mu[j] / math.factorial(j),
+                         j * (-rho), j * gamma)
+    return out
+
+
+@st.composite
+def supercritical_cases(draw):
+    symmetric = draw(st.booleans())
+    sign = st.sampled_from([1.0, -1.0]) if symmetric else st.just(1.0)
+    top = draw(st.lists(sign, min_size=1, max_size=4))
+    rest = draw(st.lists(st.tuples(sign, st.floats(0.05, 0.95)), max_size=3))
+    weights = draw(st.permutations(top + [s * m for s, m in rest]))
+    dist = lt.weibull_type(draw(st.sampled_from([0.3, 0.4, 0.5, 0.7])), symmetric=symmetric)
+    return dist, lt.WeightSequence(weights), draw(st.integers(0, 4))
+
+
+@given(case=supercritical_cases())
+@settings(max_examples=60, deadline=None)
+def test_supercritical_matches_rule_enumerator(case):
+    dist, seq, k = case
+    exp = lt.expand(dist, seq, k)
+    got = {(t.scale, t.deriv_index): (t.coeff, t.decay_power, t.decay_log)
+           for t in exp.terms}
+    want = supercritical_rule(dist, seq, k)
+    assert got.keys() == want.keys()
+    for key, (coeff, p, q) in want.items():
+        assert got[key] == (pytest.approx(coeff, rel=1e-14, abs=0.0), p, q)
+    assert exp.remainder == RemainderScale(hazard_power=k, scale=seq.max_magnitude)
+
+
+def test_vanishing_coefficient_is_positive_zero():
+    # the symmetric residual 0.3 X has mu_1 = 0, so the D^1 coefficient vanishes
+    exp = lt.expand(lt.lognormal_type(0.5, symmetric=True), lt.WeightSequence([1.0, 0.3]), 1)
+    zeros = [t.coeff for t in exp.terms if t.coeff == 0.0]
+    assert zeros and all(math.copysign(1.0, c) == 1.0 for c in zeros)
 
 
 def test_supercritical_smoothness_error():

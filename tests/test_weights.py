@@ -83,38 +83,6 @@ def test_maximal_indices_multiplicity():
     assert bal.maximal_indices() == (1, 2)
 
 
-# -- residual ----------------------------------------------------------------------
-
-
-def test_residual_removes_entry():
-    seq = lt.WeightSequence([1.0, 0.5, 0.25])
-    res = seq.residual(1)
-    assert [w for _, w in res.entries] == [0.5, 0.25]
-    res2 = lt.WeightSequence([1.0, 1.0, 0.5]).residual(2)
-    assert [w for _, w in res2.entries] == [1.0, 0.5]
-
-
-def test_residual_level_multiplicity_drops_by_one():
-    seq = lt.WeightSequence([1.0, 1.0, 0.5])
-    before = seq.levels()[0]
-    after = seq.residual(1).levels()[0]
-    assert before.pos_count - after.pos_count == 1
-
-
-def test_residual_of_generator_head():
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
-    res = seq.residual(1)
-    # values continue identically: 0.5, 0.25, ...
-    assert res.weight(1) == 0.5
-    assert res.weight(2) == 0.25
-    assert res.power_sum(2) == pytest.approx(geometric_power_sum(0.5, 0.5, 2), rel=1e-14)
-
-
-def test_residual_absent_index():
-    with pytest.raises(KeyError):
-        lt.WeightSequence([1.0, 0.5]).residual(7)
-
-
 # -- power sums and truncation --------------------------------------------------------
 
 

@@ -7,8 +7,9 @@ plain_mc and quadrature, with log_weibull(a = 1.5) under conditional_mc,
 under quadrature and symmetric, and with a closed-form custom hazard, and
 symmetric with a negative weight: plain, under quadrature, and log_weibull
 with alternating geometric tail weights; lognormal_gate_above also symmetric,
-with and without a negative weight; lognormal_gate_boundary also under
-quadrature; symmetric_moments also with method plain_mc, the mirrored
+with and without a negative weight; lognormal_gate_below also symmetric;
+lognormal_gate_boundary also under quadrature; multiplicity_pair also at
+expansion order 2; symmetric_moments also with method plain_mc, the mirrored
 quantile over 31 variables.  Output goes to a temporary directory; no
 artifact records it.
 """
@@ -57,7 +58,9 @@ VARIANTS = {
         "+symmetric": {"distribution": SYMMETRIC},
         "+symmetric+negative": {"distribution": SYMMETRIC, "weights": NEGATIVE},
     },
+    "lognormal_gate_below": {"": {}, "+symmetric": {"distribution": SYMMETRIC}},
     "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE}},
+    "multiplicity_pair": {"": {}, "+order2": {"expansion": {"order": 2}}},
     "symmetric_moments": {"": {}, "+plain_mc": {"oracle": {"method": "plain_mc"}}},
 }
 
