@@ -261,10 +261,13 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header: list[str], columns: list) -> None:
-    rows = [",".join(header)]
-    n = len(columns[0])
-    for r in range(n):
-        rows.append(",".join(_fmt(col[r]) for col in columns))
+    cells = []  # per column, _fmt of each cell; float and bool arrays in one pass
+    for col in columns:
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
+        cells.append([repr(v) for v in col.tolist()] if kind == "f" else
+                     ["1" if v else "0" for v in col.tolist()] if kind == "b" else
+                     [_fmt(v) for v in col])
+    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     write_atomic(path, "\n".join(rows) + "\n")
 
 
@@ -464,7 +467,9 @@ def _run_report(report_path: str, out_dir: str) -> dict:
             return a == b or (a != a and b != b)  # NaN marks domain gaps
         return a == b
 
-    mismatches = [key for key in regenerated if not same(regenerated[key], stored.get(key))]
+    # plain equality settles every table without NaN; same() walks the rest
+    mismatches = [key for key in regenerated if regenerated[key] != stored.get(key)
+                  and not same(regenerated[key], stored.get(key))]
     out = {
         "roundtrip_ok": not mismatches,
         "mismatched_fields": mismatches,

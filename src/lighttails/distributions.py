@@ -195,7 +195,7 @@ class ScaledFactor:
     that knows what the sign of a scale means.
 
     Over the full range, P(c*X > x) is S(x/c) for c > 0 and F(x/c) for c < 0,
-    on any law.  The tail-domain reads (log_tail_sf, tail_deriv_signed_log,
+    on any law.  The tail-domain reads (log_tail_sf, tail_derivs_signed_log,
     tail_components) take the upper tail at t/|c|; for c < 0 that is the
     survival of -X, which only a symmetric law has a tail model for.
     """
@@ -257,12 +257,16 @@ class ScaledFactor:
         return self.dist.upper.log_survival(self._tail_arg(t))
 
     def tail_deriv_signed_log(self, k: int, t: float) -> tuple[float, float]:
-        """(sign, log|.|) of the k-th derivative of t -> P(c*X > t): each
-        derivative pulls out one factor |c|^-1, so this is |c|^-k times the
-        upper tail's k-th derivative at t/|c|."""
+        """(sign, log|.|) of the k-th derivative of t -> P(c*X > t)."""
+        return self.tail_derivs_signed_log(k, t)[k]
+
+    def tail_derivs_signed_log(self, k: int, t: float) -> list[tuple[float, float]]:
+        """(sign, log|.|) of the j-th derivative of t -> P(c*X > t) for j = 0..k:
+        each derivative pulls out one factor |c|^-1, so order j is |c|^-j times
+        the upper tail's j-th derivative at t/|c|."""
         x = self._tail_arg(t)
-        sign, logabs = self.dist.upper.survival_derivative_signed_log(k, x)
-        return sign, logabs - k * self.log_abs_c
+        return [(sign, logabs - j * self.log_abs_c) for j, (sign, logabs)
+                in enumerate(self.dist.upper.survival_derivatives_signed_log(k, x))]
 
     def tail_components(self, t: float) -> np.ndarray | None:
         """Signed closed-form pieces of P(c*X > t) when the tail exposes them."""

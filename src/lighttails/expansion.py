@@ -436,9 +436,13 @@ def _signed_log_sum(signs, logs) -> float:
 def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> EvaluationTable:
     """Evaluate every term on the grid in log-safe arithmetic.
 
-    A grid point below some term's tail domain yields a per-point domain
-    failure (NaN row), not a global error.  The cancellation flag fires when
-    the signed total nearly vanishes against the largest term, or when two
+    A row reads each scale once, at its first term: every order up to the
+    scale's largest deriv_index, its tail components for the order-0 term,
+    and the log-survival the remainder reuses.  A grid point below a
+    scale's tail domain is a per-point domain failure, not a global error: the
+    cells before the failing term keep their values, the rest stay NaN, and
+    the note is that term's message.  The cancellation flag fires when the
+    signed total nearly vanishes against the largest term, or when two
     closed-form tail components of opposite sign nearly cancel across terms.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -452,27 +456,40 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
     rem = expansion.remainder
     factor = {c: ScaledFactor(dist, c)
               for c in {term.scale for term in expansion.terms} | {rem.scale}}
+    top: dict[float, int] = {}  # per scale, the largest order its terms read
+    for term in expansion.terms:
+        top[term.scale] = max(top.get(term.scale, 0), term.deriv_index)
+    need = max(top.values(), default=0)
+    if need > dist.upper.smooth_order:  # only a hand-built expansion gets here
+        raise SmoothnessError(required=need, available=dist.upper.smooth_order)
 
     for r, t in enumerate(t_grid):
-        signs, logs = [], []
+        memo: dict[float, tuple] = {}  # scale -> (its orders, its tail components)
+        signs, logs, values = [], [], []
         components = []
         try:
             for col, term in enumerate(expansion.terms):
-                s, l = factor[term.scale].tail_deriv_signed_log(term.deriv_index, t)
+                if term.scale not in memo:
+                    f = factor[term.scale]
+                    memo[term.scale] = (f.tail_derivs_signed_log(top[term.scale], t),
+                                        f.tail_components(t))
+                orders, comp = memo[term.scale]
+                s, l = orders[term.deriv_index]
                 if term.coeff < 0:
                     s, l = -s, l + math.log(-term.coeff)
                 elif term.coeff > 0:
                     l = l + math.log(term.coeff)
                 else:
                     s = 0.0
-                term_values[r, col] = s * math.exp(l) if s else 0.0
+                v = s * math.exp(l) if s else 0.0
+                term_values[r, col] = v
+                values.append(v)
                 signs.append(s)
                 logs.append(l)
-                if term.deriv_index == 0:
-                    comp = factor[term.scale].tail_components(t)
-                    if comp is not None:
-                        components.extend(float(term.coeff) * comp)
-            log_bench = factor[rem.scale].log_tail_sf(t)
+                if term.deriv_index == 0 and comp is not None:
+                    components.extend(float(term.coeff) * comp)
+            log_bench = (memo[rem.scale][0][0][1] if rem.scale in memo
+                         else factor[rem.scale].log_tail_sf(t))
             if rem.hazard_power:
                 log_bench += rem.hazard_power * math.log(dist.upper.hazard(t))
             benchmark[r] = math.exp(log_bench)
@@ -481,13 +498,12 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
             notes.append(f"t={t:g}: {exc}")
             continue
 
-        totals[r] = _signed_log_sum(signs, logs)
+        totals[r] = total = _signed_log_sum(signs, logs)
 
-        finite = np.abs(term_values[r][np.isfinite(term_values[r])])
-        if n_terms >= 2 and finite.size and finite.max() > 0.0:
-            if abs(totals[r]) < _CANCEL_RATIO * finite.max():
-                cancellation[r] = True
-                notes.append(f"t={t:g}: total nearly vanishes against the largest term")
+        largest = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+        if n_terms >= 2 and largest > 0.0 and abs(total) < _CANCEL_RATIO * largest:
+            cancellation[r] = True
+            notes.append(f"t={t:g}: total nearly vanishes against the largest term")
         # opposite-sign closed-form pieces cancelling across terms
         pos = [v for v in components if v > 0]
         neg = [v for v in components if v < 0]

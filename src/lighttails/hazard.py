@@ -189,20 +189,24 @@ class HazardModel:
 
     def survival_derivative_signed_log(self, k: int, t: float) -> tuple[float, float]:
         """Return (sign, log|S^(k)(t)|); sign 0.0 encodes an exact zero."""
+        return self.survival_derivatives_signed_log(k, t)[k]
+
+    def survival_derivatives_signed_log(self, k: int, t: float) -> list[tuple[float, float]]:
+        """[(sign, log|S^(j)(t)|) for j = 0..k]; sign 0.0 encodes an exact zero.
+        S^(j) = P_j(h, ..., h^(j-1)) * S: all orders share one log S(t) and one
+        set of hazard values."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
         if k > self.smooth_order:
             raise SmoothnessError(required=k, available=self.smooth_order)
-        self._check_domain(t)
         logsf = self.log_survival(t)
-        if k == 0:
-            return 1.0, logsf
-        poly = survival_derivative_polys(k)[k]
         hvals = [self.hazard_derivs[j](t) for j in range(k)]
-        pval = poly_value(poly, hvals)
-        if pval == 0.0:
-            return 0.0, -math.inf
-        return math.copysign(1.0, pval), math.log(abs(pval)) + logsf
+        out = [(1.0, logsf)]
+        for poly in survival_derivative_polys(k)[1:]:
+            pval = poly_value(poly, hvals)
+            out.append((math.copysign(1.0, pval), math.log(abs(pval)) + logsf)
+                       if pval != 0.0 else (0.0, -math.inf))
+        return out
 
 
 @dataclass

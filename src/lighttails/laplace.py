@@ -169,11 +169,9 @@ def apply_character(ch: LaplaceCharacter, dist: TailDistribution, c: float,
     """Evaluate (L applied to the scaled survival) at t: sum_i a_i D^i P(cX > .)."""
     if ch.order > dist.upper.smooth_order:
         raise SmoothnessError(required=ch.order, available=dist.upper.smooth_order)
-    factor = ScaledFactor(dist, c)
     total = 0.0
-    for i, a in enumerate(ch.coeffs):
-        if a == 0.0:
-            continue
-        sign, logabs = factor.tail_deriv_signed_log(i, t)
-        total += a * sign * math.exp(logabs)
+    for a, (sign, logabs) in zip(ch.coeffs,
+                                 ScaledFactor(dist, c).tail_derivs_signed_log(ch.order, t)):
+        if a != 0.0:
+            total += a * sign * math.exp(logabs)
     return total

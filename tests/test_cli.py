@@ -4,12 +4,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import lighttails as lt
 from lighttails.cli import (EXIT_OK, EXIT_REGIME, EXIT_SCHEMA, EXIT_SMOOTHNESS,
                             main)
-from lighttails.config import build_distribution, build_weights, load_config
+from lighttails.config import (_fmt, build_distribution, build_weights, load_config,
+                               write_csv)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -242,6 +244,67 @@ def test_cli_report_checks_every_field(tmp_path):
     assert main(["report", "--config", str(report_path), "--out", out]) == EXIT_SCHEMA
     verdict = json.loads((tmp_path / "out" / "report_verified.json").read_text())
     assert verdict["mismatched_fields"] == ["term_labels"]
+
+
+# t0 = 2 for the Weibull type: the grid's first point is a domain gap (NaN row)
+BELOW_ANCHOR = {**BASE, "grid": {**BASE["grid"], "t_min": 1.5}}
+
+
+def _tampered_report(tmp_path, tamper):
+    path = write_config(tmp_path, BELOW_ANCHOR)
+    out = str(tmp_path / "out")
+    assert main(["evaluate", "--config", path, "--out", out]) == EXIT_OK
+    report_path = tmp_path / "out" / "report.json"
+    doc = json.loads(report_path.read_text())
+    tamper(doc["evaluation"]["term_values"])
+    report_path.write_text(json.dumps(doc))
+    return str(report_path), out
+
+
+def test_cli_report_round_trips_domain_gaps(tmp_path):
+    report_path, out = _tampered_report(tmp_path, lambda rows: None)
+    stored = json.loads(open(report_path).read())["evaluation"]
+    assert stored["domain_ok"] == [False, True, True] and math.isnan(stored["totals"][0])
+    assert main(["report", "--config", report_path, "--out", out]) == EXIT_OK
+    verdict = json.loads((tmp_path / "out" / "report_verified.json").read_text())
+    assert verdict["roundtrip_ok"] is True
+
+
+def _one_ulp(rows):
+    rows[1][0] = math.nextafter(rows[1][0], math.inf)
+
+
+def _fill_gap(rows):
+    assert math.isnan(rows[0][0])
+    rows[0][0] = 0.0
+
+
+@pytest.mark.parametrize("tamper", [_one_ulp, _fill_gap])
+def test_cli_report_detects_one_ulp_and_a_filled_gap(tmp_path, tamper):
+    report_path, out = _tampered_report(tmp_path, tamper)
+    assert main(["report", "--config", report_path, "--out", out]) == EXIT_SCHEMA
+    verdict = json.loads((tmp_path / "out" / "report_verified.json").read_text())
+    assert verdict["mismatched_fields"] == ["term_values"]
+
+
+def test_write_csv_matches_the_per_cell_format(tmp_path):
+    floats = np.array([0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 2.0])
+    columns = [
+        floats,
+        np.arange(16.0).reshape(8, 2)[:, 1] / 3.0,  # a strided column, as term_values gives
+        np.array([True, False, False, True, True, False, True, False]),
+        # the mixed columns of oracle.csv
+        tuple(range(8)),
+        tuple(np.int64(i) ** 5 for i in range(8)),
+        ("conditional_mc", "plain_mc", "quadrature", "a", "b", "c", "d", "e"),
+        (0.5, np.float64(0.25), 1, np.int64(2), True, np.bool_(False), "x", -0.0),
+    ]
+    header = [f"col{i}" for i in range(len(columns))]
+    path = tmp_path / "table.csv"
+    write_csv(str(path), header, columns)
+    want = "\n".join([",".join(header)] + [",".join(_fmt(col[r]) for col in columns)
+                                            for r in range(8)]) + "\n"
+    assert path.read_text() == want
 
 
 def test_regime_override_must_be_null(tmp_path):

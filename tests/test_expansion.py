@@ -1,6 +1,7 @@
 """Regime classification, expansion assembly, hazard-scale rewriting, evaluation."""
 
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lighttails as lt
+from lighttails import config
 from lighttails.expansion import ExpansionTerm, RemainderScale, TailExpansion
 from lighttails.hazard import HazardModel
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 E1 = lambda t: math.exp(-math.log(t) ** 1.5)
 
 
@@ -391,6 +394,33 @@ def test_evaluate_domain_error_is_per_point():
     assert np.isfinite(table.totals[1])
 
 
+def test_evaluate_keeps_the_cells_before_a_failing_scale():
+    # at t = 1.5 the scale 0.5 reads x = 3 inside the tail (t0 = 2), the scale
+    # 1 reads x = 1.5 below it: the row keeps the cell computed before the
+    # failing term, and the note is that term's message
+    w = lt.weibull_type(0.4)
+    at_half = ExpansionTerm(scale=0.5, deriv_index=0, coeff=1.0,
+                            source_level=2, operator_order=0)
+    terms = (at_half,
+             ExpansionTerm(scale=1.0, deriv_index=1, coeff=-1.0,
+                           source_level=1, operator_order=1),
+             ExpansionTerm(scale=0.5, deriv_index=1, coeff=1.0,
+                           source_level=2, operator_order=1))
+    note = "t=1.5: t = 1.5 below tail anchor t0 = 2.0; use the body CDF instead"
+    for terms, rem_scale in ((terms, 0.5), ((at_half,), 1.0)):
+        exp = TailExpansion(terms=terms,
+                            remainder=RemainderScale(hazard_power=1, scale=rem_scale),
+                            regime=lt.Regime(lt.RegimeKind.SUPERCRITICAL),
+                            order_request=1)
+        table = lt.evaluate(exp, w, [1.5, 50.0])
+        assert table.term_values[0, 0] == pytest.approx(w.sf(3.0), rel=1e-14)
+        assert np.isnan(table.term_values[0, 1:]).all()
+        assert np.isnan([table.totals[0], table.benchmark[0]]).all()
+        assert table.domain_ok.tolist() == [False, True]
+        assert np.isfinite(table.term_values[1]).all()
+        assert table.notes == [note]
+
+
 def test_evaluate_sign_cancellation_flag():
     w = lt.weibull_type(0.4)
     terms = (ExpansionTerm(scale=1.0, deriv_index=0, coeff=1.0,
@@ -421,6 +451,109 @@ def test_evaluate_no_false_cancellation_flag():
     exp = lt.expand(mix, lt.WeightSequence([1.0, 0.5]), 2)
     table = lt.evaluate(exp, mix, np.geomspace(10.0, 1e4, 4))
     assert not table.cancellation.any()
+
+
+# float.hex of (total, benchmark, term values...) at three geometric points
+# spanning each shipped config's window
+SHIPPED_EVALUATION_BITS = {
+    "cancellation_pair": (
+        ("0x1.e401a57c77b1ep-6", "0x1.38152920e549ap-8", "0x1.95fc5b343e5f7p-6",
+         "0x1.38152920e549ap-8"),
+        ("0x1.be891d3976839p-27", "0x1.9c9437163ffc2p-31", "0x1.a4bfd9c81283ep-27",
+         "0x1.9c9437163ffc2p-31"),
+        ("0x1.8f4ba5e62d72ep-57", "0x1.5b532762499d7p-62", "0x1.84710cab1b260p-57",
+         "0x1.5b532762499d7p-62"),
+    ),
+    "lognormal_gate_above": (
+        ("0x1.061bd30b1dc62p-11", "0x1.37d435b5e495fp-15", "0x1.f230a68f8e6d3p-12",
+         "0x1.a06ff86ad1f04p-16"),
+        ("0x1.1d30a55d4341cp-28", "0x1.c0f7360dac138p-35", "0x1.1a3399e294187p-28",
+         "0x1.7e85bd5794ab6p-35"),
+        ("0x1.98a39afb94b3bp-53", "0x1.63a2b0fc8d4bep-62", "0x1.97c3885eca3fap-53",
+         "0x1.c0253994e83a2p-62"),
+    ),
+    "lognormal_gate_below": (
+        ("0x1.13457b6e49fe6p-11", "0x1.37d435b5e495fp-15", "0x1.f230a68f8e6d3p-12",
+         "0x1.a2d282682c7c0p-15"),
+        ("0x1.1ee9a06c18578p-28", "0x1.c0f7360dac138p-35", "0x1.1a3399e294187p-28",
+         "0x1.2d81a2610fc72p-34"),
+        ("0x1.98b25ccc16319p-53", "0x1.63a2b0fc8d4bep-62", "0x1.97c3885eca3fap-53",
+         "0x1.dda8da97e3c79p-62"),
+    ),
+    "lognormal_gate_boundary": (
+        ("0x1.1c374458a9310p-11", "0x1.37d435b5e495fp-15", "0x1.f230a68f8e6d3p-12",
+         "0x1.00cb246771e8fp-14", "0x1.82c641f9deab5p-18"),
+        ("0x1.205224c972c44p-28", "0x1.c0f7360dac138p-35", "0x1.1a3399e294187p-28",
+         "0x1.71ba06d5e4772p-34", "0x1.5e8b2e1c67dafp-38"),
+        ("0x1.98f51069b82a6p-53", "0x1.63a2b0fc8d4bep-62", "0x1.97c3885eca3fap-53",
+         "0x1.24de5a88f5860p-61", "0x1.95360c9ea55c9p-66"),
+    ),
+    "logweibull_second_order": (
+        ("0x1.7ba6c328c4939p-5", "0x1.d16f6f9d2be39p-8", "0x1.4178d5351f172p-5",
+         "0x1.d16f6f9d2be39p-8"),
+        ("0x1.1c7a66a8e34a5p-26", "0x1.03551afe029e9p-30", "0x1.0c4514f903207p-26",
+         "0x1.03551afe029e9p-30"),
+        ("0x1.dbc1e395e8c1cp-57", "0x1.9b3ca2eb1283cp-62", "0x1.cee7fe7e902dap-57",
+         "0x1.9b3ca2eb1283cp-62"),
+    ),
+    "multiplicity_pair": (
+        ("0x1.06cc1bae82f08p-9", "0x1.06cc1bae82f08p-10", "0x1.06cc1bae82f08p-9"),
+        ("0x1.6773181948db7p-11", "0x1.6773181948db7p-12", "0x1.6773181948db7p-11"),
+        ("0x1.a0219935993eap-13", "0x1.a0219935993e9p-14", "0x1.a0219935993eap-13"),
+    ),
+    "symmetric_moments": (
+        ("0x1.8183f4b45b54cp-16", "0x1.37fc66ad14b76p-33", "0x1.7cd79b5647ca6p-16",
+         "0x0.0p+0", "0x1.0c1ce83cbdce9p-22", "0x0.0p+0",
+         "0x1.ef96f4824c8e0p-26"),
+        ("0x1.463e584a3b4f3p-27", "0x1.aa25e1a2df592p-48", "0x1.452006b593078p-27",
+         "0x0.0p+0", "0x1.1600f636e745cp-35", "0x0.0p+0",
+         "0x1.0a13ce2c0dff1p-40"),
+        ("0x1.4d05d52c60667p-47", "0x1.5cd638c5271f4p-71", "0x1.4cad3c3be5034p-47",
+         "0x0.0p+0", "0x1.5f6eff7de37d7p-57", "0x0.0p+0",
+         "0x1.7a6137d4bf0dap-64"),
+    ),
+    "weibull_oracle_check": (
+        ("0x1.b37739c0691d2p-11", "0x1.78a4307cc381bp-22", "0x1.a190cebc684f8p-11",
+         "0x1.d1f83957f2bf4p-16", "0x1.ab549ca09bcebp-18"),
+        ("0x1.ae2ab70c0362cp-15", "0x1.1b8111c863761p-27", "0x1.a403129922fd2p-15",
+         "0x1.1eb30c87cfdd7p-20", "0x1.320c0ea1e6a95p-23"),
+        ("0x1.2513c924710d1p-20", "0x1.23f7bb205fdd5p-34", "0x1.210280ade9237p-20",
+         "0x1.e2b11709eb488p-27", "0x1.2f9921d04c686p-30"),
+    ),
+    "weibull_third_order": (
+        ("0x1.b57058c7552dbp-11", "0x1.f9e06c3c045b8p-28", "0x1.a190cebc684f8p-11",
+         "0x1.d1f83957f2bf4p-16", "0x1.ab549ca09bcebp-18", "0x1.f91f06ec10a5fp-19"),
+        ("0x1.ae8f83acc24b5p-15", "0x1.d1d7780ec9b0fp-34", "0x1.a403129922fd2p-15",
+         "0x1.1eb30c87cfdd7p-20", "0x1.320c0ea1e6a95p-23", "0x1.933282fba26e4p-25"),
+        ("0x1.252205b72f5dbp-20", "0x1.25753f15bb05bp-41", "0x1.210280ade9237p-20",
+         "0x1.e2b11709eb488p-27", "0x1.2f9921d04c686p-30", "0x1.c79257ca14357p-33"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_EVALUATION_BITS))
+def test_shipped_evaluation_keeps_its_bits(name):
+    doc = config.load_config(f"{CONFIGS}/{name}.json")
+    dist = config.build_distribution(doc)
+    exp = config.build_expansion(doc, dist, config.build_weights(doc, dist), None)
+    grid = np.geomspace(doc["grid"]["t_min"], doc["grid"]["t_max"], 3)
+    table = lt.evaluate(exp, dist, grid)
+    got = tuple(tuple(v.hex() for v in (total, bench, *row)) for total, bench, row in
+                zip(table.totals.tolist(), table.benchmark.tolist(),
+                    table.term_values.tolist()))
+    assert got == SHIPPED_EVALUATION_BITS[name]
+
+
+def test_evaluation_keeps_the_bits_of_numpy_pow():
+    # at this point numpy's pow loop and libm's pow give h(t) one ulp apart,
+    # and the benchmark h(t)^2 S(t) shows it; the window points above do not
+    w = lt.weibull_type(0.4)
+    exp = lt.expand(w, lt.WeightSequence([1.0, 0.5]), 2)
+    table = lt.evaluate(exp, w, [337.9477326726668])
+    row = (table.totals[0], table.benchmark[0], *table.term_values[0])
+    assert tuple(float(v).hex() for v in row) == (
+        "0x1.298d8b3cdfe9ep-15", "0x1.601eb3556d712p-28", "0x1.22f01236c8b57p-15",
+        "0x1.7813aae5a4c5cp-21", "0x1.7a54b50142bc6p-24")
 
 
 # -- leading-order consistency across regimes ------------------------------------

@@ -203,3 +203,23 @@ def test_apply_insufficient_smoothness():
     with pytest.raises(lt.SmoothnessError) as exc:
         lt.apply_character(ch, d, 1.0, 50.0)
     assert exc.value.required == 3
+
+
+@pytest.mark.parametrize("c,t,value_hex", [
+    (1.0, 10.0, "0x1.e0dd89f36bf1dp-3"),
+    (1.0, 100.0, "0x1.03a889c94a64fp-9"),
+    (1.0, 1000.0, "0x1.1dcced248248fp-23"),
+    (0.5, 10.0, "0x1.3876255ee71b0p-3"),
+    (0.5, 100.0, "0x1.1f1aa280aa76fp-12"),
+    (0.5, 1000.0, "0x1.d1201b17715e4p-31"),
+    # points where numpy's pow loop and libm's pow give some h^(j)(t/c) one ulp
+    # apart and the result shows it (found over geomspace(2.5, 1e4, 400))
+    (1.0, 3.788736432816946, "0x1.4b4eaf335175cp+1"),
+    (1.0, 44.03168130104968, "0x1.a33b9f1c6918ap-7"),
+    (0.5, 13.747160063176462, "0x1.0a889fd523460p-4"),
+])
+def test_apply_character_keeps_its_bits(c, t, value_hex):
+    w = lt.weibull_type(0.4)
+    seq = lt.WeightSequence([1.0, 0.5, 0.25])
+    ch = lt.character_from_moments(lt.residual_moments(w, seq, 1, 3), 3)
+    assert lt.apply_character(ch, w, c, t).hex() == value_hex

@@ -6,12 +6,13 @@ configs/*.json at its shipped budget; weibull_oracle_check also with method
 plain_mc and quadrature, with log_weibull(a = 1.5) under conditional_mc,
 under quadrature and symmetric, and with a closed-form custom hazard, and
 symmetric with a negative weight: plain, under quadrature, and log_weibull
-with alternating geometric tail weights; lognormal_gate_above also symmetric,
-with and without a negative weight; lognormal_gate_below also symmetric;
-lognormal_gate_boundary also under quadrature; multiplicity_pair also at
-expansion order 2; symmetric_moments also with method plain_mc, the mirrored
-quantile over 31 variables.  Output goes to a temporary directory; no
-artifact records it.
+with alternating geometric tail weights, and on a grid that starts below the
+tail anchor; lognormal_gate_above also symmetric, with and without a negative
+weight; lognormal_gate_below also symmetric; lognormal_gate_boundary also
+under quadrature, and its two scales on a grid that starts below the anchor;
+multiplicity_pair also at expansion order 2; symmetric_moments also with
+method plain_mc, the mirrored quantile over 31 variables.  Output goes to a
+temporary directory; no artifact records it.
 """
 
 import argparse
@@ -38,6 +39,10 @@ CUSTOM = {"family": "custom",
 SYMMETRIC = {"symmetric": True}
 NEGATIVE = {"weights": [1.0, -0.5]}
 ALTERNATING = {**NEGATIVE, "generator": {"type": "geometric", "ratio": -0.5, "from_index": 3}}
+# a grid whose first point lies below the top scale's tail anchor (t0 = 2 for
+# Weibull, e for the lognormal type), so a NaN row and its DomainError note
+# reach evaluation.csv, report.json and compare.csv
+BELOW_ANCHOR = {"t_min": 1.5}
 VARIANTS = {
     "weibull_oracle_check": {
         "": {},
@@ -52,6 +57,7 @@ VARIANTS = {
                                            "oracle": QUADRATURE},
         "+logweibull+symmetric+alternating": {"distribution": {**LOGWEIBULL, **SYMMETRIC},
                                               "weights": ALTERNATING},
+        "+below_anchor": {"grid": BELOW_ANCHOR},
     },
     "lognormal_gate_above": {
         "": {},
@@ -59,7 +65,8 @@ VARIANTS = {
         "+symmetric+negative": {"distribution": SYMMETRIC, "weights": NEGATIVE},
     },
     "lognormal_gate_below": {"": {}, "+symmetric": {"distribution": SYMMETRIC}},
-    "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE}},
+    "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE},
+                                "+below_anchor": {"grid": BELOW_ANCHOR}},
     "multiplicity_pair": {"": {}, "+order2": {"expansion": {"order": 2}}},
     "symmetric_moments": {"": {}, "+plain_mc": {"oracle": {"method": "plain_mc"}}},
 }
