@@ -250,7 +250,7 @@ def test_cli_report_checks_every_field(tmp_path):
 BELOW_ANCHOR = {**BASE, "grid": {**BASE["grid"], "t_min": 1.5}}
 
 
-def _tampered_report(tmp_path, tamper):
+def _evaluated_report(tmp_path, tamper=lambda rows: None):
     path = write_config(tmp_path, BELOW_ANCHOR)
     out = str(tmp_path / "out")
     assert main(["evaluate", "--config", path, "--out", out]) == EXIT_OK
@@ -262,8 +262,8 @@ def _tampered_report(tmp_path, tamper):
 
 
 def test_cli_report_round_trips_domain_gaps(tmp_path):
-    report_path, out = _tampered_report(tmp_path, lambda rows: None)
-    stored = json.loads(open(report_path).read())["evaluation"]
+    report_path, out = _evaluated_report(tmp_path)
+    stored = json.loads((tmp_path / "out" / "report.json").read_text())["evaluation"]
     assert stored["domain_ok"] == [False, True, True] and math.isnan(stored["totals"][0])
     assert main(["report", "--config", report_path, "--out", out]) == EXIT_OK
     verdict = json.loads((tmp_path / "out" / "report_verified.json").read_text())
@@ -281,7 +281,7 @@ def _fill_gap(rows):
 
 @pytest.mark.parametrize("tamper", [_one_ulp, _fill_gap])
 def test_cli_report_detects_one_ulp_and_a_filled_gap(tmp_path, tamper):
-    report_path, out = _tampered_report(tmp_path, tamper)
+    report_path, out = _evaluated_report(tmp_path, tamper)
     assert main(["report", "--config", report_path, "--out", out]) == EXIT_SCHEMA
     verdict = json.loads((tmp_path / "out" / "report_verified.json").read_text())
     assert verdict["mismatched_fields"] == ["term_values"]
