@@ -7,19 +7,19 @@ from .distributions import (ScaledFactor, TailDistribution, custom_hazard,
                             log_power_mixture, log_weibull, lognormal_type,
                             weibull_type)
 from .errors import (ConfigError, DegenerateWeightError, DomainError,
-                     LightTailsError, OutOfScopeError, RegimeConditionError,
-                     SmoothnessError, UnsupportedSignError)
+                     LightTailsError, OutOfScopeError, QuadratureToleranceError,
+                     RegimeConditionError, SmoothnessError, UnsupportedSignError)
 from .expansion import (EvaluationTable, ExpansionTerm, HazardScaleRewrite,
                         Regime, RegimeKind, RemainderScale, TailExpansion,
                         classify, evaluate, expand, rewrite_in_hazard_scale)
 from .hazard import HazardModel, LogPowerSum, MetadataDiagnostics, validate_metadata
-from .laplace import (LaplaceCharacter, Moments, apply_character,
+from .laplace import (LaplaceCharacter, apply_character,
                       character_from_moments, compose, convolve_moments,
                       cumulants_to_raw, identity_character, raw_to_cumulants,
                       residual_moments, scale_moments)
-from .oracle import (ComparisonTable, OracleBudget, OracleEstimate,
-                     QuadratureToleranceError, compare_with_oracle, conditional_mc,
-                     convolve_pair_sf, convolved_sf, plain_mc, quadrature_estimate)
+from .oracle import (ComparisonTable, OracleBudget, OracleEstimate, compare_with_oracle,
+                     conditional_mc, convolve_pair_sf, convolved_sf, plain_mc,
+                     quadrature_estimate)
 from .weights import GeometricTail, Level, WeightSequence
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "custom_hazard", "log_power_mixture",
     "HazardModel", "LogPowerSum", "MetadataDiagnostics", "validate_metadata",
     "WeightSequence", "GeometricTail", "Level",
-    "Moments", "LaplaceCharacter", "identity_character", "character_from_moments",
+    "LaplaceCharacter", "identity_character", "character_from_moments",
     "compose", "apply_character", "residual_moments", "raw_to_cumulants",
     "cumulants_to_raw", "convolve_moments", "scale_moments",
     "Regime", "RegimeKind", "classify", "expand", "TailExpansion", "ExpansionTerm",

@@ -2,10 +2,12 @@
 expansion order, evaluation grid and oracle budget.
 
 The schema is validated with jsonschema so violations report the offending
-key's path.  Builders turn the validated document into package objects; the
-command runners produce the CSV/JSON artifacts consumed by the CLI, written
-atomically and formatted deterministically (shortest round-trip float repr),
-so identical (config, seed) pairs give byte-identical outputs.
+key's path.  Builders turn the validated document into package objects.  Each
+command's artifacts come from one function as (file name, content) pairs, a
+CSV as its (column name, column) pairs and a JSON file as its dict, and
+run_command writes them in one loop, atomically and formatted
+deterministically (shortest round-trip float repr, sorted JSON keys), so
+identical (config, seed) pairs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -207,15 +210,13 @@ def build_grid(doc: dict) -> np.ndarray:
 
 
 def build_budget(doc: dict, seed_override: int | None = None) -> orc.OracleBudget:
+    """The oracle section as a budget; each field it omits keeps OracleBudget's
+    default."""
     section = doc.get("oracle", {})
-    seed = section.get("seed", 0) if seed_override is None else seed_override
-    return orc.OracleBudget(
-        method=section.get("method", "conditional_mc"),
-        n=section.get("n", 10**6),
-        seed=seed,
-        eps_trunc=section.get("eps_trunc", 1e-9),
-        slack=section.get("slack", 10.0),
-    )
+    given = {f.name: section[f.name] for f in fields(orc.OracleBudget) if f.name in section}
+    if seed_override is not None:
+        given["seed"] = seed_override
+    return orc.OracleBudget(**given)
 
 
 def build_expansion(doc: dict, dist, seq, order_override: int | None = None):
@@ -231,15 +232,14 @@ def build_expansion(doc: dict, dist, seq, order_override: int | None = None):
 # artifact writers
 # ---------------------------------------------------------------------------
 
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+# oracle.csv's header: the column name of each OracleEstimate field, in field order
+ORACLE_HEADER = {"t": "t", "p_hat": "oracle_p", "std_err": "oracle_stderr",
+                 "n_samples": "n_samples", "truncation_n": "truncation_N",
+                 "truncation_bias_bound": "truncation_bias_bound", "seed": "seed",
+                 "method": "method"}
+# the compare.csv columns that compare.json repeats per row
+COMPARE_ROW = ("t", "expansion_total", "oracle_p", "oracle_stderr", "deviation",
+               "deviation_over_benchmark", "passed")
 
 
 def write_atomic(path: str, data: str) -> None:
@@ -260,14 +260,15 @@ def write_json(path: str, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: str, header: list[str], columns: list) -> None:
-    cells = []  # per column, _fmt of each cell; float and bool arrays in one pass
-    for col in columns:
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
-        cells.append([repr(v) for v in col.tolist()] if kind == "f" else
-                     ["1" if v else "0" for v in col.tolist()] if kind == "b" else
-                     [_fmt(v) for v in col])
-    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+def write_csv(path: str, named) -> None:
+    """CSV of (column name, column) pairs, each column formatted by its numpy
+    kind: floats in shortest round-trip repr, integers in decimal, booleans
+    as 1/0, strings as they are."""
+    cells = []
+    for _, col in named:
+        col = np.asarray(col)
+        cells.append(map(str, (col.astype(int) if col.dtype.kind == "b" else col).tolist()))
+    rows = [",".join(name for name, _ in named)] + [",".join(row) for row in zip(*cells)]
     write_atomic(path, "\n".join(rows) + "\n")
 
 
@@ -303,25 +304,24 @@ def expansion_to_json(exp: xp.TailExpansion) -> dict:
 
 
 def _evaluation_columns(table, inserted=()):
-    """CSV header and columns of an evaluation; the (name, column) pairs in
-    `inserted` go between the remainder benchmark and the cancellation flag."""
+    """(name, column) pairs of an evaluation; the pairs in `inserted` go
+    between the remainder benchmark and the cancellation flag."""
     named = [("t", table.t), ("expansion_total", table.totals)]
     named += [(f"term_{k}_{lab}", table.term_values[:, k])
               for k, lab in enumerate(table.term_labels)]
-    named += [("remainder_benchmark", table.benchmark), *inserted,
-              ("cancellation_flag", table.cancellation)]
-    return [name for name, _ in named], [col for _, col in named]
+    return named + [("remainder_benchmark", table.benchmark), *inserted,
+                    ("cancellation_flag", table.cancellation)]
 
 
 def evaluation_to_json(table) -> dict:
     return {
-        "t": [float(v) for v in table.t],
-        "totals": [float(v) for v in table.totals],
+        "t": table.t.tolist(),
+        "totals": table.totals.tolist(),
         "term_labels": list(table.term_labels),
-        "term_values": [[float(v) for v in row] for row in table.term_values],
-        "benchmark": [float(v) for v in table.benchmark],
-        "cancellation": [bool(v) for v in table.cancellation],
-        "domain_ok": [bool(v) for v in table.domain_ok],
+        "term_values": table.term_values.tolist(),
+        "benchmark": table.benchmark.tolist(),
+        "cancellation": table.cancellation.tolist(),
+        "domain_ok": table.domain_ok.tolist(),
         "notes": list(table.notes),
     }
 
@@ -339,41 +339,54 @@ def _evaluate(doc: dict, order_override: int | None):
     return exp, xp.evaluate(exp, dist, build_grid(doc))
 
 
-def run_command(command: str, config_path: str, out_dir: str,
-                seed_override: int | None = None,
-                order_override: int | None = None) -> dict:
-    """Execute one CLI command; returns a summary dict (also written to disk)."""
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}", path="<command>")
-    os.makedirs(out_dir, exist_ok=True)
+def _verify_report(report_path: str) -> dict:
+    """Re-ingest an evaluation report and check that its tables reproduce
+    exactly.  A field that fails plain equality, as one with a NaN domain gap
+    does, is compared as JSON text, where NaN matches NaN and -0.0 is not 0.0."""
+    try:
+        with open(report_path) as fh:
+            report = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid report JSON: {exc}", path=report_path) from exc
+    if "config" not in report or "evaluation" not in report:
+        raise ConfigError("report file must embed 'config' and 'evaluation'",
+                          path=report_path)
+    doc = report["config"]
+    validate_config(doc)
+    _, table = _evaluate(doc, report.get("order_override"))
+    stored = report["evaluation"]
+    mismatches = [key for key, value in evaluation_to_json(table).items()
+                  if value != stored.get(key)
+                  and json.dumps(value) != json.dumps(stored.get(key))]
+    return {
+        "roundtrip_ok": not mismatches,
+        "mismatched_fields": mismatches,
+        "source": os.path.basename(report_path),
+    }
 
+
+def _artifacts(command: str, config_path: str, seed_override: int | None,
+               order_override: int | None) -> list[tuple[str, object]]:
+    """A command's artifacts as (file name, content) pairs, its JSON file last:
+    a CSV's content is its (column name, column) pairs, a JSON file's its dict."""
     if command == "report":
-        return _run_report(config_path, out_dir)
-
+        return [("report_verified.json", _verify_report(config_path))]
     doc = load_config(config_path)
-
     if command == "evaluate":
         exp, table = _evaluate(doc, order_override)
-        header, cols = _evaluation_columns(table)
-        write_csv(os.path.join(out_dir, "evaluation.csv"), header, cols)
-        report = {
-            "config": doc,
-            "seed": doc.get("oracle", {}).get("seed", 0),
-            "order_override": order_override,
-            "expansion": expansion_to_json(exp),
-            "evaluation": evaluation_to_json(table),
-        }
-        write_json(os.path.join(out_dir, "report.json"), report)
-        return report
+        return [("evaluation.csv", _evaluation_columns(table)),
+                ("report.json", {"config": doc, "seed": build_budget(doc).seed,
+                                 "order_override": order_override,
+                                 "expansion": expansion_to_json(exp),
+                                 "evaluation": evaluation_to_json(table)})]
 
     dist = build_distribution(doc)
     seq = build_weights(doc, dist)
-
     if command == "classify":
         model = dist.upper
         regime = xp.classify(model)
         diag = validate_metadata(model, xp.default_diagnostic_grid(model))
-        out = {
+        return [("classify.json", {
             "regime": regime.kind.value,
             "lambda": regime.lam,
             "provenance": PROVENANCE,
@@ -391,92 +404,51 @@ def run_command(command: str, config_path: str, out_dir: str,
                 "flags": diag.flags,
                 "inconclusive": diag.inconclusive,
             },
-        }
-        write_json(os.path.join(out_dir, "classify.json"), out)
-        return out
-
+        })]
     if command == "expand":
-        out = expansion_to_json(build_expansion(doc, dist, seq, order_override))
-        write_json(os.path.join(out_dir, "expansion.json"), out)
-        return out
+        return [("expansion.json",
+                 expansion_to_json(build_expansion(doc, dist, seq, order_override)))]
 
     grid = build_grid(doc)
     budget = build_budget(doc, seed_override)
-
     if command == "oracle":
         estimates = [orc._estimate(dist, seq, float(t), budget) for t in grid]
-        header = ["t", "oracle_p", "oracle_stderr", "n_samples", "truncation_N",
-                  "truncation_bias_bound", "seed", "method"]
-        # one column per OracleEstimate field, in field order
-        write_csv(os.path.join(out_dir, "oracle.csv"), header,
-                  list(zip(*(vars(e).values() for e in estimates))))
-        out = {"estimates": [vars(e) for e in estimates]}
-        write_json(os.path.join(out_dir, "oracle.json"), out)
-        return out
+        return [("oracle.csv", [(name, [getattr(e, f) for e in estimates])
+                                for f, name in ORACLE_HEADER.items()]),
+                ("oracle.json", {"estimates": [vars(e) for e in estimates]})]
 
     # compare
     exp = build_expansion(doc, dist, seq, order_override)
     table = orc.compare_with_oracle(exp, dist, seq, grid, budget)
-    ev = table.evaluation
-    header, cols = _evaluation_columns(ev, [
+    named = _evaluation_columns(table.evaluation, [
         (name, getattr(table, name)) for name in
         ("oracle_p", "oracle_stderr", "deviation", "deviation_over_benchmark")])
-    write_csv(os.path.join(out_dir, "compare.csv"), header + ["passed"],
-              cols + [table.passed])
-    out = {
-        "config": doc,
-        "budget": {k: getattr(table.estimates[0], k) for k in
-                   ("n_samples", "seed", "method")} if table.estimates else {},
-        "rows": [
-            {
-                "t": float(ev.t[i]),
-                "expansion_total": float(ev.totals[i]),
-                "oracle_p": float(table.oracle_p[i]),
-                "oracle_stderr": float(table.oracle_stderr[i]),
-                "deviation": float(table.deviation[i]),
-                "deviation_over_benchmark": float(table.deviation_over_benchmark[i]),
-                "passed": bool(table.passed[i]),
-            }
-            for i in range(len(ev.t))
-        ],
-    }
-    write_json(os.path.join(out_dir, "compare.json"), out)
-    return out
+    named.append(("passed", table.passed))
+    columns = dict(named)
+    return [("compare.csv", named),
+            ("compare.json", {
+                "config": doc,
+                "budget": {k: getattr(table.estimates[0], k) for k in
+                           ("n_samples", "seed", "method")} if table.estimates else {},
+                "rows": [dict(zip(COMPARE_ROW, row)) for row in
+                         zip(*(columns[name].tolist() for name in COMPARE_ROW))],
+            })]
 
 
-def _run_report(report_path: str, out_dir: str) -> dict:
-    """Re-ingest an evaluation report and verify its tables reproduce exactly."""
-    try:
-        with open(report_path) as fh:
-            report = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid report JSON: {exc}", path=report_path) from exc
-    if "config" not in report or "evaluation" not in report:
-        raise ConfigError("report file must embed 'config' and 'evaluation'",
-                          path=report_path)
-    doc = report["config"]
-    validate_config(doc)
-    _, table = _evaluate(doc, report.get("order_override"))
-    regenerated = evaluation_to_json(table)
-    stored = report["evaluation"]
-
-    def same(a, b):
-        if isinstance(a, list) and isinstance(b, list):
-            return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
-        if isinstance(a, float) and isinstance(b, float):
-            return a == b or (a != a and b != b)  # NaN marks domain gaps
-        return a == b
-
-    # plain equality settles every table without NaN; same() walks the rest
-    mismatches = [key for key in regenerated if regenerated[key] != stored.get(key)
-                  and not same(regenerated[key], stored.get(key))]
-    out = {
-        "roundtrip_ok": not mismatches,
-        "mismatched_fields": mismatches,
-        "source": os.path.basename(report_path),
-    }
-    write_json(os.path.join(out_dir, "report_verified.json"), out)
-    if mismatches:
-        raise ConfigError(f"report tables failed to reproduce: {mismatches}",
-                          path=report_path)
-    return out
+def run_command(command: str, config_path: str, out_dir: str,
+                seed_override: int | None = None,
+                order_override: int | None = None) -> dict:
+    """Execute one CLI command: write each of its artifacts into out_dir and
+    return the content of its JSON file."""
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}", path="<command>")
+    os.makedirs(out_dir, exist_ok=True)
+    artifacts = _artifacts(command, config_path, seed_override, order_override)
+    for name, content in artifacts:
+        write = write_csv if name.endswith(".csv") else write_json
+        write(os.path.join(out_dir, name), content)
+    summary = artifacts[-1][1]
+    if command == "report" and not summary["roundtrip_ok"]:
+        raise ConfigError(f"report tables failed to reproduce: "
+                          f"{summary['mismatched_fields']}", path=config_path)
+    return summary

@@ -35,7 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DegenerateWeightError, UnsupportedSignError
+from .errors import (DegenerateWeightError, QuadratureToleranceError,
+                     UnsupportedSignError)
 from .hazard import HazardModel, LogPowerSum
 
 __all__ = [
@@ -50,6 +51,8 @@ __all__ = [
 
 _JUNCTION_TOL = 1e-12
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+# a moment whose summed quad error estimate exceeds this share of it raises
+_MOMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,9 @@ class TailDistribution:
     def moments(self, order: int) -> tuple[float, ...]:
         return tuple(self.moment(i) for i in range(order + 1))
 
-    def _tail_power_integral(self, k: int, upper: bool) -> float:
-        """int_0^inf x^(k-1) * P(side) dx for one side of the axis."""
+    def _tail_power_integral(self, k: int, upper: bool) -> tuple[float, float]:
+        """int_0^inf x^(k-1) * P(side) dx for one side of the axis, with quad's
+        error estimate (QUADPACK can return it negative on [anchor, inf))."""
         if not (upper or self.symmetric):
             return self._body_negative_integral(k)
         weight = self.sf if upper else (lambda x: self.cdf(-x))
@@ -173,21 +177,26 @@ class TailDistribution:
             return x ** (k - 1) * weight(x)
 
         pts = sorted({p for p in (abs(b) for b in self.quad_breaks) if 0.0 < p < anchor})
-        head, _ = quad(f, 0.0, anchor, points=pts or None, **_QUAD_KW)
-        tail, _ = quad(f, anchor, math.inf, **_QUAD_KW)
-        return head + tail
+        head, head_err = quad(f, 0.0, anchor, points=pts or None, **_QUAD_KW)
+        tail, tail_err = quad(f, anchor, math.inf, **_QUAD_KW)
+        return head + tail, abs(head_err) + abs(tail_err)
 
-    def _body_negative_integral(self, k: int) -> float:
+    def _body_negative_integral(self, k: int) -> tuple[float, float]:
         if self.body_left >= 0:
-            return 0.0
+            return 0.0, 0.0
         f = lambda x: x ** (k - 1) * self.cdf(-x)
-        val, _ = quad(f, 0.0, -self.body_left, **_QUAD_KW)
-        return val
+        val, err = quad(f, 0.0, -self.body_left, **_QUAD_KW)
+        return val, abs(err)
 
     def _moment_by_quadrature(self, k: int) -> float:
-        pos = self._tail_power_integral(k, upper=True)
-        neg = self._tail_power_integral(k, upper=False)
-        return k * (pos + (-1) ** k * neg)
+        pos, pos_err = self._tail_power_integral(k, upper=True)
+        neg, neg_err = self._tail_power_integral(k, upper=False)
+        moment = k * (pos + (-1) ** k * neg)
+        err = k * (pos_err + neg_err)
+        if err > _MOMENT_TOL * abs(moment):
+            raise QuadratureToleranceError(
+                achieved=err / abs(moment) if moment else math.inf, requested=_MOMENT_TOL)
+        return moment
 
 
 class ScaledFactor:
@@ -255,10 +264,6 @@ class ScaledFactor:
     def log_tail_sf(self, t: float) -> float:
         """log P(c*X > t)."""
         return self.dist.upper.log_survival(self._tail_arg(t))
-
-    def tail_deriv_signed_log(self, k: int, t: float) -> tuple[float, float]:
-        """(sign, log|.|) of the k-th derivative of t -> P(c*X > t)."""
-        return self.tail_derivs_signed_log(k, t)[k]
 
     def tail_derivs_signed_log(self, k: int, t: float) -> list[tuple[float, float]]:
         """(sign, log|.|) of the j-th derivative of t -> P(c*X > t) for j = 0..k:

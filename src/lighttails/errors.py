@@ -37,6 +37,17 @@ class RegimeConditionError(LightTailsError):
     """A numerically checkable regime hypothesis failed on the diagnostic grid."""
 
 
+class QuadratureToleranceError(LightTailsError):
+    """Adaptive quadrature could not reach the requested tolerance."""
+
+    def __init__(self, achieved: float, requested: float):
+        self.achieved = achieved
+        self.requested = requested
+        super().__init__(
+            f"quadrature achieved error bound {achieved:.3e}, requested {requested:.3e}"
+        )
+
+
 class ConfigError(LightTailsError):
     """Experiment configuration failed validation."""
 

@@ -163,11 +163,6 @@ class HazardModel:
     def hazard(self, t):
         return self.hazard_derivs[0](t)
 
-    def hazard_deriv(self, j: int, t):
-        if j > self.smooth_order:
-            raise SmoothnessError(required=j, available=self.smooth_order)
-        return self.hazard_derivs[j](t)
-
     # -- survival --------------------------------------------------------
 
     def _check_domain(self, t: float):

@@ -23,11 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .distributions import ScaledFactor, TailDistribution
-from .errors import SmoothnessError
 from .weights import WeightSequence
 
 __all__ = [
-    "Moments",
     "LaplaceCharacter",
     "identity_character",
     "character_from_moments",
@@ -39,24 +37,6 @@ __all__ = [
     "residual_moments",
     "apply_character",
 ]
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Raw moments mu_0..mu_m (mu_0 = 1)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1.0:
-            raise ValueError("moment vector must start with mu_0 = 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -73,9 +53,9 @@ class LaplaceCharacter:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def moments(self) -> Moments:
-        return Moments(tuple((-1) ** i * math.factorial(i) * a
-                             for i, a in enumerate(self.coeffs)))
+    def moments(self) -> tuple[float, ...]:
+        """Raw moments mu_0..mu_m."""
+        return tuple((-1) ** i * math.factorial(i) * a for i, a in enumerate(self.coeffs))
 
 
 def identity_character(order: int) -> LaplaceCharacter:
@@ -84,8 +64,8 @@ def identity_character(order: int) -> LaplaceCharacter:
 
 
 def character_from_moments(moments, order: int) -> LaplaceCharacter:
-    """Truncate a moment vector to its order-m character."""
-    values = moments.values if isinstance(moments, Moments) else tuple(moments)
+    """Truncate a moment vector mu_0, mu_1, ... to its order-m character."""
+    values = tuple(moments)
     if len(values) - 1 < order:
         raise ValueError(f"character of order {order} needs {order + 1} moments, "
                          f"got {len(values)}")
@@ -153,22 +133,21 @@ def scale_moments(values, c: float) -> tuple[float, ...]:
 
 
 def residual_moments(dist: TailDistribution, seq: WeightSequence, i: int,
-                     order: int) -> Moments:
-    """Moments of sum_{j != i} c_j X_j via additive, scale-homogeneous cumulants."""
+                     order: int) -> tuple[float, ...]:
+    """Moments mu_0..mu_order of sum_{j != i} c_j X_j via additive,
+    scale-homogeneous cumulants."""
     if order == 0:
-        return Moments((1.0,))
+        return (1.0,)
     base = dist.moments(order)
     kappa_f = raw_to_cumulants(base)
     kappa_res = tuple(kappa_f[n - 1] * seq.residual_power_sum(i, n)
                       for n in range(1, order + 1))
-    return Moments(cumulants_to_raw(kappa_res))
+    return cumulants_to_raw(kappa_res)
 
 
 def apply_character(ch: LaplaceCharacter, dist: TailDistribution, c: float,
                     t: float) -> float:
     """Evaluate (L applied to the scaled survival) at t: sum_i a_i D^i P(cX > .)."""
-    if ch.order > dist.upper.smooth_order:
-        raise SmoothnessError(required=ch.order, available=dist.upper.smooth_order)
     total = 0.0
     for a, (sign, logabs) in zip(ch.coeffs,
                                  ScaledFactor(dist, c).tail_derivs_signed_log(ch.order, t)):

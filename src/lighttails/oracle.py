@@ -51,7 +51,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import ScaledFactor, TailDistribution
-from .errors import LightTailsError
+from .errors import QuadratureToleranceError
 from .expansion import EvaluationTable, TailExpansion, evaluate
 from .weights import WeightSequence
 
@@ -64,17 +64,6 @@ __all__ = [
 
 _BLOCK = 1 << 18
 _CHUNK = 1 << 13
-
-
-class QuadratureToleranceError(LightTailsError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-    def __init__(self, achieved: float, requested: float):
-        self.achieved = achieved
-        self.requested = requested
-        super().__init__(
-            f"quadrature achieved error bound {achieved:.3e}, requested {requested:.3e}"
-        )
 
 
 @dataclass(frozen=True)

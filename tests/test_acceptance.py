@@ -74,9 +74,7 @@ def test_criterion_2_derivative_engine():
 
     def hand_ratio(m, k, t):
         h = m.hazard(t)
-        h1 = m.hazard_deriv(1, t)
-        h2 = m.hazard_deriv(2, t)
-        h3 = m.hazard_deriv(3, t)
+        h1, h2, h3 = (m.hazard_derivs[j](t) for j in (1, 2, 3))
         return {0: 1.0, 1: -h, 2: -h1 + h**2, 3: -h2 + 3 * h1 * h - h**3,
                 4: -h3 + 4 * h * h2 + 3 * h1**2 - 6 * h1 * h**2 + h**4}[k]
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 import lighttails as lt
 from lighttails.cli import (EXIT_OK, EXIT_REGIME, EXIT_SCHEMA, EXIT_SMOOTHNESS,
                             main)
-from lighttails.config import (_fmt, build_distribution, build_weights, load_config,
-                               write_csv)
+from lighttails.config import (COMPARE_ROW, ORACLE_HEADER, build_distribution,
+                               build_weights, load_config, write_csv)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -178,16 +179,16 @@ def test_cli_oracle_csv_layout(tmp_path):
     assert main(["oracle", "--config", path, "--out", str(out)]) == EXIT_OK
     lines = (out / "oracle.csv").read_text().splitlines()
     estimates = json.loads((out / "oracle.json").read_text())["estimates"]
-    keys = ["t", "p_hat", "std_err", "n_samples", "truncation_n",
-            "truncation_bias_bound", "seed"]
     assert lines[0] == ("t,oracle_p,oracle_stderr,n_samples,truncation_N,"
                         "truncation_bias_bound,seed,method")
+    assert lines[0].split(",") == list(ORACLE_HEADER.values())
+    assert list(ORACLE_HEADER) == [f.name for f in fields(lt.OracleEstimate)]
     assert len(lines) == len(estimates) + 1
     for line, est in zip(lines[1:], estimates):
-        fields = line.split(",")
-        assert fields[-1] == "conditional_mc" == est["method"]
-        for key, text in zip(keys, fields[:-1]):
-            assert type(est[key])(text) == est[key], key
+        cells = dict(zip(lines[0].split(","), line.split(",")))
+        assert est["method"] == "conditional_mc"
+        for key, name in ORACLE_HEADER.items():
+            assert type(est[key])(cells[name]) == est[key], key
 
 
 def test_cli_seed_override_changes_oracle(tmp_path):
@@ -287,24 +288,71 @@ def test_cli_report_detects_one_ulp_and_a_filled_gap(tmp_path, tamper):
     assert verdict["mismatched_fields"] == ["term_values"]
 
 
+def _cell(v) -> str:
+    """Each CSV cell as the writer formatted it one cell at a time."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
 def test_write_csv_matches_the_per_cell_format(tmp_path):
     floats = np.array([0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 2.0])
     columns = [
         floats,
         np.arange(16.0).reshape(8, 2)[:, 1] / 3.0,  # a strided column, as term_values gives
         np.array([True, False, False, True, True, False, True, False]),
-        # the mixed columns of oracle.csv
-        tuple(range(8)),
-        tuple(np.int64(i) ** 5 for i in range(8)),
-        ("conditional_mc", "plain_mc", "quadrature", "a", "b", "c", "d", "e"),
-        (0.5, np.float64(0.25), 1, np.int64(2), True, np.bool_(False), "x", -0.0),
+        # the column kinds of oracle.csv: lists of its field values
+        [float(v) for v in floats],
+        list(range(8)),
+        [int(i) ** 5 for i in range(8)],
+        ["conditional_mc", "plain_mc", "quadrature", "a", "b", "c", "d", "e"],
     ]
-    header = [f"col{i}" for i in range(len(columns))]
+    named = [(f"col{i}", col) for i, col in enumerate(columns)]
     path = tmp_path / "table.csv"
-    write_csv(str(path), header, columns)
-    want = "\n".join([",".join(header)] + [",".join(_fmt(col[r]) for col in columns)
-                                            for r in range(8)]) + "\n"
+    write_csv(str(path), named)
+    want = "\n".join([",".join(name for name, _ in named)]
+                     + [",".join(_cell(col[r]) for col in columns) for r in range(8)]) + "\n"
     assert path.read_text() == want
+
+
+def test_compare_json_rows_are_compare_csv_columns(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, BELOW_ANCHOR),
+                 "--out", str(out)]) == EXIT_OK
+    lines = (out / "compare.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = json.loads((out / "compare.json").read_text())["rows"]
+    assert len(rows) == len(lines) - 1 == 3
+    for line, row in zip(lines[1:], rows):
+        cells = dict(zip(header, line.split(",")))
+        assert sorted(row) == sorted(COMPARE_ROW)
+        for name in COMPARE_ROW:
+            # a float cell is the JSON value's repr; NaN marks the domain gap
+            want = str(int(row[name])) if name == "passed" else repr(row[name])
+            assert cells[name] == want, name
+
+
+def test_cli_report_tells_negative_zero_from_zero(tmp_path):
+    # a symmetric law's odd moments vanish: the order-1 term's cells are 0.0;
+    # the grid starts below the anchor, so term_values also holds a NaN gap
+    below = {**BELOW_ANCHOR, "distribution": {**BASE["distribution"], "symmetric": True}}
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", write_config(tmp_path, below),
+                 "--out", str(out)]) == EXIT_OK
+    report_path = out / "report.json"
+    report = json.loads(report_path.read_text())
+    rows = report["evaluation"]["term_values"]
+    assert math.isnan(rows[0][1]) and rows[1][1] == 0.0
+    assert math.copysign(1.0, rows[1][1]) > 0
+    rows[1][1] = -0.0
+    report_path.write_text(json.dumps(report))
+    assert main(["report", "--config", str(report_path), "--out", str(out)]) == EXIT_SCHEMA
+    verdict = json.loads((out / "report_verified.json").read_text())
+    assert verdict["mismatched_fields"] == ["term_values"]
 
 
 def test_regime_override_must_be_null(tmp_path):

@@ -216,6 +216,20 @@ def test_moments_of_one_sided_law_with_body_below_zero():
             assert dist.moment(k) == pytest.approx(body + tail, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_moment_quadrature_out_of_tolerance_raises():
+    # quad's estimate for the x^3 S(x) integral of weibull_type(0.25) is about
+    # as large as the moment (true error 2.6e-3): that must not pass silently
+    with pytest.raises(lt.QuadratureToleranceError) as exc:
+        lt.weibull_type(0.25).moment(4)
+    assert exc.value.achieved > exc.value.requested == 1e-8
+    assert lt.oracle.QuadratureToleranceError is lt.QuadratureToleranceError
+    # the orders below stay within tolerance, at their Gamma closed form
+    d = lt.weibull_type(0.25)
+    for k in (1, 2, 3):
+        assert d.moment(k) == pytest.approx(math.gamma(1 + k / 0.25), rel=1e-12)
+
+
 def test_moment_cache_idempotent():
     d = lt.weibull_type(0.5)
     v1 = d.moment(3)
@@ -234,7 +248,7 @@ def test_scaled_sf_positive_scale():
 
 
 def _deriv(factor, k, t):
-    sign, logabs = factor.tail_deriv_signed_log(k, t)
+    sign, logabs = factor.tail_derivs_signed_log(k, t)[k]
     return sign * math.exp(logabs)
 
 
@@ -261,7 +275,7 @@ def test_scaled_sf_negative_derivative_sign():
     # P(cX > t) is nonincreasing in t for either sign of c
     s = lt.weibull_type(0.5, symmetric=True)
     for c in (1.0, -1.0, -0.5):
-        assert lt.ScaledFactor(s, c).tail_deriv_signed_log(1, 40.0)[0] < 0.0
+        assert lt.ScaledFactor(s, c).tail_derivs_signed_log(1, 40.0)[1][0] < 0.0
 
 
 def test_scale_errors():
@@ -272,7 +286,7 @@ def test_scale_errors():
         lt.ScaledFactor(d, 0.0)
     neg = lt.ScaledFactor(d, -1.0)
     assert neg.sf(10.0) == 0.0 and neg.sf(-10.0) == d.cdf(10.0)
-    for tail_read in (neg.log_tail_sf, lambda t: neg.tail_deriv_signed_log(1, t),
+    for tail_read in (neg.log_tail_sf, lambda t: neg.tail_derivs_signed_log(1, t),
                       neg.tail_components):
         with pytest.raises(lt.UnsupportedSignError):
             tail_read(10.0)

@@ -35,7 +35,7 @@ def test_character_requires_enough_moments():
 def test_character_moment_round_trip():
     mv = (1.0, 0.3, -0.7, 2.5, 0.1)
     ch = lt.character_from_moments(mv, 4)
-    assert ch.moments().values == pytest.approx(mv, rel=1e-14)
+    assert ch.moments() == pytest.approx(mv, rel=1e-14)
 
 
 def test_compose_worked_example():
@@ -155,7 +155,7 @@ def test_residual_moments_single_entry_is_point_mass():
     seq = lt.WeightSequence([1.0])
     # the moment machinery reports the empty sum directly
     mv = lt.residual_moments(d, seq, 1, 3)
-    assert mv.values == (1.0, 0.0, 0.0, 0.0)
+    assert mv == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_residual_moments_scaling_property():
@@ -164,7 +164,7 @@ def test_residual_moments_scaling_property():
     seq = lt.WeightSequence([1.0, 0.7])
     mv = lt.residual_moments(d, seq, 1, 3)
     expected = lt.scale_moments(tuple(d.moment(i) for i in range(4)), 0.7)
-    assert mv.values == pytest.approx(expected, rel=1e-12)
+    assert mv == pytest.approx(expected, rel=1e-12)
 
 
 # -- applying characters --------------------------------------------------------------

@@ -11,7 +11,8 @@ tail anchor; lognormal_gate_above also symmetric, with and without a negative
 weight; lognormal_gate_below also symmetric; lognormal_gate_boundary also
 under quadrature, and its two scales on a grid that starts below the anchor;
 multiplicity_pair also at expansion order 2; symmetric_moments also with
-method plain_mc, the mirrored quantile over 31 variables.  Output goes to a
+method plain_mc, the mirrored quantile over 31 variables; weibull_oracle_check
+also with the command line's --order and --seed overrides.  Output goes to a
 temporary directory; no artifact records it.
 """
 
@@ -58,6 +59,7 @@ VARIANTS = {
         "+logweibull+symmetric+alternating": {"distribution": {**LOGWEIBULL, **SYMMETRIC},
                                               "weights": ALTERNATING},
         "+below_anchor": {"grid": BELOW_ANCHOR},
+        "+overrides": {},
     },
     "lognormal_gate_above": {
         "": {},
@@ -70,6 +72,9 @@ VARIANTS = {
     "multiplicity_pair": {"": {}, "+order2": {"expansion": {"order": 2}}},
     "symmetric_moments": {"": {}, "+plain_mc": {"oracle": {"method": "plain_mc"}}},
 }
+# run_command keywords per variant, as --order and --seed pass them, so that
+# report.json's order_override and the oracle's seed override are hashed
+OVERRIDES = {"weibull_oracle_check+overrides": {"order_override": 1, "seed_override": 3}}
 
 
 def manifest(work: str) -> dict:
@@ -84,7 +89,7 @@ def manifest(work: str) -> dict:
                 json.dump({**doc, **{key: {**doc.get(key, {}), **section}
                                      for key, section in patch.items()}}, fh)
             for command in ("classify", "expand", "evaluate", "oracle", "compare"):
-                config.run_command(command, path, out_dir)
+                config.run_command(command, path, out_dir, **OVERRIDES.get(name, {}))
             config.run_command("report", os.path.join(out_dir, "report.json"), out_dir)
             for art in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, art), "rb") as fh:
