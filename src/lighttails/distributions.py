@@ -28,12 +28,13 @@ to the negative axis.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (DegenerateWeightError, QuadratureToleranceError,
                      UnsupportedSignError)
@@ -177,8 +178,10 @@ class TailDistribution:
             return x ** (k - 1) * weight(x)
 
         pts = sorted({p for p in (abs(b) for b in self.quad_breaks) if 0.0 < p < anchor})
-        head, head_err = quad(f, 0.0, anchor, points=pts or None, **_QUAD_KW)
-        tail, tail_err = quad(f, anchor, math.inf, **_QUAD_KW)
+        with warnings.catch_warnings():  # the caller's tolerance check decides
+            warnings.simplefilter("ignore", IntegrationWarning)
+            head, head_err = quad(f, 0.0, anchor, points=pts or None, **_QUAD_KW)
+            tail, tail_err = quad(f, anchor, math.inf, **_QUAD_KW)
         return head + tail, abs(head_err) + abs(tail_err)
 
     def _body_negative_integral(self, k: int) -> tuple[float, float]:
@@ -255,20 +258,25 @@ class ScaledFactor:
         v = self.dist.pdf(x / self.c)
         return -math.inf if v <= 0.0 else math.log(v) - self.log_abs_c
 
-    def _tail_arg(self, t: float) -> float:
+    def _tail_arg(self, t):
         if self.c < 0 and not self.dist.symmetric:
             raise UnsupportedSignError(
                 "negative scale needs a symmetric law (distribution vanishes below)")
         return t / abs(self.c)
 
+    def below_tail(self, t: np.ndarray) -> np.ndarray:
+        """Where the tail-domain reads raise DomainError: t / |c| below the anchor."""
+        return self._tail_arg(t) < self.dist.upper.t0
+
     def log_tail_sf(self, t: float) -> float:
         """log P(c*X > t)."""
         return self.dist.upper.log_survival(self._tail_arg(t))
 
-    def tail_derivs_signed_log(self, k: int, t: float) -> list[tuple[float, float]]:
-        """(sign, log|.|) of the j-th derivative of t -> P(c*X > t) for j = 0..k:
-        each derivative pulls out one factor |c|^-1, so order j is |c|^-j times
-        the upper tail's j-th derivative at t/|c|."""
+    def tail_derivs_signed_log(self, k: int, t) -> list[tuple]:
+        """(sign, log|.|) of the j-th derivative of t -> P(c*X > t) for j = 0..k,
+        as arrays over an array t and floats for a float t: each derivative
+        pulls out one factor |c|^-1, so order j is |c|^-j times the upper
+        tail's j-th derivative at t/|c|."""
         x = self._tail_arg(t)
         return [(sign, logabs - j * self.log_abs_c) for j, (sign, logabs)
                 in enumerate(self.dist.upper.survival_derivatives_signed_log(k, x))]

@@ -40,7 +40,8 @@ import numpy as np
 from .distributions import ScaledFactor, TailDistribution
 from .errors import (DomainError, OutOfScopeError, RegimeConditionError,
                      SmoothnessError)
-from .hazard import HazardModel, functional_diverges, subcritical_functional
+from .hazard import (HazardModel, functional_diverges, libm, log_abs,
+                     subcritical_functional)
 from .hazardpoly import survival_derivative_polys
 from .laplace import character_from_moments, residual_moments
 from .weights import WeightSequence
@@ -423,102 +424,94 @@ class EvaluationTable:
     notes: list[str] = field(default_factory=list)
 
 
-def _signed_log_sum(signs, logs) -> float:
-    """sum_i s_i exp(l_i), scaled by the largest magnitude to stay in range."""
-    finite = [(s, l) for s, l in zip(signs, logs) if s != 0.0 and l > -math.inf]
-    if not finite:
-        return 0.0
-    m = max(l for _, l in finite)
-    acc = sum(s * math.exp(l - m) for s, l in finite)
-    return acc * math.exp(m)
-
-
 def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> EvaluationTable:
     """Evaluate every term on the grid in log-safe arithmetic.
 
-    A row reads each scale once, at its first term: every order up to the
-    scale's largest deriv_index, its tail components for the order-0 term,
-    and the log-survival the remainder reuses.  A grid point below a
-    scale's tail domain is a per-point domain failure, not a global error: the
-    cells before the failing term keep their values, the rest stay NaN, and
-    the note is that term's message.  The cancellation flag fires when the
-    signed total nearly vanishes against the largest term, or when two
-    closed-form tail components of opposite sign nearly cancel across terms.
+    Each scale is read once, on the grid points in its tail domain: every order
+    up to its largest deriv_index, its tail components, and the log-survival
+    the remainder reuses.  A point below a scale's domain is a per-point
+    failure, not a global error: the cells before the first term on that scale
+    keep their values, the rest stay NaN, and the note is that scale's message.
+    The cancellation flag fires when the signed total nearly vanishes against
+    the largest term, or when two closed-form tail components of opposite sign
+    nearly cancel across terms.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     n_t, n_terms = len(t_grid), len(expansion.terms)
-    term_values = np.full((n_t, n_terms), np.nan)
-    totals = np.full(n_t, np.nan)
-    benchmark = np.full(n_t, np.nan)
-    cancellation = np.zeros(n_t, dtype=bool)
-    domain_ok = np.ones(n_t, dtype=bool)
-    notes: list[str] = []
     rem = expansion.remainder
-    factor = {c: ScaledFactor(dist, c)
-              for c in {term.scale for term in expansion.terms} | {rem.scale}}
+    first: dict[float, int] = {}  # per scale, the column that reads it first
     top: dict[float, int] = {}  # per scale, the largest order its terms read
-    for term in expansion.terms:
+    for col, term in enumerate(expansion.terms):
+        first.setdefault(term.scale, col)
         top[term.scale] = max(top.get(term.scale, 0), term.deriv_index)
-    need = max(top.values(), default=0)
-    if need > dist.upper.smooth_order:  # only a hand-built expansion gets here
-        raise SmoothnessError(required=need, available=dist.upper.smooth_order)
 
-    for r, t in enumerate(t_grid):
-        memo: dict[float, tuple] = {}  # scale -> (its orders, its tail components)
-        signs, logs, values = [], [], []
-        components = []
-        try:
-            for col, term in enumerate(expansion.terms):
-                if term.scale not in memo:
-                    f = factor[term.scale]
-                    memo[term.scale] = (f.tail_derivs_signed_log(top[term.scale], t),
-                                        f.tail_components(t))
-                orders, comp = memo[term.scale]
-                s, l = orders[term.deriv_index]
-                if term.coeff < 0:
-                    s, l = -s, l + math.log(-term.coeff)
-                elif term.coeff > 0:
-                    l = l + math.log(term.coeff)
-                else:
-                    s = 0.0
-                v = s * math.exp(l) if s else 0.0
-                term_values[r, col] = v
-                values.append(v)
-                signs.append(s)
-                logs.append(l)
-                if term.deriv_index == 0 and comp is not None:
-                    components.extend(float(term.coeff) * comp)
-            log_bench = (memo[rem.scale][0][0][1] if rem.scale in memo
-                         else factor[rem.scale].log_tail_sf(t))
-            if rem.hazard_power:
-                log_bench += rem.hazard_power * math.log(dist.upper.hazard(t))
-            benchmark[r] = math.exp(log_bench)
-        except DomainError as exc:
-            domain_ok[r] = False
-            notes.append(f"t={t:g}: {exc}")
-            continue
+    fail = np.full(n_t, n_terms + 1.0)  # per row, the first column on a failing scale
+    notes: dict[int, list[str]] = {}
+    reads = {}  # per scale: its orders, NaN below its domain, and its components by row
+    for c, col in {**first, rem.scale: first.get(rem.scale, n_terms)}.items():
+        f = ScaledFactor(dist, c)
+        below = f.below_tail(t_grid)
+        inside = t_grid[~below]
+        orders = f.tail_derivs_signed_log(top.get(c, 0), inside)
+        if below.any():
+            for r in np.flatnonzero(below & (fail > n_terms)).tolist():
+                fail[r] = col
+                try:
+                    f.log_tail_sf(t_grid[r])
+                except DomainError as exc:
+                    notes[r] = [f"t={t_grid[r]:g}: {exc}"]
+            # over the whole grid: a point below the domain reads the fill past the end
+            at = np.where(below, inside.size, np.cumsum(~below) - 1)
+            orders = [(np.append(s, 0.0)[at], np.append(l, math.nan)[at]) for s, l in orders]
+        comps = None if dist.upper.tail_components is None else dict(zip(
+            np.flatnonzero(~below).tolist(), map(f.tail_components, inside.tolist())))
+        reads[c] = orders, comps
+    good = fail > n_terms
 
-        totals[r] = total = _signed_log_sum(signs, logs)
+    # one row per term: sign and log magnitude; a zero coefficient's log is -inf
+    coeffs = np.array([term.coeff for term in expansion.terms])
+    cells = [reads[term.scale][0][term.deriv_index] for term in expansion.terms]
+    signs = np.array([s for s, _ in cells]).reshape(n_terms, n_t) * np.sign(coeffs)[:, None]
+    logs = np.array([l for _, l in cells]).reshape(n_terms, n_t) + libm(log_abs, coeffs)[:, None]
+    # 0.0 + : a vanishing term is +0.0
+    values = 0.0 + signs * libm(math.exp, logs.ravel()).reshape(logs.shape)
+    values[fail <= np.arange(float(n_terms))[:, None]] = np.nan
 
-        largest = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
-        if n_terms >= 2 and largest > 0.0 and abs(total) < _CANCEL_RATIO * largest:
+    # the signed sum, scaled by each point's largest magnitude to stay in range
+    live = (signs != 0.0) & (logs > -math.inf)
+    top_log = logs.max(axis=0, initial=-math.inf, where=live)
+    shifted = np.subtract(logs, top_log, out=np.full(logs.shape, -math.inf), where=live)
+    acc = 0.0
+    for term_scaled in signs * libm(math.exp, shifted.ravel()).reshape(logs.shape):
+        acc = acc + term_scaled
+    total = acc * libm(math.exp, top_log)  # 0.0 * 0.0 where no term is live
+    totals = np.where(good, total, math.nan)
+
+    log_bench = reads[rem.scale][0][0][1][good]
+    if rem.hazard_power:
+        log_bench = log_bench + rem.hazard_power * libm(math.log, dist.upper.hazard(t_grid[good]))
+    benchmark = np.full(n_t, math.nan)
+    benchmark[good] = libm(math.exp, log_bench)
+
+    largest = np.abs(values).max(axis=0, initial=0.0, where=np.isfinite(values))
+    cancellation = (good & (largest > 0.0) & (np.abs(total) < _CANCEL_RATIO * largest)
+                    & (n_terms >= 2))
+    for r in np.flatnonzero(cancellation).tolist():
+        notes[r] = [f"t={t_grid[r]:g}: total nearly vanishes against the largest term"]
+    # opposite-sign closed-form pieces cancelling across terms
+    pieces = [(float(term.coeff), reads[term.scale][1]) for term in expansion.terms
+              if term.deriv_index == 0 and reads[term.scale][1] is not None]
+    for r in np.flatnonzero(good).tolist() if pieces else ():
+        components = [coeff * v for coeff, comps in pieces for v in comps[r]]
+        pair = next(((x, y) for x in components if x < 0 for y in components
+                     if y > 0 and abs(x + y) <= _CANCEL_RATIO * max(-x, y)), None)
+        if pair:
             cancellation[r] = True
-            notes.append(f"t={t:g}: total nearly vanishes against the largest term")
-        # opposite-sign closed-form pieces cancelling across terms
-        pos = [v for v in components if v > 0]
-        neg = [v for v in components if v < 0]
-        for x in neg:
-            for y in pos:
-                if abs(x + y) <= _CANCEL_RATIO * max(-x, y):
-                    cancellation[r] = True
-                    notes.append(
-                        f"t={t:g}: tail components {x:.6g} and {y:.6g} cancel")
-                    break
-            if cancellation[r]:
-                break
+            notes.setdefault(r, []).append(
+                f"t={t_grid[r]:g}: tail components {pair[0]:.6g} and {pair[1]:.6g} cancel")
 
-    return EvaluationTable(t=t_grid, term_values=term_values, totals=totals,
-                           benchmark=benchmark, cancellation=cancellation,
-                           domain_ok=domain_ok,
+    return EvaluationTable(t=t_grid, term_values=values.T, totals=totals,
+                           benchmark=benchmark, cancellation=cancellation, domain_ok=good,
                            term_labels=tuple(t.label for t in expansion.terms),
-                           notes=notes)
+                           notes=[note for r in sorted(notes) for note in notes[r]])
+

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, SmoothnessError
-from .hazardpoly import poly_value, survival_derivative_polys
+from .hazardpoly import poly_values, survival_derivative_polys
 
 __all__ = [
     "LogPowerSum",
@@ -38,6 +38,17 @@ __all__ = [
 ]
 
 _INDEX_TOL = 0.05  # how far a grid estimate may stray from the declared value
+
+
+def libm(f: Callable, x: np.ndarray) -> np.ndarray:
+    """The scalar f mapped over a 1-d float array through Python floats: numpy's
+    exp, log and integer power differ from libm's in the last bit on a few
+    percent of inputs, and the artifacts record libm's bits."""
+    return np.fromiter(map(f, memoryview(x)), float, x.size)
+
+
+def log_abs(v: float) -> float:
+    return math.log(abs(v)) if v else -math.inf
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,7 @@ class LogPowerSum:
         scalar = isinstance(t, float)
         t = t if scalar else np.asarray(t, dtype=float)
         logt = np.log(t) if self._has_log else None
-        out = 0.0 if scalar else np.zeros_like(t)
+        out = 0.0 if scalar else np.zeros(t.shape)
         for kappa, rho, gamma in self.terms:
             piece = kappa * np.power(t, rho)
             out = out + (piece * logt**gamma if gamma != 0.0 else piece)
@@ -183,24 +194,30 @@ class HazardModel:
         return sign * math.exp(logabs) if sign else 0.0
 
     def survival_derivative_signed_log(self, k: int, t: float) -> tuple[float, float]:
-        """Return (sign, log|S^(k)(t)|); sign 0.0 encodes an exact zero."""
+        """Return (sign, log|S^(k)(t)|); a zero sign encodes an exact zero."""
         return self.survival_derivatives_signed_log(k, t)[k]
 
-    def survival_derivatives_signed_log(self, k: int, t: float) -> list[tuple[float, float]]:
-        """[(sign, log|S^(j)(t)|) for j = 0..k]; sign 0.0 encodes an exact zero.
-        S^(j) = P_j(h, ..., h^(j-1)) * S: all orders share one log S(t) and one
-        set of hazard values."""
+    def survival_derivatives_signed_log(self, k: int, t):
+        """[(sign, log|S^(j)(t)|) for j = 0..k], arrays over an array t and floats
+        for a float t, which goes through the same code as a one-element array;
+        a zero sign encodes an exact zero.  S^(j) = P_j(h, ..., h^(j-1)) * S: all
+        orders share one log S(t), taken point by point, and one set of hazards."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
         if k > self.smooth_order:
             raise SmoothnessError(required=k, available=self.smooth_order)
-        logsf = self.log_survival(t)
-        hvals = [self.hazard_derivs[j](t) for j in range(k)]
-        out = [(1.0, logsf)]
+        x = np.asarray(t, dtype=float).reshape(-1)
+        if (x < self.t0).any():
+            self._check_domain(x[x < self.t0][0])
+        logsf = math.log(self.sbar_t0) - libm(self.cum_hazard, x)
+        hvals = [self.hazard_derivs[j](x) for j in range(k)]
+        out = [(np.ones(x.size), logsf)]
         for poly in survival_derivative_polys(k)[1:]:
-            pval = poly_value(poly, hvals)
-            out.append((math.copysign(1.0, pval), math.log(abs(pval)) + logsf)
-                       if pval != 0.0 else (0.0, -math.inf))
+            pval = poly_values(poly, lambda j, e: hvals[j] if e == 1 else
+                               libm(lambda v: v ** e, hvals[j]))
+            out.append((np.copysign(pval != 0.0, pval), libm(log_abs, pval) + logsf))
+        if np.ndim(t) == 0:
+            return [(float(sign[0]), float(logabs[0])) for sign, logabs in out]
         return out
 
 

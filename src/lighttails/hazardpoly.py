@@ -72,19 +72,14 @@ def survival_derivative_polys(k_max: int) -> tuple[dict, ...]:
     return tuple(polys)
 
 
-def poly_value(poly: HazardPolynomial, hazard_values) -> float:
-    """Evaluate at hazard_values[j] = h^(j)(t)."""
+def poly_values(poly: HazardPolynomial, power):
+    """Evaluate elementwise, where power(j, e) gives the array h^(j)(t) ** e."""
     total = 0.0
     for mono, coeff in poly.items():
         term = coeff
         for j, ej in enumerate(mono):
             if ej:
-                term *= hazard_values[j] ** ej
-        total += term
+                term = term * power(j, ej)
+        total = total + term
     return total
-
-
-def monomial_weight(mono: Monomial) -> int:
-    """Differentiation weight: h^(j) counts for j + 1."""
-    return sum(ej * (j + 1) for j, ej in enumerate(mono))
 

@@ -355,6 +355,37 @@ def test_cli_report_tells_negative_zero_from_zero(tmp_path):
     assert verdict["mismatched_fields"] == ["term_values"]
 
 
+def _negative_zero(evaluation):
+    # the symmetric law's order-1 term vanishes: its cell is 0.0
+    assert evaluation["term_values"][1][1] == 0.0
+    evaluation["term_values"][1][1] = -0.0
+    return "term_values"
+
+
+def _integral_float(evaluation):
+    assert evaluation["t"][0] == 50.0
+    evaluation["t"][0] = 50
+    return "t"
+
+
+@pytest.mark.parametrize("tamper", [_negative_zero, _integral_float])
+def test_cli_report_compares_bits_where_no_gap_is(tmp_path, tamper):
+    # a field without a NaN gap, where plain equality takes -0.0 for 0.0 and 50
+    # for 50.0
+    doc = {**BASE, "distribution": {**BASE["distribution"], "symmetric": True}}
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_OK
+    report_path = out / "report.json"
+    report = json.loads(report_path.read_text())
+    assert report["evaluation"]["domain_ok"] == [True] * 3
+    field = tamper(report["evaluation"])
+    report_path.write_text(json.dumps(report))
+    assert main(["report", "--config", str(report_path), "--out", str(out)]) == EXIT_SCHEMA
+    verdict = json.loads((out / "report_verified.json").read_text())
+    assert verdict["mismatched_fields"] == [field]
+
+
 def test_regime_override_must_be_null(tmp_path):
     doc = json.loads(json.dumps(BASE))
     doc["expansion"]["regime_override"] = "subcritical"

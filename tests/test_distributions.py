@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,14 @@ def test_moment_quadrature_out_of_tolerance_raises():
     d = lt.weibull_type(0.25)
     for k in (1, 2, 3):
         assert d.moment(k) == pytest.approx(math.gamma(1 + k / 0.25), rel=1e-12)
+
+
+def test_refused_moment_emits_no_warning():
+    # the library stays silent: the error says it, scipy's warning does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lt.QuadratureToleranceError):
+            lt.weibull_type(0.25).moment(4)
 
 
 def test_moment_cache_idempotent():

@@ -1,5 +1,6 @@
 """Regime classification, expansion assembly, hazard-scale rewriting, evaluation."""
 
+import hashlib
 import math
 import os
 from collections import Counter
@@ -554,6 +555,83 @@ def test_evaluation_keeps_the_bits_of_numpy_pow():
     assert tuple(float(v).hex() for v in row) == (
         "0x1.298d8b3cdfe9ep-15", "0x1.601eb3556d712p-28", "0x1.22f01236c8b57p-15",
         "0x1.7813aae5a4c5cp-21", "0x1.7a54b50142bc6p-24")
+
+
+def _dense_grids(doc):
+    """The 1000-point window and deep grids that the benchmark's analytic-dense
+    workload evaluates, and one from below every tail anchor (t0 > 1) to t_max."""
+    lo, hi = doc["grid"]["t_min"], doc["grid"]["t_max"]
+    return (np.geomspace(lo, hi, 1000), np.geomspace(hi, 1000.0 * hi, 1000),
+            np.geomspace(1.01, hi, 1000))
+
+
+def _evaluation_digest(table) -> str:
+    """sha256 over the float.hex of every total, benchmark and term cell, the
+    flags and the notes."""
+    cells = (*table.totals.tolist(), *table.benchmark.tolist(),
+             *table.term_values.ravel().tolist())
+    text = " ".join(v.hex() for v in cells)
+    flags = table.cancellation.tobytes() + table.domain_ok.tobytes()
+    return hashlib.sha256(text.encode() + flags + "\n".join(table.notes).encode()).hexdigest()
+
+
+# per shipped config, the digests of its window, deep and below-anchor grids
+DENSE_EVALUATION_DIGESTS = {
+    "cancellation_pair": (
+        "b30bbf5c89e4a4e6159c3e5bd9ec4fe627c03ac7b3175623e0affb3c44eabbfc",
+        "4ffe8b1221eb5e2d74249de7c3c1fc5116728395b1c224a9ad4f69625988a901",
+        "057ef0337f6aab196eb94ffae28d9faad37e304c65b6dc91a0b49124a05d396c",
+    ),
+    "lognormal_gate_above": (
+        "2a982afa246f079b8a3710abe57f176e150811d04a994dcbc3cef1949936e960",
+        "92fc34688b748ce91bd9448f8ba1c5479c3d1e3a455ac6397c8356cf964fe6de",
+        "2c65f35a4dc7f594788455d52387bd2a48e277601376085f38f4cabeaba0006e",
+    ),
+    "lognormal_gate_below": (
+        "421e1dbf97ca172158489fd8fe33b7f90b7ab129478936afb87257c279229bb9",
+        "f7a3a15691d737ae89a3beeb8398ce1df8163cfe174863ca5033f8d275947355",
+        "f5b76611b3714197d62f9de8351eb8b2581fe33da9f4c5820ac7aad67d0fa001",
+    ),
+    "lognormal_gate_boundary": (
+        "60389ce8d358cad6204aaf5e53e04740a4726beeebfbc159e2c89ef4d47ce873",
+        "59892e90ca5b94fc30fdcf386f9f1702df91520b64b6157d8de23237853eb70d",
+        "b9335f7332b7d2a94c4dda96c50901f918a85e47395f7ae5502948c75da18e57",
+    ),
+    "logweibull_second_order": (
+        "9d3adbec7583721f9d2dd80acc47c796ff325e151f56cd4fd68b0ce764616b5c",
+        "a69786da71bac270243af99ad7b6f43b05317880586d76f869547d9995463d89",
+        "750705bbac68992b151ac664b0b72748179ec38f128fd346753a994efbc08c77",
+    ),
+    "multiplicity_pair": (
+        "828e69ca3fc10527b833429002b55d13bb78d947d2612664a490d459b1bfb751",
+        "53c881795608e1d17c638a4a0d9ca81ebbdfcce8d8272d4618da7e6fb7225d80",
+        "9c97de9f7ee16dadd52f75ff9a353d0fad4d74f80fb1058981392dc11812fa8f",
+    ),
+    "symmetric_moments": (
+        "28201be704059a1363c017d6dff9cf97778110363be29c0bde56b3e9553aa935",
+        "1e88254257ea3ac0d7f6d980807b27df24fb32d71bf11a5ee747ff2781c795a1",
+        "3343558cb58a99c27514f753b3ff6bc479c67f9ee9d48065c4c2f7ae6c883e61",
+    ),
+    "weibull_oracle_check": (
+        "43ba337291abdc4808eedb19e7b952b77bd2ab2bcbaf2cefa20a609c6f1f944c",
+        "a0f83337a401b4277616dfd0a3763daa2a6fd56b6a5fa9aadf2cdcdfbd781c9a",
+        "332de364b82c158bee33d95baf3899d6af11c373432887cbb6b7bff05fc16ffb",
+    ),
+    "weibull_third_order": (
+        "f70b0f2c89b4eb69476ba250737d2435169a85ad35c9b71afdf864b037244e7d",
+        "7866ee5ef926c604f2fbf2b1a55b5432b10d88d56c060a776a1417b252c64752",
+        "189bc2859b498ffd89014c46a870566ec4b1479ac1fab2656b4aa1fc95ccccd6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_EVALUATION_DIGESTS))
+def test_dense_evaluation_keeps_its_bits(name):
+    doc = config.load_config(f"{CONFIGS}/{name}.json")
+    dist = config.build_distribution(doc)
+    exp = config.build_expansion(doc, dist, config.build_weights(doc, dist), None)
+    got = tuple(_evaluation_digest(lt.evaluate(exp, dist, grid)) for grid in _dense_grids(doc))
+    assert got == DENSE_EVALUATION_DIGESTS[name]
 
 
 # -- leading-order consistency across regimes ------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import lighttails as lt
-from lighttails.hazardpoly import (monomial_weight, poly_value,
-                                   survival_derivative_polys)
+from lighttails.hazardpoly import poly_values, survival_derivative_polys
 
 from helpers import (faa_di_bruno_ratio, hand_survival_ratio, log_power_sum_reference,
                      richardson_derivative)
@@ -26,20 +25,21 @@ FAMILIES = {
 
 def test_polys_match_composition_sum():
     # the recursion must reproduce the full composition sum, checked on
-    # arbitrary hazard-derivative values up to order 5
+    # arbitrary hazard-derivative values up to order 5, one row per draw
     rng = np.random.default_rng(7)
     polys = survival_derivative_polys(5)
-    for _ in range(25):
-        hvals = rng.uniform(-2, 2, size=5)
-        for k in range(6):
-            assert poly_value(polys[k], hvals) == pytest.approx(
-                faa_di_bruno_ratio(hvals, k), rel=1e-12, abs=1e-12)
+    hvals = rng.uniform(-2, 2, size=(25, 5))
+    for k in range(6):
+        got = poly_values(polys[k], lambda j, e: hvals[:, j] ** e) * np.ones(25)
+        want = [faa_di_bruno_ratio(row, k) for row in hvals]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_poly_monomials_have_weight_k():
     for k, poly in enumerate(survival_derivative_polys(8)):
         for mono in poly:
-            assert monomial_weight(mono) == k
+            # differentiation weight: h^(j) counts for j + 1
+            assert sum(ej * (j + 1) for j, ej in enumerate(mono)) == k
 
 
 # -- survival evaluation ----------------------------------------------------
@@ -199,6 +199,33 @@ def test_sympy_cross_check_weibull():
         expr = sympy.diff(sf_expr, t, k)
         val = float(expr.subs(t, 80).evalf(30))
         assert m.survival_derivative(k, 80.0) == pytest.approx(val, rel=1e-11)
+
+
+# every family the library builds: the closed forms, a custom hazard with and
+# without logs, and a mixture with a negative piece (smoothness order 0)
+ARRAY_FAMILIES = {
+    **FAMILIES,
+    "custom": lt.custom_hazard([(0.4, -0.6, 0.0), (0.1, -1.0, 1.0)], t0=2.0,
+                               sbar_t0=0.5, rv_index=-0.6),
+    "mixture": lt.log_power_mixture([(1.0, 1.0, [(1.0, 1.5)]),
+                                     (-0.5, 2.0, [(1.0, 1.5)])], t0=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FAMILIES))
+def test_scalar_derivatives_are_entries_of_the_array_call(name):
+    # a float t goes through the array code as one element: each of its
+    # orders equals the array call's entry at that t, bit for bit
+    m = ARRAY_FAMILIES[name].upper
+    t = np.geomspace(m.t0, 1e9, 40)
+    bits = lambda pair: tuple(float(v).hex() for v in pair)
+    for k in range(m.smooth_order + 1):
+        orders = m.survival_derivatives_signed_log(k, t)
+        assert all(len(s) == len(l) == len(t) for s, l in orders)
+        for i, x in enumerate(t.tolist()):
+            scalar = m.survival_derivatives_signed_log(k, x)
+            assert all(type(v) is float for pair in scalar for v in pair)
+            assert [bits(pair) for pair in scalar] == [bits((s[i], l[i])) for s, l in orders]
 
 
 # -- metadata validation ------------------------------------------------------

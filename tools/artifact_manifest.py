@@ -12,8 +12,10 @@ weight; lognormal_gate_below also symmetric; lognormal_gate_boundary also
 under quadrature, and its two scales on a grid that starts below the anchor;
 multiplicity_pair also at expansion order 2; symmetric_moments also with
 method plain_mc, the mirrored quantile over 31 variables; weibull_oracle_check
-also with the command line's --order and --seed overrides.  Output goes to a
-temporary directory; no artifact records it.
+also with the command line's --order and --seed overrides.  A dense section
+runs evaluate, then report, on the 1000-point window and deep grids of each
+shipped config, built as the benchmark's analytic-dense workload builds them.
+Output goes to a temporary directory; no artifact records it.
 """
 
 import argparse
@@ -24,7 +26,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+import workloads  # noqa: E402
 from lighttails import config  # noqa: E402
 
 # per config: artifact-name suffix -> sections laid over the shipped ones, so
@@ -77,8 +80,27 @@ VARIANTS = {
 OVERRIDES = {"weibull_oracle_check+overrides": {"order_override": 1, "seed_override": 3}}
 
 
-def manifest(work: str) -> dict:
+def _hash_dir(out: dict, name: str, out_dir: str):
+    for art in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, art), "rb") as fh:
+            out[f"{name}/{art}"] = hashlib.sha256(fh.read()).hexdigest()
+
+
+def dense_manifest(work: str) -> dict:
+    """evaluation.csv, report.json and report_verified.json of each dense grid."""
     out = {}
+    ops = workloads.build("analytic-dense", 0, ROOT, work).ops
+    for op in ops:
+        if op.command in ("evaluate", "report"):
+            config.run_command(op.command, op.config, op.out_dir)
+    for op in ops:
+        if op.command == "report":
+            _hash_dir(out, "dense/" + os.path.basename(op.out_dir), op.out_dir)
+    return out
+
+
+def manifest(work: str) -> dict:
+    out = dense_manifest(os.path.join(work, "dense"))
     for fn in sorted(os.listdir(os.path.join(ROOT, "configs"))):
         with open(os.path.join(ROOT, "configs", fn)) as fh:
             doc = json.load(fh)
@@ -91,9 +113,7 @@ def manifest(work: str) -> dict:
             for command in ("classify", "expand", "evaluate", "oracle", "compare"):
                 config.run_command(command, path, out_dir, **OVERRIDES.get(name, {}))
             config.run_command("report", os.path.join(out_dir, "report.json"), out_dir)
-            for art in sorted(os.listdir(out_dir)):
-                with open(os.path.join(out_dir, art), "rb") as fh:
-                    out[f"{name}/{art}"] = hashlib.sha256(fh.read()).hexdigest()
+            _hash_dir(out, name, out_dir)
     return out
 
 
