@@ -36,9 +36,10 @@ through numpy's SeedSequence/Philox, with a fixed block size.  Results are
 therefore reproducible from the seed alone, independent of how work is
 partitioned, and extending the truncation level appends variables without
 disturbing existing draws (which isolates truncation bias in paired runs).
-Inside a block the kernels work in column chunks; their work is per column,
-and a column sum adds the rows in the same order, so the chunk size moves no
-value and is not part of the contract.
+Inside a block the quantile maps chunks of about _CHUNK draws spanning every
+row, and the kernels work in chunks of _CHUNK columns; a quantile is per draw,
+a kernel's work per column, and a column sum adds the rows in the same order,
+so the chunk size moves no value and is not part of the contract.
 """
 
 from __future__ import annotations
@@ -137,24 +138,28 @@ def _truncation(seq: WeightSequence, eps_trunc: float):
     return n_trunc, seq.truncated_entries(n_trunc)
 
 
-def _chunks(size: int):
-    """Column slices of at most _CHUNK, covering range(size)."""
-    return (slice(lo, lo + _CHUNK) for lo in range(0, size, _CHUNK))
+def _chunks(size: int, rows: int = 1):
+    """Column slices covering range(size), max(1, _CHUNK // rows) wide: about
+    _CHUNK entries of a matrix with that many rows."""
+    width = max(1, _CHUNK // rows)
+    return (slice(lo, lo + width) for lo in range(0, size, width))
 
 
 def _summand_blocks(dist: TailDistribution, entries, n: int, seed: int):
     """Each block's (variables x block) matrix of summands c_i X_i, drawn
-    into one buffer: a block is valid until the next one is drawn.  A row's
-    uniforms are drawn in place, then mapped to summands chunk by chunk."""
+    into one buffer: a block is valid until the next one is drawn.  Every
+    row's uniforms are drawn in place first; then one quantile call maps a
+    slab of about _CHUNK draws spanning every row, and the weights scale it."""
     buf = np.empty((len(entries), min(_BLOCK, n)))
+    weights = np.array([[w] for _, w in entries], dtype=float)
     for b, done in enumerate(range(0, n, _BLOCK)):
         summands = buf[:, :min(_BLOCK, n - done)]
-        for row, (i, w) in enumerate(entries):
+        for row, (i, _) in enumerate(entries):
             ss = np.random.SeedSequence(seed, spawn_key=(i, b))
             np.random.Generator(np.random.Philox(ss)).random(out=summands[row])
-            for cols in _chunks(summands.shape[1]):
-                u = summands[row, cols]
-                np.multiply(w, np.asarray(dist.ppf(u), dtype=float), out=u)
+        for cols in _chunks(summands.shape[1], len(entries)):
+            slab = summands[:, cols]
+            np.multiply(weights, np.asarray(dist.ppf(slab), dtype=float), out=slab)
         yield summands
 
 
@@ -170,10 +175,10 @@ def _top_two(summands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return largest, second
 
 
-# The kernels work through a block in column chunks of _CHUNK samples, so
-# each temporary is 64 KiB: it stays in cache, and the allocator reuses it
-# instead of mapping and faulting in fresh pages for every row.  Only the
-# summands and the values span the whole block.
+# The kernels work through a block in chunks of _CHUNK columns and the
+# quantile in chunks of about _CHUNK draws over every row, so each temporary
+# is about 64 KiB: it stays in cache, and the allocator reuses it instead of
+# faulting in fresh pages.  Only the summands and the values span the block.
 
 
 def _conditional_values(dist, entries, t, n, seed):

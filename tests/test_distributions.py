@@ -431,10 +431,30 @@ def test_root_find_quantile_partition_independent(dist):
 @pytest.mark.parametrize("dist", all_families() + root_find_families(),
                          ids=lambda d: d.name)
 def test_ppf_chunk_independent(dist):
-    # the Monte Carlo kernels map each block of uniforms in chunks of _CHUNK
+    # the Monte Carlo sampling maps each block of uniforms in chunks of about
+    # _CHUNK draws spanning every row (test_ppf_maps_a_strided_slab), while
+    # the kernels work in chunks of _CHUNK columns
     u = np.random.default_rng(11).random(3 * _CHUNK + 100)
     chunked = np.concatenate([dist.ppf(u[lo:lo + _CHUNK]) for lo in range(0, u.size, _CHUNK)])
     assert np.array_equal(chunked, dist.ppf(u))
+
+
+@pytest.mark.parametrize("dist", all_families() + root_find_families(),
+                         ids=lambda d: d.name)
+def test_ppf_maps_a_strided_slab(dist):
+    # the Monte Carlo sampling hands the quantile a (rows, k) view of a wider
+    # block: it must map each draw as it maps that draw's row alone, bit for
+    # bit (int64 views, so that the sign of a zero counts)
+    block = np.random.default_rng(13).random((4, 3 * TAIL_PS.size))
+    block[1, TAIL_PS.size:2 * TAIL_PS.size] = TAIL_PS
+    block[2, TAIL_PS.size] = 0.5
+    slab = block[:, TAIL_PS.size:2 * TAIL_PS.size]
+    assert not slab.flags.contiguous
+    mapped = dist.ppf(slab)
+    assert mapped.shape == slab.shape
+    for row, values in zip(slab, mapped):
+        assert np.array_equal(np.asarray(dist.ppf(row.copy())).view(np.int64),
+                              values.view(np.int64))
 
 
 SYMMETRIC_EDGES = [0.0, 5e-324, 2.0**-60, 1e-5, np.nextafter(0.5, 0.0), 0.5,

@@ -117,11 +117,11 @@ def test_seeded_estimates_keep_their_bits(weibull04, pair_seq, case, n, p_hex, s
     assert (est.p_hat.hex(), est.std_err.hex()) == (p_hex, se_hex)
 
 
-@pytest.mark.parametrize("case", ["triple", "symmetric_moments", "negative_pair"])
+@pytest.mark.parametrize("case", ["triple", "symmetric_moments", "negative_pair", "mixture"])
 def test_chunk_size_moves_no_bits(weibull04, pair_seq, monkeypatch, case):
     # chunks split a block's columns only: the chunk size is not part of the
     # randomness contract
-    _, dist, seq, t, seed, eps, _ = _seeded_case(case, weibull04, pair_seq)
+    _, dist, seq, t, seed, eps, rows = _seeded_case(case, weibull04, pair_seq)
 
     def bits():
         return [(est.p_hat.hex(), est.std_err.hex())
@@ -129,16 +129,41 @@ def test_chunk_size_moves_no_bits(weibull04, pair_seq, monkeypatch, case):
                             for estimator in (lt.conditional_mc, lt.plain_mc))]
 
     want = bits()
-    for chunk in (1000, 8191, oracle._BLOCK):
+    # a _CHUNK below the row count clamps the quantile's slabs to one column;
+    # taken on 31 rows, since the root-finding mixture's 2 rows would make
+    # 20000 one-column Newton solves per estimator
+    below_rows = (rows - 1,) if case == "symmetric_moments" else ()
+    for chunk in (1000, 8191, oracle._BLOCK) + below_rows:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert bits() == want
+
+
+def test_one_quantile_call_per_chunk_of_draws():
+    # the quantile maps slabs of about _CHUNK draws spanning every row, not
+    # one row at a time: a root-finding quantile's cost is mostly per call
+    dist, seq = _shipped("logweibull_second_order.json")
+    shapes = []
+
+    def ppf(u):
+        shapes.append(np.shape(u))
+        return dist.ppf(u)
+
+    counted = dataclasses.replace(dist, ppf=ppf)
+    for n, calls in ((50, 1), (20000, math.ceil(20000 / (oracle._CHUNK // 31)))):
+        shapes.clear()
+        assert lt.conditional_mc(counted, seq, 100.0, n, seed=9).truncation_n == 31
+        # the truncation bias bound reads two scalar quantiles
+        assert shapes.count(()) == 2
+        slabs = [shape for shape in shapes if shape]
+        assert len(slabs) == calls and all(rows == 31 for rows, _ in slabs)
+        assert sum(cols for _, cols in slabs) == n
 
 
 @pytest.mark.parametrize("estimator,n,bound_mb", [(lt.conditional_mc, 1 << 20, 11.0),
                                                   (lt.plain_mc, 1 << 18, 9.0)])
 def test_sampling_memory_stays_bounded(weibull04, pair_seq, estimator, n, bound_mb):
     # beyond a block's summands (2 MB a row) and its values (2 MB), every
-    # temporary spans one chunk of columns; the first call warms the caches
+    # temporary spans about _CHUNK draws; the first call warms the caches
     estimator(weibull04, pair_seq, 150.0, 1000, seed=1)
     tracemalloc.start()
     try:
