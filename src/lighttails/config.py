@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import fields
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -131,6 +132,15 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _rejected_at(path: str):
+    """A ValueError raised inside is the config's fault: a ConfigError at path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc), path=path) from exc
+
+
 def build_distribution(doc: dict) -> TailDistribution:
     section = doc["distribution"]
     family = section["family"]
@@ -139,9 +149,10 @@ def build_distribution(doc: dict) -> TailDistribution:
     if section.get("two_sided", symmetric) != symmetric:
         raise ConfigError("two_sided, when given, must equal symmetric",
                           path="distribution/two_sided")
-    kwargs = {}
-    if "t0" in section:
-        kwargs["t0"] = section["t0"]
+    if symmetric and family in ("custom", "log_power_mixture"):
+        raise ConfigError(f"{family} tails are one-sided", path="distribution/symmetric")
+    # each key the config omits keeps the constructor's default
+    kwargs = {"t0": section["t0"]} if "t0" in section else {}
     try:
         if family == "weibull":
             return weibull_type(params["a"], symmetric=symmetric, **kwargs)
@@ -150,25 +161,15 @@ def build_distribution(doc: dict) -> TailDistribution:
         if family == "lognormal2":
             return lognormal_type(params["theta"], symmetric=symmetric, **kwargs)
         if family == "custom":
-            if symmetric:
-                raise ConfigError("custom hazards are one-sided",
-                                  path="distribution/symmetric")
-            return custom_hazard(
-                terms=[tuple(t) for t in params["terms"]],
-                t0=section.get("t0", 2.0),
-                sbar_t0=params.get("sbar_t0", 0.5),
-                rv_index=params["rv_index"],
-                log_exponent=params.get("log_exponent", 0.0),
-                lambda_coeff=params.get("lambda_coeff"),
-                smooth_order=params.get("smooth_order", 8),
-            )
+            kwargs.update((k, params[k]) for k in ("sbar_t0", "log_exponent",
+                                                   "lambda_coeff", "smooth_order")
+                          if k in params)
+            return custom_hazard([tuple(t) for t in params["terms"]],
+                                 rv_index=params["rv_index"], **kwargs)
         if family == "log_power_mixture":
-            if symmetric:
-                raise ConfigError("mixture tails are one-sided",
-                                  path="distribution/symmetric")
             comps = [(c["coeff"], c["scale"], [tuple(t) for t in c["log_powers"]])
                      for c in params["components"]]
-            return log_power_mixture(comps, t0=section.get("t0", 2.0))
+            return log_power_mixture(comps, **kwargs)
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc}", path="distribution/params") from exc
     except (TypeError, ValueError) as exc:
@@ -183,15 +184,13 @@ def build_weights(doc: dict, dist: TailDistribution) -> WeightSequence:
     if gen_spec and gen_spec["from_index"] != len(weights) + 1:
         raise ConfigError("generator must start right after the explicit weights",
                           path="weights/generator/from_index")
-    try:
+    with _rejected_at("weights"):
         generator = None
         if gen_spec:
             generator = GeometricTail(ratio=gen_spec["ratio"],
                                       start_index=gen_spec["from_index"],
                                       first_value=weights[-1] * gen_spec["ratio"])
         seq = WeightSequence(weights, delta=section["delta"], generator=generator)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path="weights") from exc
     if seq.has_negative and not dist.symmetric:
         raise ConfigError("a negative weight needs symmetric=true", path="weights")
     return seq
@@ -222,10 +221,8 @@ def build_budget(doc: dict, seed_override: int | None = None) -> orc.OracleBudge
 def build_expansion(doc: dict, dist, seq, order_override: int | None = None):
     section = doc.get("expansion", {})
     order = order_override if order_override is not None else section.get("order", 1)
-    try:
+    with _rejected_at("expansion/order"):
         return xp.expand(dist, seq, order)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path="expansion/order") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +404,7 @@ def _artifacts(command: str, config_path: str, seed_override: int | None,
                 "lambda_coeff": model.lambda_coeff,
                 "smooth_order": model.smooth_order,
             },
-            "diagnostics": {
-                "rv_index_est": diag.rv_index_est,
-                "log_exponent_est": diag.log_exponent_est,
-                "lambda_est": diag.lambda_est,
-                "subcritical_bounded": diag.subcritical_bounded,
-                "flags": diag.flags,
-                "inconclusive": diag.inconclusive,
-            },
+            "diagnostics": asdict(diag),
         })]
     if command == "expand":
         return [("expansion.json",
@@ -422,15 +412,18 @@ def _artifacts(command: str, config_path: str, seed_override: int | None,
 
     grid = build_grid(doc)
     budget = build_budget(doc, seed_override)
+    # an oracle's ValueError: the law or the truncation is outside its method's scope
     if command == "oracle":
-        estimates = [orc._estimate(dist, seq, float(t), budget) for t in grid]
+        with _rejected_at("oracle"):
+            estimates = [orc._estimate(dist, seq, float(t), budget) for t in grid]
         return [("oracle.csv", [(name, [getattr(e, f) for e in estimates])
                                 for f, name in ORACLE_HEADER.items()]),
                 ("oracle.json", {"estimates": [vars(e) for e in estimates]})]
 
     # compare
     exp = build_expansion(doc, dist, seq, order_override)
-    table = orc.compare_with_oracle(exp, dist, seq, grid, budget)
+    with _rejected_at("oracle"):
+        table = orc.compare_with_oracle(exp, dist, seq, grid, budget)
     named = _evaluation_columns(table.evaluation, [
         (name, getattr(table, name)) for name in
         ("oracle_p", "oracle_stderr", "deviation", "deviation_over_benchmark")])

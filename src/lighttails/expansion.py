@@ -86,9 +86,7 @@ def classify(model: HazardModel) -> Regime:
     Only the subcritical boundedness condition is checked, on the default
     diagnostic grid; `hazard.validate_metadata` corroborates the rest.
     """
-    if model.rv_index > -1.0:
-        kind, lam = RegimeKind.SUPERCRITICAL, None
-    elif model.log_exponent > 1.0:
+    if model.rv_index > -1.0 or model.log_exponent > 1.0:
         kind, lam = RegimeKind.SUPERCRITICAL, None
     elif model.log_exponent == 1.0:
         if model.lambda_coeff is None:

@@ -166,6 +166,8 @@ class HazardModel:
             )
         if self.rv_index == -1.0 and not self.log_exponent > 0.0:
             raise ValueError("rv_index == -1 requires log_exponent > 0 so that t*h(t) -> inf")
+        if self.lambda_coeff is not None and not self.lambda_coeff > 0.0:
+            raise ValueError(f"lambda_coeff must be positive, got {self.lambda_coeff}")
         if self.smooth_order < 0 or len(self.hazard_derivs) < self.smooth_order + 1:
             raise ValueError("hazard_derivs must provide h^(j) for j = 0..smooth_order")
 

@@ -54,6 +54,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .distributions import ScaledFactor, TailDistribution
 from .errors import QuadratureToleranceError
 from .expansion import EvaluationTable, TailExpansion, evaluate
+from .hazard import log_abs
 from .weights import WeightSequence
 
 __all__ = [
@@ -93,22 +94,26 @@ class OracleBudget:
 # ---------------------------------------------------------------------------
 
 
-def _truncation_bias_bound(dist: TailDistribution, seq: WeightSequence,
-                           n_trunc: int, t: float, p_hat: float) -> float:
-    """Bound on how far the dropped tail weights can move the estimate.
+def _record(dist: TailDistribution, seq: WeightSequence, n_trunc: int, entries,
+            t: float, p_hat: float, method: str, std_err: float = 0.0,
+            n_samples: int = 0, seed: int = 0) -> OracleEstimate:
+    """The estimate p_hat at t, made on the truncation to N = n_trunc and its
+    kept entries, with a bound on how far the dropped weights can move it.
 
     The dropped variables shift the argument of the survival by at most
     sum_{i>N} |c_i| times a high quantile of |X|; a shift d moves log-survival
     by at most h(t - d) * d near t.
     """
-    dropped = seq.abs_sum() - sum(abs(w) for _, w in seq.truncated_entries(n_trunc))
-    if dropped <= 0.0:
-        return 0.0
-    q = max(abs(float(dist.ppf(1e-5))), abs(float(dist.ppf(1.0 - 1e-5))))
-    shift = dropped * q
-    anchor = max(t - shift, dist.upper.t0 * 1.01)
-    slope = dist.upper.hazard(anchor)
-    return p_hat * abs(math.expm1(slope * shift))
+    dropped = seq.abs_sum() - sum(abs(w) for _, w in entries)
+    bias = 0.0
+    if dropped > 0.0:
+        q = max(abs(float(dist.ppf(1e-5))), abs(float(dist.ppf(1.0 - 1e-5))))
+        shift = dropped * q
+        slope = dist.upper.hazard(max(t - shift, dist.upper.t0 * 1.01))
+        bias = p_hat * abs(math.expm1(slope * shift))
+    return OracleEstimate(t=t, p_hat=p_hat, std_err=std_err, n_samples=n_samples,
+                          truncation_n=n_trunc, truncation_bias_bound=bias,
+                          seed=seed, method=method)
 
 
 def _sample_stats(value_blocks) -> tuple[float, float, int]:
@@ -219,11 +224,7 @@ def _monte_carlo(dist, seq, t, n, seed, eps_trunc, kernel, method) -> OracleEsti
         raise ValueError("sample count must be positive")
     n_trunc, entries = _truncation(seq, eps_trunc)
     p_hat, std_err, n_done = _sample_stats(kernel(dist, entries, t, n, seed))
-    return OracleEstimate(t=t, p_hat=p_hat, std_err=std_err, n_samples=n_done,
-                          truncation_n=n_trunc,
-                          truncation_bias_bound=_truncation_bias_bound(
-                              dist, seq, n_trunc, t, p_hat),
-                          seed=seed, method=method)
+    return _record(dist, seq, n_trunc, entries, t, p_hat, method, std_err, n_done, seed)
 
 
 def conditional_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int,
@@ -250,68 +251,57 @@ def plain_mc(dist: TailDistribution, seq: WeightSequence, t: float, n: int,
 # ---------------------------------------------------------------------------
 
 
+_NODES = 129  # interpolation nodes per window of a composite factor
+
+
 class _LogInterpolant:
-    """x -> log f(x) for an exact solve f.  Once prepared on a node grid it
-    answers inside its window [nodes[0], hi] from a monotone interpolant of
-    the exact values, and outside it from the exact solve."""
+    """x -> log f(x) for an exact solve f: inside the window [xs[0], hi] from
+    a monotone interpolant of the exact values on the nodes xs, when there are
+    nodes and every value is finite, and elsewhere from the exact solve."""
 
-    def __init__(self, exact):
-        self.exact = exact
-        self.interp = None
-        self.window = (math.inf, -math.inf)
-
-    def log_exact(self, x):
-        v = self.exact(x)
-        return math.log(v) if v > 0 else -math.inf
-
-    def prepare(self, xs, hi: float):
+    def __init__(self, exact, xs, hi: float):
         from scipy.interpolate import PchipInterpolator
-        ys = [self.log_exact(float(x)) for x in xs]
-        if all(math.isfinite(y) for y in ys):
+        self.exact = exact
+        self.window = (math.inf, -math.inf)  # empty: every x takes the exact solve
+        ys = [log_abs(exact(float(x))) for x in xs]
+        if ys and all(math.isfinite(y) for y in ys):
             self.interp = PchipInterpolator(xs, ys)
             self.window = (float(xs[0]), hi)
 
     def __call__(self, x):
-        if self.interp is not None and self.window[0] <= x <= self.window[1]:
+        if self.window[0] <= x <= self.window[1]:
             return float(self.interp(x))
-        return self.log_exact(x)
+        return log_abs(self.exact(x))
 
 
 class ConvolvedFactor:
-    """Sum of two factors; survival and density via pairwise quadrature.
+    """Sum of two factors a and b bounded below, as one side of the split of
+    a convolution at t whose other side has support_left other_left.
 
-    When a query range is known in advance (the outer convolution integrates
-    this factor across a fixed window) the factor prepares monotone
-    interpolants of its log-survival and log-density on a node grid, trading
-    one batch of exact solves for cheap evaluations inside the adaptive outer
-    quadrature.
+    Its survival and density come from pairwise quadrature.  The outer
+    integrals at t read them across fixed windows, so each is a monotone
+    interpolant on _NODES nodes over its window, trading one batch of exact
+    solves for cheap evaluations inside the adaptive outer quadrature.
     """
 
-    def __init__(self, a, b, tol_rel: float = 1e-9, nodes: int = 129):
-        self.nodes = nodes
-        self.support_left = a.support_left + b.support_left
+    def __init__(self, a, b, t: float, other_left: float, tol_rel: float):
+        edge = self.support_left = a.support_left + b.support_left
         self.support_right = a.support_right + b.support_right
         self.breaks = tuple(sorted(
             {x + y for x in a.breaks for y in b.breaks}))[:16]
-        self.logsf = _LogInterpolant(lambda x: min(1.0, max(0.0, convolve_pair_sf(
-            a, b, x, tol_rel=tol_rel, strict=False)[0])))
-        self.logpdf = _LogInterpolant(
-            lambda x: _density_convolution(a, b, x, tol_rel=tol_rel))
-
-    def prepare(self, t: float, other):
-        """Interpolants over the windows that the outer integrals at t,
-        against the other factor of the split, hit."""
-        edge = self.support_left
         lo = max(t / 2.0 - 1e-9 * abs(t), edge + 1e-9 * max(1.0, abs(edge)))
-        hi = t - other.support_left + 1e-9 * abs(t)
-        if hi > lo:
-            self.logsf.prepare(np.linspace(lo, hi, self.nodes), hi)
+        hi = t - other_left + 1e-9 * abs(t)
+        self.logsf = _LogInterpolant(
+            lambda x: min(1.0, max(0.0, convolve_pair_sf(a, b, x, tol_rel=tol_rel,
+                                                         strict=False)[0])),
+            np.linspace(lo, hi, _NODES) if hi > lo else (), hi)
         # densities may be steep (even singular) toward the support edge, so
         # nodes are geometric in the distance from it
         hi = t / 2.0 + 1e-9 * abs(t)
-        if hi > edge:
-            span = hi - edge
-            self.logpdf.prepare(edge + np.geomspace(span * 1e-9, span, self.nodes), hi)
+        span = hi - edge
+        self.logpdf = _LogInterpolant(
+            lambda x: _density_convolution(a, b, x, tol_rel=tol_rel),
+            edge + np.geomspace(span * 1e-9, span, _NODES) if span > 0 else (), hi)
 
     def sf(self, x):
         return math.exp(self.logsf(x))
@@ -424,7 +414,8 @@ def _density_convolution(a, b, t: float, tol_rel: float) -> float:
 def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float]:
     """Survival of a sum of one to four factors by pairwise recursion."""
     if not 1 <= len(factors) <= 4:
-        raise ValueError("quadrature convolution takes one to four factors")
+        raise ValueError(f"quadrature convolution takes one to four factors, "
+                         f"got {len(factors)}")
     if len(factors) == 1:
         return factors[0].sf(t), 0.0
     if len(factors) == 2:
@@ -434,17 +425,15 @@ def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float
     if not all(math.isfinite(f.support_left) for f in factors):
         raise ValueError("quadrature convolution of three or more factors needs "
                          "factors bounded below")
-    # group so each side of the top split is at most a pair, and precompute
-    # interpolants of each composite over the window the outer integrals hit
-    def side(part):
-        return part[0] if len(part) == 1 else ConvolvedFactor(*part, tol_rel=tol_rel / 4.0)
+    # group so each side of the top split is at most a pair; a pair is built for
+    # the window its outer integral reads, up to t minus the other side's left edge
+    def side(part, other):
+        if len(part) == 1:
+            return part[0]
+        return ConvolvedFactor(*part, t, sum(f.support_left for f in other), tol_rel / 4.0)
 
-    mid = len(factors) // 2
-    left, right = side(factors[:mid]), side(factors[mid:])
-    for side, other in ((left, right), (right, left)):
-        if isinstance(side, ConvolvedFactor):
-            side.prepare(t, other)
-    return convolve_pair_sf(left, right, t, tol_rel, strict=False)
+    head, tail = factors[:len(factors) // 2], factors[len(factors) // 2:]
+    return convolve_pair_sf(side(head, tail), side(tail, head), t, tol_rel, strict=False)
 
 
 def quadrature_estimate(dist: TailDistribution, seq: WeightSequence, t: float,
@@ -452,17 +441,8 @@ def quadrature_estimate(dist: TailDistribution, seq: WeightSequence, t: float,
                         tol_rel: float = 1e-9) -> OracleEstimate:
     """Deterministic tail value by numerical convolution of the truncated sum."""
     n_trunc, entries = _truncation(seq, eps_trunc)
-    if len(entries) > 4:
-        raise ValueError(
-            f"quadrature oracle supports at most 4 factors; truncation kept {len(entries)}"
-        )
-    factors = [ScaledFactor(dist, w) for _, w in entries]
-    value, _ = convolved_sf(factors, t, tol_rel=tol_rel)
-    return OracleEstimate(t=t, p_hat=value, std_err=0.0, n_samples=0,
-                          truncation_n=n_trunc,
-                          truncation_bias_bound=_truncation_bias_bound(
-                              dist, seq, n_trunc, t, value),
-                          seed=0, method="quadrature")
+    value, _ = convolved_sf([ScaledFactor(dist, w) for _, w in entries], t, tol_rel=tol_rel)
+    return _record(dist, seq, n_trunc, entries, t, value, "quadrature")
 
 
 # ---------------------------------------------------------------------------

@@ -112,14 +112,9 @@ class WeightSequence:
         return any(w < 0.0 for _, w in self.entries) or (
             gen is not None and (gen.first_value < 0.0 or gen.ratio < 0.0))
 
-    @property
-    def explicit_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
     def weight(self, i: int) -> float:
-        for j, w in self.entries:
-            if j == i:
-                return w
+        if 1 <= i <= len(self.entries):
+            return self.entries[i - 1][1]  # entries are numbered 1..n
         if self.generator is not None:
             return self.generator.weight(i)
         raise KeyError(f"no weight with index {i}")
@@ -190,7 +185,7 @@ class WeightSequence:
     def residual_power_sum(self, i: int, n: int) -> float:
         """sum_{j != i} c_j^n.  For explicit i the head is summed directly so no
         cancellation error enters; generator indices subtract their closed form."""
-        if i in self.explicit_indices:
+        if 1 <= i <= len(self.entries):
             total = sum(w ** n for j, w in self.entries if j != i)
             if self.generator is not None:
                 total += self.generator.power_sum(n)

@@ -103,9 +103,10 @@ GEOMETRIC = {"type": "geometric", "ratio": 0.5, "from_index": 3}
     ({"weights": {"weights": [1.0, -0.5]}}, "weights"),
     ({"distribution": {"params": {"a": "0.4"}}}, "distribution"),
     ({"distribution": {"params": {"a": None}}}, "distribution"),
+    ({"distribution": {"family": "custom", "symmetric": True}}, "distribution/symmetric"),
 ], ids=["ratio_above_one", "ratio_zero", "trailing_zero", "zero_with_generator",
         "two_sided_contradicts_symmetric", "negative_on_one_sided",
-        "string_parameter", "null_parameter"])
+        "string_parameter", "null_parameter", "symmetric_custom"])
 def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
     doc = json.loads(json.dumps(BASE))
     for name, updates in sections.items():
@@ -417,6 +418,37 @@ def test_cli_regime_error_exit_code(tmp_path):
     assert main(["classify", "--config", path, "--out", out]) == EXIT_REGIME
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert err["error"]["kind"] == "regime"
+
+
+@pytest.mark.parametrize("command", ["classify", "expand"])
+@pytest.mark.parametrize("lam", [-1.0, 0.0])
+def test_cli_nonpositive_lambda_exits_at_distribution(tmp_path, command, lam):
+    doc = json.loads(json.dumps(BASE))
+    doc["distribution"] = {"family": "custom",
+                           "params": {"terms": [[1.0, -1.0, 1.0]], "rv_index": -1.0,
+                                      "log_exponent": 1.0, "lambda_coeff": lam}}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_SCHEMA
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["path"] == "distribution"
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+@pytest.mark.parametrize("sections", [
+    {"weights": {"weights": [1.0, 0.5, 0.25, 0.125, 0.0625]}},
+    {"distribution": {"symmetric": True}, "weights": {"weights": [1.0, 0.5, 0.25]}},
+], ids=["five_factors", "three_unbounded_below"])
+def test_cli_quadrature_out_of_scope_exits_at_oracle(tmp_path, command, sections):
+    doc = json.loads(json.dumps(BASE))
+    doc["oracle"]["method"] = "quadrature"
+    for name, updates in sections.items():
+        doc[name].update(updates)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_SCHEMA
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["path"] == "oracle"
 
 
 def test_cli_smoothness_exit_code(tmp_path):

@@ -241,6 +241,15 @@ def test_critical_gate_boundary_included_order_zero():
     assert (1.0, 1) in {(t.scale, t.deriv_index) for t in exp.terms}
 
 
+def test_critical_drops_derivatives_below_the_remainder():
+    # at depth 1 the scale e^-1 carries an order-1 character, but its
+    # derivative term decays as t^-2 log t: below the remainder h^2 ~ t^-2 log^2 t
+    ln = lt.lognormal_type(0.5)
+    exp = lt.expand(ln, lt.WeightSequence([1.0, math.exp(-1.0)]), 2)
+    assert (math.exp(-1.0), 1) in {(c, m) for c, m, _ in exp.characters}
+    assert not [t for t in exp.terms if t.scale == math.exp(-1.0) and t.deriv_index >= 1]
+
+
 def test_critical_top_scale_gets_full_order():
     ln = lt.lognormal_type(0.5)
     for k in (1, 2, 3):

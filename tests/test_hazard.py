@@ -264,6 +264,32 @@ def test_validate_metadata_flags_wrong_declaration():
     assert any("rv_index" in f for f in diag.flags)
 
 
+# h(t) = 2 t^-1 log t: critical with lambda = 2, on a grid wide enough to conclude
+CRITICAL_TWO = [(2.0, -1.0, 1.0)]
+CRITICAL_GRID = np.geomspace(20, 2e7, 40)
+
+
+def test_validate_metadata_flags_wrong_lambda():
+    dist = lt.custom_hazard(CRITICAL_TWO, rv_index=-1.0, log_exponent=1.0,
+                            lambda_coeff=1.0)
+    diag = lt.validate_metadata(dist.upper, CRITICAL_GRID)
+    assert diag.lambda_est == pytest.approx(2.0, abs=1e-6)
+    assert len(diag.flags) == 1 and diag.flags[0].startswith("estimated lambda")
+
+
+def test_validate_metadata_flags_wrong_log_exponent():
+    dist = lt.custom_hazard(CRITICAL_TWO, rv_index=-1.0, log_exponent=1.5)
+    diag = lt.validate_metadata(dist.upper, CRITICAL_GRID)
+    assert diag.log_exponent_est == pytest.approx(1.0, abs=1e-6)
+    assert len(diag.flags) == 1 and diag.flags[0].startswith("estimated log_exponent")
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_model_rejects_nonpositive_lambda(lam):
+    with pytest.raises(ValueError, match="lambda_coeff must be positive"):
+        lt.custom_hazard(CRITICAL_TWO, rv_index=-1.0, log_exponent=1.0, lambda_coeff=lam)
+
+
 def test_validate_metadata_short_grid_inconclusive():
     diag = lt.validate_metadata(lt.weibull_type(0.5).upper,
                                 np.geomspace(10, 200, 8))

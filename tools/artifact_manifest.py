@@ -1,5 +1,8 @@
 """sha256 of every CLI artifact, as JSON on stdout; `--check OLD.json` instead
-exits 1 and names each artifact whose hash differs from OLD.json.
+exits 1 and names each artifact whose hash differs from OLD.json, and
+`--against REV` checks in the same way against the artifacts of REV's src/.
+
+    python tools/artifact_manifest.py --against HEAD    # the byte gate of a change
 
 Runs classify, expand, evaluate, oracle, compare, then report, on each
 configs/*.json at its shipped budget; weibull_oracle_check also with method
@@ -15,20 +18,25 @@ method plain_mc, the mirrored quantile over 31 variables; weibull_oracle_check
 also with the command line's --order and --seed overrides.  A dense section
 runs evaluate, then report, on the 1000-point window and deep grids of each
 shipped config, built as the benchmark's analytic-dense workload builds them.
-Output goes to a temporary directory; no artifact records it.
+Output goes to a temporary directory; no artifact records it.  The configs
+and the workloads are this checkout's; --src names the lighttails source
+tree to run, this checkout's src/ by default.  --against extracts REV's src/
+with `git archive` and hashes it in a child process, beside this one.
 """
 
 import argparse
 import hashlib
+import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402
-from lighttails import config  # noqa: E402
 
 # per config: artifact-name suffix -> sections laid over the shipped ones, so
 # every closed-form family runs one-sided and symmetric
@@ -117,15 +125,40 @@ def manifest(work: str) -> dict:
     return out
 
 
+def _start_child(rev: str, tmp: str) -> subprocess.Popen:
+    """This script, hashing REV's src/ extracted under tmp, with its manifest
+    on the child's stdout."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(tmp, filter="data")
+    return subprocess.Popen([sys.executable, os.path.abspath(__file__),
+                             "--src", os.path.join(tmp, "src")], stdout=subprocess.PIPE)
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--check", metavar="OLD.json")
+    gate = ap.add_mutually_exclusive_group()
+    gate.add_argument("--check", metavar="OLD.json")
+    gate.add_argument("--against", metavar="REV")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), metavar="DIR")
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as work:
-        got = manifest(work)
+    sys.path.insert(0, args.src)
+    from lighttails import config  # the functions above read this module global
+    with tempfile.TemporaryDirectory() as rev_src, tempfile.TemporaryDirectory() as work:
+        if args.against:
+            with _start_child(args.against, rev_src) as child:  # waits for it on exit
+                got = manifest(work)
+                stdout = child.stdout.read()
+            if child.returncode:
+                sys.exit(f"hashing {args.against} failed")
+            old = json.loads(stdout)
+        else:
+            got = manifest(work)
     if args.check:
         with open(args.check) as fh:
             old = json.load(fh)
+    if args.check or args.against:
         bad = sorted(k for k in old.keys() | got.keys() if old.get(k) != got.get(k))
         for k in bad:
             print(f"differs: {k}", file=sys.stderr)
