@@ -20,8 +20,8 @@ import os
 import sys
 
 from .config import COMMANDS, run_command, write_json
-from .errors import (ConfigError, OutOfScopeError, RegimeConditionError,
-                     SmoothnessError)
+from .errors import (ConfigError, OutOfScopeError, QuadratureToleranceError,
+                     RegimeConditionError, SmoothnessError)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -62,6 +62,8 @@ def main(argv=None) -> int:
         return _fail(out_dir, EXIT_SMOOTHNESS, "smoothness", exc)
     except FileNotFoundError as exc:
         return _fail(out_dir, EXIT_SCHEMA, "config", exc)
+    except QuadratureToleranceError as exc:
+        return _fail(out_dir, EXIT_ERROR, "quadrature", exc)
     except Exception as exc:  # pragma: no cover - defensive
         return _fail(out_dir, EXIT_ERROR, "internal", exc)
 

@@ -383,8 +383,9 @@ def _ramped(upper: HazardModel, log_sf_slope: Callable, body_left: float,
         flat = p.reshape(-1)
         if not np.all((flat > 0.0) & (flat < 1.0)):
             raise ValueError("quantile defined on (0, 1)")
-        out = body_left + flat / mass * width
         tail = flat > mass
+        out = np.empty_like(flat)  # body draws only: S(t0) = 1 makes mass 0 and none
+        out[~tail] = body_left + flat[~tail] / mass * width
         if tail.any():
             out[tail] = _tail_quantile(log_sf_slope, t0, log_sbar, np.log1p(-flat[tail]))
         return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)

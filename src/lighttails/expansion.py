@@ -298,17 +298,9 @@ class HazardMonomial:
 
     @property
     def label(self) -> str:
-        if not self.exponents:
-            base = "1"
-        else:
-            names = []
-            for l, e in enumerate(self.exponents):
-                if e == 0:
-                    continue
-                nm = "h" + "'" * l
-                names.append(nm if e == 1 else f"{nm}^{e}")
-            base = "*".join(names)
-        return f"[{base}] @ c={self.scale:g}"
+        base = "*".join("h" + "'" * l + ("" if e == 1 else f"^{e}")
+                        for l, e in enumerate(self.exponents) if e)
+        return f"[{base or '1'}] @ c={self.scale:g}"
 
 
 @dataclass(frozen=True)
@@ -336,7 +328,8 @@ def rewrite_in_hazard_scale(expansion: TailExpansion, dist: TailDistribution,
     rho = dist.upper.rv_index
     gamma = dist.upper.log_exponent
 
-    entries = []
+    # merge identical (scale, monomial) contributions
+    merged: dict[tuple[float, tuple[int, ...]], list] = {}
     for term in expansion.terms:
         j = term.deriv_index
         for mono, cm in survival_derivative_polys(j)[j].items():
@@ -344,64 +337,39 @@ def rewrite_in_hazard_scale(expansion: TailExpansion, dist: TailDistribution,
             # the s hazard factors costs a further t^-(1+rho)
             s = sum(mono)
             p = term.decay_power + (1.0 + rho) * (j - s)
-            entries.append((term.scale, mono, term.coeff * cm, p, gamma * s))
+            merged.setdefault((term.scale, mono), [0.0, p, gamma * s])[0] += term.coeff * cm
+    items = sorted(((scale, mono, coeff, p, q)  # HazardMonomial's field order
+                    for (scale, mono), (coeff, p, q) in merged.items() if coeff != 0.0),
+                   key=lambda it: (it[3], -it[4]))
 
-    # merge identical (scale, monomial) contributions
-    merged: dict[tuple[float, tuple[int, ...]], list] = {}
-    for scale, mono, coeff, p, q in entries:
-        key = (scale, mono)
-        if key in merged:
-            merged[key][0] += coeff
+    # group into significance classes by (p, q) within tolerance of each class's first
+    classes: list[list[tuple]] = []
+    for it in items:
+        if classes and (abs(it[3] - classes[-1][0][3]) <= _ORDER_TOL
+                        and abs(it[4] - classes[-1][0][4]) <= _ORDER_TOL):
+            classes[-1].append(it)
         else:
-            merged[key] = [coeff, p, q]
-
-    items = [(scale, mono, coeff, p, q)
-             for (scale, mono), (coeff, p, q) in merged.items() if coeff != 0.0]
-    items.sort(key=lambda it: (it[3], -it[4]))
-
-    # group into significance classes by (p, q) within tolerance
-    classes: list[list[int]] = []
-    for idx, it in enumerate(items):
-        if classes:
-            _, _, _, p0, q0 = items[classes[-1][0]]
-            if abs(it[3] - p0) <= _ORDER_TOL and abs(it[4] - q0) <= _ORDER_TOL:
-                classes[-1].append(idx)
-                continue
-        classes.append([idx])
+            classes.append([it])
 
     # resolution cap: classes strictly below the remainder pair are never valid
-    rem_p = expansion.remainder.hazard_power * (-rho)
-    rem_q = expansion.remainder.hazard_power * gamma
+    k = expansion.remainder.hazard_power
     valid_classes = [cl for cl in classes
-                     if not _strictly_smaller(items[cl[0]][3], items[cl[0]][4],
-                                              rem_p, rem_q)]
+                     if not _strictly_smaller(cl[0][3], cl[0][4], k * (-rho), k * gamma)]
     flags = []
     if keep > len(valid_classes):
         flags.append(f"keep={keep} exceeds the source expansion's resolution; "
                      f"{len(valid_classes)} significant classes available")
-    kept_classes = valid_classes[:min(keep, len(valid_classes))]
-
-    def build(cls_list, offset=0):
-        out = []
-        for rank, cl in enumerate(cls_list, start=1 + offset):
-            for idx in cl:
-                scale, mono, coeff, p, q = items[idx]
-                out.append(HazardMonomial(scale=scale, exponents=mono, coeff=coeff,
-                                          decay_power=p, decay_log=q,
-                                          order_class=rank))
-        return out
-
-    kept = build(kept_classes)
-    dropped_classes = [cl for cl in classes if cl not in kept_classes]
-    dropped = build(dropped_classes, offset=len(kept_classes))
-
-    ties = []
-    pos = 0
+    kept_classes = valid_classes[:keep]
+    ties, pos = [], 0  # pos ends as the number of kept monomials
     for cl in kept_classes:
         if len(cl) > 1:
             ties.append(tuple(range(pos, pos + len(cl))))
         pos += len(cl)
-    return HazardScaleRewrite(kept=tuple(kept), dropped=tuple(dropped),
+    # ranks number the kept classes first, then the rest in their order
+    rest = [cl for cl in classes if cl not in kept_classes]
+    ranked = [HazardMonomial(*it, order_class=rank)
+              for rank, cl in enumerate(kept_classes + rest, start=1) for it in cl]
+    return HazardScaleRewrite(kept=tuple(ranked[:pos]), dropped=tuple(ranked[pos:]),
                               ties=tuple(ties), flags=tuple(flags))
 
 

@@ -10,10 +10,15 @@ with the convention that differentiating the variable h^(j) yields h^(j+1).
 The first few are P_1 = -h, P_2 = -h' + h^2, P_3 = -h'' + 3 h h' - h^3.
 
 A monomial is stored as a tuple of exponents (e0, e1, ...) meaning
-h^e0 * (h')^e1 * ..., with trailing zeros trimmed; a polynomial maps
+h^e0 * (h')^e1 * ..., its last exponent nonzero; a polynomial maps
 monomials to (integer-valued) float coefficients.  Every monomial of P_k
 has weight sum(e_j * (j + 1)) == k, so the term count stays O(partitions
 of k) rather than the full composition count.
+
+Key order is part of the contract: poly_values sums the monomials in dict
+order, so evaluated bits depend on it.  P_{k+1} lists the keys of P_k' in the
+order differentiation first makes them, less those whose coefficients cancel,
+then the keys of -h * P_k not already there, in P_k's order.
 """
 
 from __future__ import annotations
@@ -24,41 +29,20 @@ Monomial = tuple[int, ...]
 HazardPolynomial = dict[Monomial, float]
 
 
-def _trim(exponents: list[int]) -> Monomial:
-    while exponents and exponents[-1] == 0:
-        exponents.pop()
-    return tuple(exponents)
-
-
-def poly_derivative(poly: HazardPolynomial) -> HazardPolynomial:
-    """Differentiate, mapping each factor h^(j) to h^(j+1) via the chain rule."""
+def _next_poly(poly: HazardPolynomial) -> HazardPolynomial:
+    """P' - h * P: differentiating a factor h^(j) moves one exponent from slot
+    j to slot j + 1, so the last exponent never becomes 0."""
     out: HazardPolynomial = {}
     for mono, coeff in poly.items():
         for j, ej in enumerate(mono):
-            if ej == 0:
-                continue
-            exps = list(mono)
-            exps[j] -= 1
-            if len(exps) < j + 2:
-                exps.extend([0] * (j + 2 - len(exps)))
-            exps[j + 1] += 1
-            key = _trim(exps)
-            out[key] = out.get(key, 0.0) + coeff * ej
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def poly_times_minus_hazard(poly: HazardPolynomial) -> HazardPolynomial:
-    out: HazardPolynomial = {}
+            if ej:
+                key = mono[:j] + (ej - 1, (mono + (0,))[j + 1] + 1) + mono[j + 2:]
+                out[key] = out.get(key, 0.0) + coeff * ej
+    # drop the P' keys that cancel first: -h * P re-inserts such a key last
+    out = {k: v for k, v in out.items() if v != 0.0}
     for mono, coeff in poly.items():
         key = (mono[0] + 1,) + mono[1:] if mono else (1,)
         out[key] = out.get(key, 0.0) - coeff
-    return out
-
-
-def poly_add(a: HazardPolynomial, b: HazardPolynomial) -> HazardPolynomial:
-    out = dict(a)
-    for mono, coeff in b.items():
-        out[mono] = out.get(mono, 0.0) + coeff
     return {k: v for k, v in out.items() if v != 0.0}
 
 
@@ -67,8 +51,7 @@ def survival_derivative_polys(k_max: int) -> tuple[dict, ...]:
     """Return (P_0, ..., P_{k_max}); cached, coefficients are exact integers."""
     polys = [{(): 1.0}]
     for _ in range(k_max):
-        prev = polys[-1]
-        polys.append(poly_add(poly_derivative(prev), poly_times_minus_hazard(prev)))
+        polys.append(_next_poly(polys[-1]))
     return tuple(polys)
 
 

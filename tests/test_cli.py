@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import lighttails as lt
-from lighttails.cli import (EXIT_OK, EXIT_REGIME, EXIT_SCHEMA, EXIT_SMOOTHNESS,
-                            main)
+from lighttails.cli import (EXIT_ERROR, EXIT_OK, EXIT_REGIME, EXIT_SCHEMA,
+                            EXIT_SMOOTHNESS, main)
 from lighttails.config import (COMPARE_ROW, ORACLE_HEADER, build_distribution,
                                build_weights, load_config, write_csv)
 
@@ -456,6 +456,20 @@ def test_cli_smoothness_exit_code(tmp_path):
     out = str(tmp_path / "out")
     assert main(["expand", "--config", path, "--out", out,
                  "--order", "9"]) == EXIT_SMOOTHNESS
+
+
+def test_cli_unmet_quadrature_tolerance_exit_code(tmp_path):
+    # at a = 0.2 an order-3 residual moment misses its quad tolerance
+    with open(cfg("weibull_oracle_check.json")) as fh:
+        doc = json.load(fh)
+    doc["distribution"]["params"]["a"] = 0.2
+    doc["expansion"]["order"] = 3
+    out = tmp_path / "out"
+    assert main(["expand", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_ERROR
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["kind"] == "quadrature" and err["exit_code"] == EXIT_ERROR
+    assert err["message"].startswith("quadrature achieved error bound ")
 
 
 def test_cli_oracle_ignores_expansion_settings(tmp_path):

@@ -338,6 +338,17 @@ def test_custom_hazard_quantile_and_junction():
         assert cu.cdf(float(cu.ppf(p))) == pytest.approx(p, abs=1e-9)
 
 
+def test_custom_hazard_without_body_quantile_does_not_warn():
+    # sbar_t0 = 1 leaves the ramp no mass, so every draw is a tail draw
+    cu = lt.custom_hazard([(0.5, -0.5, 0.0)], sbar_t0=1.0, rv_index=-0.5)
+    ps = np.array([0.1, 0.5, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar, array = cu.ppf(0.5), cu.ppf(ps)
+    assert scalar == array[1] and np.all(array > cu.upper.t0)
+    np.testing.assert_allclose([cu.cdf(float(x)) for x in array], ps, atol=1e-9)
+
+
 def test_mixture_components_and_validity():
     e1 = lambda t: math.exp(-math.log(t) ** 1.5)
     mix = lt.log_power_mixture(

@@ -363,6 +363,34 @@ def test_rewrite_rejects_subcritical():
         lt.rewrite_in_hazard_scale(exp, mix, keep=2)
 
 
+def test_rewrite_battery_is_pinned():
+    # supercritical Weibull and critical lognormal-type laws, with one-sided,
+    # negative and tied weights, at orders 0-5 and keep 1-20: the digest of
+    # every rewrite's repr and labels, and of each expansion that raises
+    lines = []
+    laws = [(lt.weibull_type(a), lt.weibull_type(a, symmetric=True))
+            for a in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    laws += [(lt.lognormal_type(th), lt.lognormal_type(th, symmetric=True))
+             for th in (0.25, 0.5, 1.0, 2.0, 5.0)]
+    for one_sided, symmetric in laws:
+        for w in ([1.0, 0.5], [1.0, 0.5, 0.25], [1.0, 1.0, 0.5], [1.0, 0.5, 0.5],
+                  [1.0, -0.5], [1.0, -1.0, 0.5]):
+            dist = symmetric if min(w) < 0 else one_sided
+            for order in range(6):
+                try:
+                    exp = lt.expand(dist, lt.WeightSequence(w), order)
+                except (lt.LightTailsError, ValueError) as exc:
+                    lines.append(f"{dist.name} {w} {order} {type(exc).__name__}")
+                    continue
+                for keep in range(1, 21):
+                    rw = lt.rewrite_in_hazard_scale(exp, dist, keep)
+                    lines.append(repr(rw) + repr([m.label for m in rw.kept])
+                                 + repr([m.label for m in rw.dropped]))
+    assert len(lines) == 8486
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "8b6fb054c6acf2ff43a1a2c7c3aee4ef68526a0640ac2e1cb17000a8501aa5de")
+
+
 # -- evaluation -------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Hazard models: survival values, exact derivatives, metadata diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -40,6 +41,26 @@ def test_poly_monomials_have_weight_k():
         for mono in poly:
             # differentiation weight: h^(j) counts for j + 1
             assert sum(ej * (j + 1) for j, ej in enumerate(mono)) == k
+
+
+def test_poly_monomials_end_in_a_nonzero_exponent():
+    # differentiating moves one exponent up a slot, so the last never empties
+    for poly in survival_derivative_polys(12):
+        assert all(mono[-1] != 0 for mono in poly if mono)
+
+
+def test_poly_coefficient_sign_follows_degree():
+    # P' keeps each degree and -h * P raises it by one with a sign flip, so a
+    # monomial of degree s always has sign (-1)^s and no coefficient cancels
+    for poly in survival_derivative_polys(12):
+        assert all(math.copysign(1.0, c) == (-1) ** sum(mono) for mono, c in poly.items())
+
+
+def test_poly_key_order_is_pinned():
+    # poly_values sums in dict order, so evaluate's bits depend on the key order
+    text = repr([list(p.items()) for p in survival_derivative_polys(8)])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8833a23107a21ad533aec1557d3640ee94473e24b040e7f1652c4812ae08bbe0")
 
 
 # -- survival evaluation ----------------------------------------------------
