@@ -178,16 +178,10 @@ def _expand_subcritical(dist: TailDistribution, seq: WeightSequence, m: int,
         flags.append(f"level_shortfall: {len(levels)} distinct classes available, "
                      f"{m} requested")
 
-    terms = []
-    for idx, level in enumerate(levels, start=1):
-        if level.pos_count:
-            terms.append(ExpansionTerm(scale=level.magnitude, deriv_index=0,
-                                       coeff=float(level.pos_count),
-                                       source_level=idx, operator_order=0))
-        if level.neg_count:
-            terms.append(ExpansionTerm(scale=-level.magnitude, deriv_index=0,
-                                       coeff=float(level.neg_count),
-                                       source_level=idx, operator_order=0))
+    terms = [ExpansionTerm(scale=sign * level.magnitude, deriv_index=0, coeff=float(count),
+                           source_level=idx, operator_order=0)
+             for idx, level in enumerate(levels, start=1)
+             for sign, count in ((1.0, level.pos_count), (-1.0, level.neg_count)) if count]
     remainder = RemainderScale(hazard_power=0, scale=levels[-1].magnitude)
     return TailExpansion(terms=tuple(terms), remainder=remainder, regime=regime,
                          order_request=m, flags=tuple(flags))
@@ -199,9 +193,7 @@ def _expand_subcritical(dist: TailDistribution, seq: WeightSequence, m: int,
 
 
 def _strictly_smaller(p1, q1, p2, q2) -> bool:
-    if p1 > p2 + _ORDER_TOL:
-        return True
-    return abs(p1 - p2) <= _ORDER_TOL and q1 < q2 - _ORDER_TOL
+    return p1 > p2 + _ORDER_TOL or (abs(p1 - p2) <= _ORDER_TOL and q1 < q2 - _ORDER_TOL)
 
 
 def _expand_characters(dist: TailDistribution, seq: WeightSequence, k: int,
@@ -213,10 +205,9 @@ def _expand_characters(dist: TailDistribution, seq: WeightSequence, k: int,
     # the top scale always carries the full order k
     if k > dist.upper.smooth_order:
         raise SmoothnessError(required=k, available=dist.upper.smooth_order)
-    rho = dist.upper.rv_index
-    gamma = dist.upper.log_exponent
-
+    rho, gamma = dist.upper.rv_index, dist.upper.log_exponent
     c1 = seq.max_magnitude
+    tol = _ORDER_TOL * max(1.0, k)
     # enumerate candidates slightly past the threshold c1 e^(-k/lam), then apply
     # the exact log test; at lambda = infinity the threshold is c1 itself
     enumeration_floor = c1 if lam is None else c1 * math.exp(-k / lam) * (1.0 - 1e-9)
@@ -227,52 +218,41 @@ def _expand_characters(dist: TailDistribution, seq: WeightSequence, k: int,
             by_scale[w][0] += 1
             continue
         x = float(k) if lam is None else k + lam * math.log(abs(w) / c1)
-        if x >= -_ORDER_TOL * max(1.0, k):
+        if x >= -tol:
             by_scale[w] = [1, x, i]
-    orders = {s: min(k, math.floor(x + _ORDER_TOL)) for s, (_, x, _) in by_scale.items()}
-    depths = {s: k - x for s, (_, x, _) in by_scale.items()}  # lam * log(c1/|s|)
+    # magnitudes whose whole scaled tail sits above the remainder: depth
+    # k - x = lam * log(c1/|s|) strictly below k
+    shallow = {abs(s) for s, (_, x, _) in by_scale.items() if k - x < k - tol}
 
-    # raw terms with their decay pairs
-    magnitudes = sorted({abs(s) for s in by_scale}, reverse=True)
-    level_of = {mag: r for r, mag in enumerate(magnitudes, start=1)}
-    raw = []  # (scale, j, coeff, p, q, level, order_s)
-    characters = []
-    for s, (count, _, rep_index) in sorted(by_scale.items(),
+    # one pass, largest magnitude first: level, floor-rule order, character, and
+    # each term's decay pair, kept or pruned by order bookkeeping
+    rem_p, rem_q = k * (-rho), k * gamma  # the remainder's decay pair
+    kept_terms, characters, level, last = [], [], 0, None
+    for s, (count, x, rep_index) in sorted(by_scale.items(),
                                            key=lambda kv: (-abs(kv[0]), -kv[0])):
-        order_s = max(orders[s], 0)
+        level += abs(s) != last
+        last = abs(s)
+        order_s = max(min(k, math.floor(x + _ORDER_TOL)), 0)
         ch = character_from_moments(residual_moments(dist, seq, rep_index, order_s),
                                     order_s)
         characters.append((s, order_s, ch.coeffs))
         for j, a in enumerate(ch.coeffs):
+            p, q = (k - x) + j * (-rho), j * gamma
+            # a derivative term strictly below the remainder (possible only through
+            # the log refinement at integer depths) carries no information
+            if j >= 1 and _strictly_smaller(p, q, rem_p, rem_q):
+                continue
+            # a derivative term exactly at the remainder is dropped when another
+            # shallow magnitude is included.  Disputed (ROADMAP.md, "The critical
+            # expansion drops a term of exactly the remainder order"): the floor
+            # rule gives the top scale order k, and the term is Theta(h^k S).
+            if (j >= 1 and shallow - {abs(s)} and abs(p - rem_p) <= _ORDER_TOL
+                    and abs(q - rem_q) <= _ORDER_TOL):
+                continue
             # 0.0 + : a vanishing coefficient is +0.0, never -0.0
-            raw.append((s, j, 0.0 + count * a, depths[s] + j * (-rho), j * gamma,
-                        level_of[abs(s)], order_s))
-
-    # prune by order bookkeeping:
-    #  - derivative terms strictly below the remainder (possible only through the
-    #    log refinement at integer depths) carry no information; drop them;
-    #  - the top scale's order-k term sits exactly at the remainder order; it
-    #    stays significant unless some strictly shallower other scale is
-    #    included (whose whole tail then dominates it), which reproduces the
-    #    two-term case analysis: below-threshold keeps the derivative
-    #    correction, above-threshold the second scale replaces it, and a
-    #    boundary scale (depth exactly k) displaces nothing.
-    remainder_pair = (k * (-rho), k * gamma)
-    kept_terms = []
-    for s, j, coeff, p, q, level, order_s in raw:
-        if j >= 1:
-            if _strictly_smaller(p, q, *remainder_pair):
-                continue
-            is_marginal = (abs(p - remainder_pair[0]) <= _ORDER_TOL
-                           and abs(q - remainder_pair[1]) <= _ORDER_TOL)
-            if is_marginal and any(
-                    d < k - _ORDER_TOL * max(1.0, k)
-                    for other, d in depths.items() if abs(other) != abs(s)):
-                continue
-        kept_terms.append(ExpansionTerm(scale=s, deriv_index=j, coeff=coeff,
-                                        source_level=level,
-                                        operator_order=order_s,
-                                        decay_power=p, decay_log=q))
+            kept_terms.append(ExpansionTerm(scale=s, deriv_index=j, coeff=0.0 + count * a,
+                                            source_level=level, operator_order=order_s,
+                                            decay_power=p, decay_log=q))
 
     kept_terms.sort(key=lambda t: (t.decay_power, -t.decay_log, -t.scale))
     remainder = RemainderScale(hazard_power=k, scale=c1)

@@ -17,8 +17,12 @@ of k) rather than the full composition count.
 
 Key order is part of the contract: poly_values sums the monomials in dict
 order, so evaluated bits depend on it.  P_{k+1} lists the keys of P_k' in the
-order differentiation first makes them, less those whose coefficients cancel,
-then the keys of -h * P_k not already there, in P_k's order.
+order differentiation first makes them, then the keys of -h * P_k not already
+there, in P_k's order.  No coefficient cancels, so no key is ever dropped: by
+induction every coefficient of a degree-s monomial has sign (-1)^s, since
+differentiating keeps a monomial's degree and multiplies by a positive
+exponent, while -h raises the degree by one and flips the sign, so every sum
+adds terms of one sign.
 """
 
 from __future__ import annotations
@@ -38,12 +42,10 @@ def _next_poly(poly: HazardPolynomial) -> HazardPolynomial:
             if ej:
                 key = mono[:j] + (ej - 1, (mono + (0,))[j + 1] + 1) + mono[j + 2:]
                 out[key] = out.get(key, 0.0) + coeff * ej
-    # drop the P' keys that cancel first: -h * P re-inserts such a key last
-    out = {k: v for k, v in out.items() if v != 0.0}
     for mono, coeff in poly.items():
         key = (mono[0] + 1,) + mono[1:] if mono else (1,)
         out[key] = out.get(key, 0.0) - coeff
-    return {k: v for k, v in out.items() if v != 0.0}
+    return out
 
 
 @lru_cache(maxsize=None)

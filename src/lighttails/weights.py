@@ -15,6 +15,7 @@ weight only on a symmetric law.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -123,17 +124,14 @@ class WeightSequence:
         """All (index, weight) with |weight| >= min_magnitude; finite for positive bound."""
         if min_magnitude <= 0.0 and self.generator is not None:
             raise ValueError("enumerating an infinite sequence needs a positive magnitude bound")
-        for i, w in self.entries:
-            if abs(w) >= min_magnitude:
-                yield i, w
-        if self.generator is not None:
-            i = self.generator.start_index
-            while True:
-                w = self.generator.weight(i)
-                if abs(w) < min_magnitude:
-                    break
-                yield i, w
-                i += 1
+        yield from ((i, w) for i, w in self.entries if abs(w) >= min_magnitude)
+        if self.generator is None:
+            return
+        for i in itertools.count(self.generator.start_index):  # magnitudes decrease
+            w = self.weight(i)
+            if abs(w) < min_magnitude:
+                return
+            yield i, w
 
     # -- levels ---------------------------------------------------------------
 
@@ -147,21 +145,16 @@ class WeightSequence:
         if count is None and self.generator is not None:
             raise ValueError("infinite sequence: pass the number of levels to materialize")
 
+        n = len(self.entries)
+        if self.generator is not None:
+            # enough generator values that, merged with the head, `count` levels exist
+            n += count + len({abs(w) for _, w in self.entries}) + 2
         groups: dict[float, list[int]] = {}
-        for _, w in self.entries:
+        for _, w in self.truncated_entries(n):
             groups.setdefault(abs(w), [0, 0])[0 if w > 0 else 1] += 1
 
-        if self.generator is not None and count is not None:
-            # enough generator values that, merged with the head, `count` levels exist
-            need = count + len(groups) + 2
-            v = self.generator.first_value
-            for _ in range(need):
-                groups.setdefault(abs(v), [0, 0])[0 if v > 0 else 1] += 1
-                v *= self.generator.ratio
-
         ordered = sorted(groups.items(), key=lambda kv: -kv[0])
-        out = [Level(mag, pos, neg) for mag, (pos, neg) in ordered]
-        return out[:count] if count is not None else out
+        return [Level(mag, pos, neg) for mag, (pos, neg) in ordered][:count]
 
     @property
     def max_magnitude(self) -> float:
@@ -226,12 +219,10 @@ class WeightSequence:
         return n
 
     def truncated_entries(self, n: int) -> tuple[tuple[int, float], ...]:
-        """Entries with index <= n, generator included."""
-        out = [(i, w) for i, w in self.entries if i <= n]
-        if self.generator is not None:
-            for i in range(self.generator.start_index, n + 1):
-                out.append((i, self.generator.weight(i)))
-        return tuple(out)
+        """Entries with index <= n, generator included; each weight is weight(i)."""
+        if self.generator is None:
+            n = min(n, len(self.entries))
+        return tuple((i, self.weight(i)) for i in range(1, n + 1))
 
     def __repr__(self):
         head = ", ".join(f"{w:g}" for _, w in self.entries[:6])

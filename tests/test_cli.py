@@ -80,6 +80,17 @@ def test_generator_from_index_checked(tmp_path):
         build_weights(load_config(path), build_distribution(doc))
 
 
+def test_build_distribution_logweibull_family():
+    doc = json.loads(json.dumps(BASE))
+    doc["distribution"] = {"family": "logweibull", "params": {"a": 1.5},
+                           "symmetric": True, "t0": 4.0}
+    dist = build_distribution(doc)
+    want = lt.log_weibull(1.5, t0=4.0, symmetric=True)
+    assert dist.symmetric and dist.upper.t0 == 4.0
+    assert lt.classify(dist.upper).kind is lt.RegimeKind.SUBCRITICAL
+    assert [dist.sf(t) for t in (-50.0, 5.0, 50.0)] == [want.sf(t) for t in (-50.0, 5.0, 50.0)]
+
+
 def test_symmetric_distribution_gets_balanced_weights():
     doc = json.loads(json.dumps(BASE))
     doc["distribution"] = {"family": "weibull", "params": {"a": 0.5},
@@ -172,6 +183,23 @@ def test_cli_oracle_and_compare_deterministic(tmp_path):
         (tmp_path / "b" / "compare.csv").read_bytes()
     assert (tmp_path / "a" / "oracle.csv").read_bytes() == \
         (tmp_path / "b" / "oracle.csv").read_bytes()
+
+
+def test_cli_compare_with_plain_mc(tmp_path):
+    # the config's method reaches compare: each row's oracle_p is plain_mc's
+    doc = {**BASE, "oracle": {**BASE["oracle"], "method": "plain_mc"}}
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_OK
+    got = json.loads((out / "compare.json").read_text())
+    assert got["budget"]["method"] == "plain_mc"
+    dist = build_distribution(doc)
+    seq = build_weights(doc, dist)
+    oracle = doc["oracle"]
+    want = [lt.plain_mc(dist, seq, t, oracle["n"], oracle["seed"], oracle["eps_trunc"]).p_hat
+            for t in np.geomspace(50.0, 200.0, 3)]
+    assert [row["oracle_p"] for row in got["rows"]] == want
+    assert all(p > 0.0 for p in want)
 
 
 def test_cli_oracle_csv_layout(tmp_path):

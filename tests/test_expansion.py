@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lighttails as lt
@@ -193,6 +193,18 @@ def test_subcritical_terms_are_scaled_tails():
     assert all(t.operator_order == 0 for t in exp.terms)
 
 
+def test_subcritical_negative_scales():
+    # a negative weight on a symmetric law is its own term, at the signed scale
+    dist = lt.log_weibull(1.5, symmetric=True)
+    exp = lt.expand(dist, lt.WeightSequence([1.0, -0.5, 0.25]), 3)
+    assert [(t.scale, t.coeff, t.source_level) for t in exp.terms] == [
+        (1.0, 1.0, 1), (-0.5, 1.0, 2), (0.25, 1.0, 3)]
+    assert exp.remainder == RemainderScale(hazard_power=0, scale=0.25)
+    tied = lt.expand(dist, lt.WeightSequence([1.0, -1.0, -1.0, 0.5]), 1)
+    assert [(t.scale, t.coeff, t.source_level) for t in tied.terms] == [
+        (1.0, 1.0, 1), (-1.0, 2.0, 1)]
+
+
 def test_subcritical_multiplicity():
     mix = second_order_mixture()
     exp = lt.expand(mix, lt.WeightSequence([1.0, 1.0, 0.5]), 1)
@@ -250,6 +262,15 @@ def test_critical_drops_derivatives_below_the_remainder():
     assert not [t for t in exp.terms if t.scale == math.exp(-1.0) and t.deriv_index >= 1]
 
 
+def test_critical_integer_depth_is_read_with_a_tolerance():
+    # at lambda = 1.8 the depth of e^(-1/1.8) computes as 1 + 2.2e-16, so
+    # x = k - depth sits one ulp below 1; the floor rule still gives order 1
+    c = math.exp(-1.0 / 1.8)
+    exp = lt.expand(lt.lognormal_type(0.9), lt.WeightSequence([1.0, c]), 2)
+    assert 2.0 + 1.8 * math.log(c) < 1.0
+    assert (c, 1) in {(s, m) for s, m, _ in exp.characters}
+
+
 def test_critical_top_scale_gets_full_order():
     ln = lt.lognormal_type(0.5)
     for k in (1, 2, 3):
@@ -293,6 +314,88 @@ def test_critical_large_lambda_degenerates_to_maximal_class():
     assert {t.scale for t in exp.terms} == {1.0}
     assert [t.deriv_index for t in exp.terms] == [0, 1, 2]
     assert all(t.operator_order == 2 for t in exp.terms)
+
+
+RULE_TOL = 1e-9
+
+
+def paper_rule_terms(dist, seq, k):
+    """(scale, j) -> (operator order, level, p, q), read off the paper's rule.
+
+    A scale s enters when its depth d = lam * log(c1/|s|) is at most k, the
+    boundary included (at lam = infinity, when |s| = c1).  It carries the order
+    k - ceil(d), clipped at 0, and its D^j term sits at the decay pair
+    (d + j(-rho), j gamma).  The threshold alone decides a scale's own tail
+    (j = 0); a derivative term is kept unless its pair is strictly below the
+    remainder pair (k(-rho), k gamma).  The level ranks |s| among the included
+    magnitudes, largest first."""
+    lam = lt.classify(dist.upper).lam
+    rho, gamma = dist.upper.rv_index, dist.upper.log_exponent
+    c1 = max(abs(w) for _, w in seq.entries)
+    depth = {}
+    for _, w in seq.entries:
+        d = 0.0 if abs(w) == c1 else math.inf if lam is None else lam * math.log(c1 / abs(w))
+        if d <= k + RULE_TOL:
+            depth[w] = d
+    magnitudes = sorted({abs(s) for s in depth}, reverse=True)
+    rem_p, rem_q = k * (-rho), k * gamma
+    out = {}
+    for s, d in depth.items():
+        order = max(k - math.ceil(d - RULE_TOL), 0)
+        for j in range(order + 1):
+            p, q = d + j * (-rho), j * gamma
+            below = p > rem_p + RULE_TOL or (abs(p - rem_p) <= RULE_TOL
+                                              and q < rem_q - RULE_TOL)
+            if j == 0 or not below:
+                out[s, j] = (order, magnitudes.index(abs(s)) + 1, p, q)
+    return out
+
+
+@st.composite
+def rule_cases(draw):
+    """Weibull-type (supercritical) or lognormal-type (critical) laws, with
+    weights at integer depths (the boundary k among them) or depths in quarters
+    below the top weight, or at random magnitudes."""
+    symmetric = draw(st.booleans())
+    sign = st.sampled_from([1.0, -1.0]) if symmetric else st.just(1.0)
+    if draw(st.booleans()):
+        dist, lam = lt.weibull_type(draw(st.sampled_from([0.3, 0.5, 0.7])),
+                                    symmetric=symmetric), 1.0
+        k = draw(st.integers(0, 4))
+    else:
+        theta = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        dist, lam = lt.lognormal_type(theta, symmetric=symmetric), 2.0 * theta
+        k = draw(st.integers(1, 4))
+    magnitudes = draw(st.lists(st.one_of(
+        st.integers(0, k + 1).map(lambda d: math.exp(-d / lam)),
+        st.integers(0, 4 * k + 4).map(lambda n: math.exp(-n / 4 / lam)),
+        st.floats(0.01, 1.0)), max_size=4))
+    weights = draw(st.permutations([draw(sign)] + [draw(sign) * m for m in magnitudes]))
+    return dist, lt.WeightSequence(weights), k
+
+
+@given(case=rule_cases())
+@example(case=(lt.lognormal_type(0.5), lt.WeightSequence([1.0, 0.5]), 1))
+@settings(max_examples=80, deadline=None)
+def test_terms_match_the_paper_rule_but_for_the_disputed_clause(case):
+    dist, seq, k = case
+    exp = lt.expand(dist, seq, k)
+    got = {(t.scale, t.deriv_index): (t.operator_order, t.source_level,
+                                      t.decay_power, t.decay_log) for t in exp.terms}
+    want = paper_rule_terms(dist, seq, k)
+    assert got.keys() <= want.keys()
+    for key, (order, level, p, q) in got.items():
+        assert (order, level) == want[key][:2]
+        assert (p, q) == pytest.approx(want[key][2:], abs=RULE_TOL)
+    # the only difference: a derivative term exactly at the remainder pair,
+    # dropped because another magnitude strictly shallower than depth k is
+    # included.  The rule keeps it.
+    rho, gamma = dist.upper.rv_index, dist.upper.log_exponent
+    shallow = {abs(s) for (s, j), (_, _, p, _) in want.items() if j == 0 and p < k - RULE_TOL}
+    for s, j in want.keys() - got.keys():
+        p, q = want[s, j][2:]
+        assert j >= 1 and (p, q) == pytest.approx((k * (-rho), k * gamma), abs=RULE_TOL)
+        assert shallow - {abs(s)}
 
 
 # -- hazard-scale rewriting ----------------------------------------------------------

@@ -80,6 +80,13 @@ def test_survival_below_anchor_raises():
         w.upper.survival(1.0)
 
 
+def test_survival_derivatives_below_anchor_raise_on_an_array():
+    # the first point below t0 = 2 is named, wherever it sits in the array
+    model = lt.weibull_type(0.5).upper
+    with pytest.raises(lt.DomainError, match="t = 1.5 below tail anchor t0 = 2.0"):
+        model.survival_derivatives_signed_log(2, np.array([3.0, 1.5, 1.0, 4.0]))
+
+
 def test_survival_monotone_positive():
     # beyond float range the log-survival is the contract; it must keep
     # decreasing even where exp() underflows

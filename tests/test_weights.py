@@ -1,5 +1,7 @@
 """Weight sequences: levels, residuals, truncation, power sums."""
 
+import math
+
 import pytest
 
 import lighttails as lt
@@ -142,3 +144,44 @@ def test_truncated_entries_include_generator():
     seq = lt.WeightSequence.geometric(1.0, 0.5)
     entries = seq.truncated_entries(4)
     assert [w for _, w in entries] == [1.0, 0.5, 0.25, 0.125]
+
+
+def _tail_scan(seq, eps):
+    """Smallest N with sum_{i > N} |c_i| < eps, scanning N = 0, 1, ... over the
+    explicit entries plus the generator's closed-form tail from N + 1 on."""
+    for n in range(10_000):
+        tail = sum(abs(w) for i, w in seq.entries if i > n)
+        if tail + seq.generator.abs_tail_sum(n + 1) < eps:
+            return n
+    raise AssertionError("no N found")
+
+
+@pytest.mark.parametrize("ratio", [0.5, -0.5, 0.3, -0.3, 0.1, 0.7, 0.9])
+def test_truncation_index_is_the_smallest_n(ratio):
+    # eps on a tail sum itself and one ulp either side puts the closed-form
+    # estimate of N off by one, so both correction steps are reached
+    seq = lt.WeightSequence([1.0, 0.8], generator=GeometricTail(ratio, 3, 0.8 * ratio))
+    tails = [seq.generator.abs_tail_sum(m) for m in range(3, 30)]
+    for eps in [1e-2, 1e-5, 1e-9, 1.0, 5.0] + [
+            e for tail in tails for e in (tail, math.nextafter(tail, 0.0),
+                                           math.nextafter(tail, 1.0))]:
+        assert seq.truncation_index(eps) == _tail_scan(seq, eps), eps
+
+
+@pytest.mark.parametrize("ratio", [0.3, -0.3, 0.7])
+def test_levels_are_the_truncated_entries(ratio):
+    # a generated weight has one value, weight(i): the levels and the
+    # subcritical expansion name the weights the oracle truncates to
+    seq = lt.WeightSequence([1.0, 0.5], generator=GeometricTail(ratio, 3, 0.5 * ratio))
+    entries = [w for _, w in seq.truncated_entries(8)]
+    assert [lev.magnitude for lev in seq.levels(8)] == [abs(w) for w in entries]
+    exp = lt.expand(lt.log_weibull(1.5, symmetric=ratio < 0), seq, 8)
+    assert [t.scale for t in exp.terms] == entries
+    assert exp.remainder.scale == abs(entries[-1])
+
+
+def test_truncated_entries_of_a_finite_sequence_stop_at_its_end():
+    seq = lt.WeightSequence([1.0, -0.5, 0.25])
+    assert seq.truncated_entries(10) == ((1, 1.0), (2, -0.5), (3, 0.25))
+    assert seq.truncated_entries(2) == ((1, 1.0), (2, -0.5))
+    assert seq.truncated_entries(0) == ()

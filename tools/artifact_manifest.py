@@ -10,16 +10,17 @@ plain_mc and quadrature, with log_weibull(a = 1.5) under conditional_mc,
 under quadrature and symmetric, and with a closed-form custom hazard, and
 symmetric with a negative weight: plain, under quadrature, and log_weibull
 with alternating geometric tail weights, on a grid that starts below the
-tail anchor, and with weights [1, 0.5, 0.25] under quadrature at the one
-point t = 700; lognormal_gate_above also symmetric, with and without a
-negative weight; lognormal_gate_below also symmetric; lognormal_gate_boundary
-also under quadrature, and its two scales on a grid that starts below the
-anchor; multiplicity_pair also at expansion order 2; symmetric_moments also
-with method plain_mc, the mirrored quantile over 31 variables;
-weibull_oracle_check also with the command line's --order and --seed
-overrides.  A dense section
-runs evaluate, then report, on the 1000-point window and deep grids of each
-shipped config, built as the benchmark's analytic-dense workload builds them.
+tail anchor, with weights [1, 0.5, 0.25] under quadrature at the one
+point t = 700, and with weights [1, 0.5] continued by a geometric tail of
+ratio 0.3, whose generated weights are not dyadic; lognormal_gate_above also
+symmetric, with and without a negative weight; lognormal_gate_below also
+symmetric; lognormal_gate_boundary also under quadrature, and its two scales
+on a grid that starts below the anchor; multiplicity_pair also at expansion
+order 2; symmetric_moments also with method plain_mc, the mirrored quantile
+over 31 variables; weibull_oracle_check also with the command line's --order
+and --seed overrides.  A dense section runs evaluate, then report, on the
+1000-point window and deep grids of each shipped config, built as the
+benchmark's analytic-dense workload builds them.
 Output goes to a temporary directory; no artifact records it.  The configs
 and the workloads are this checkout's; --src names the lighttails source
 tree to run, this checkout's src/ by default.  --against extracts REV's src/
@@ -75,6 +76,8 @@ VARIANTS = {
         "+overrides": {},
         "+triple+quadrature": {"weights": {"weights": [1.0, 0.5, 0.25]}, "oracle": QUADRATURE,
                                "grid": {"t_min": 700.0, "t_max": 700.0, "points": 1}},
+        "+geometric0.3": {"weights": {"generator": {"type": "geometric", "ratio": 0.3,
+                                                    "from_index": 3}}},
     },
     "lognormal_gate_above": {
         "": {},
