@@ -37,7 +37,7 @@ print("\n=== subcritical: two-piece log-scale tail, weights (1, 1/2, geometric)"
 mix = lt.log_power_mixture(
     [(1.0, 1.0, [(1.0, 1.5)]),
      (1.0, 1.0, [(1.0, 1.5), (1.0, 0.25)])], t0=2.0)
-seq_gen = lt.WeightSequence([1.0, 0.5], generator=lt.GeometricTail(0.5, 3, 0.25))
+seq_gen = lt.WeightSequence([1.0, 0.5], ratio=0.5)
 show(lt.expand(mix, seq_gen, 2))
 
 print("\n=== critical gate: squared-log tail (lambda = 1), order 1")
@@ -49,5 +49,5 @@ for c2, note in [(0.3, "below the threshold e^-1: derivative correction wins"),
     show(lt.expand(ln, lt.WeightSequence([1.0, c2]), 1))
 
 print("\n=== critical regime with a geometric tail of weights, order 2")
-seq_geo = lt.WeightSequence([1.0], generator=lt.GeometricTail(0.5, 2, 0.5))
+seq_geo = lt.WeightSequence([1.0], ratio=0.5)
 show(lt.expand(ln, seq_geo, 2))

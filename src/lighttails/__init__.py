@@ -20,7 +20,7 @@ from .laplace import (LaplaceCharacter, apply_character,
 from .oracle import (ComparisonTable, OracleBudget, OracleEstimate, compare_with_oracle,
                      conditional_mc, convolve_pair_sf, convolved_sf, plain_mc,
                      quadrature_estimate)
-from .weights import GeometricTail, Level, WeightSequence
+from .weights import Level, WeightSequence
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "TailDistribution", "ScaledFactor", "weibull_type", "log_weibull", "lognormal_type",
     "custom_hazard", "log_power_mixture",
     "HazardModel", "LogPowerSum", "MetadataDiagnostics", "validate_metadata",
-    "WeightSequence", "GeometricTail", "Level",
+    "WeightSequence", "Level",
     "LaplaceCharacter", "identity_character", "character_from_moments",
     "compose", "apply_character", "residual_moments", "raw_to_cumulants",
     "cumulants_to_raw", "convolve_moments", "scale_moments",

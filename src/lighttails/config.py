@@ -27,7 +27,7 @@ from .distributions import (TailDistribution, custom_hazard, log_power_mixture,
                             log_weibull, lognormal_type, weibull_type)
 from .errors import ConfigError
 from .hazard import validate_metadata
-from .weights import GeometricTail, WeightSequence
+from .weights import WeightSequence
 
 __all__ = ["CONFIG_SCHEMA", "load_config", "build_distribution", "build_weights",
            "build_grid", "run_command", "COMMANDS"]
@@ -71,6 +71,8 @@ CONFIG_SCHEMA = {
                         "from_index": {"type": "integer", "minimum": 2},
                     },
                 },
+                # the declared summability exponent: validated, read by nothing,
+                # since a head plus a geometric tail is summable for every delta
                 "delta": {"type": "number", "exclusiveMinimum": 0.0,
                           "exclusiveMaximum": 1.0},
             },
@@ -185,12 +187,7 @@ def build_weights(doc: dict, dist: TailDistribution) -> WeightSequence:
         raise ConfigError("generator must start right after the explicit weights",
                           path="weights/generator/from_index")
     with _rejected_at("weights"):
-        generator = None
-        if gen_spec:
-            generator = GeometricTail(ratio=gen_spec["ratio"],
-                                      start_index=gen_spec["from_index"],
-                                      first_value=weights[-1] * gen_spec["ratio"])
-        seq = WeightSequence(weights, delta=section["delta"], generator=generator)
+        seq = WeightSequence(weights, ratio=gen_spec["ratio"] if gen_spec else None)
     if seq.has_negative and not dist.symmetric:
         raise ConfigError("a negative weight needs symmetric=true", path="weights")
     return seq

@@ -126,8 +126,8 @@ class TailDistribution:
     def _tail_batch(self, x, lower: bool) -> np.ndarray:
         """sf, or cdf with lower=True, over an array: sbar_t0 * exp(-cum_hazard)
         on the points in that tail (on the whole array, ungathered, when all
-        are), the scalar path elsewhere and wherever the cumulated hazard raises.
-        A lower tail exists only when symmetric, as the upper one read at -x."""
+        are) and the scalar path elsewhere.  A lower tail exists only when
+        symmetric, as the upper one read at -x."""
         x = np.asarray(x, dtype=float)
         model = self.upper
         s, scalar = (-x, self.cdf) if lower else (x, self.sf)
@@ -135,15 +135,12 @@ class TailDistribution:
         rest = np.ones(x.shape, dtype=bool)
         if self.symmetric or not lower:
             tail = s >= model.t0
-            try:
-                if tail.all():
-                    return model.sbar_t0 * np.exp(-np.asarray(model.cum_hazard(s), dtype=float))
-                if tail.any():
-                    cum = np.asarray(model.cum_hazard(s[tail]), dtype=float)
-                    out[tail] = model.sbar_t0 * np.exp(-cum)
-                    rest = ~tail
-            except (TypeError, ValueError):
-                pass
+            if tail.all():
+                return model.sbar_t0 * np.exp(-np.asarray(model.cum_hazard(s), dtype=float))
+            if tail.any():
+                cum = np.asarray(model.cum_hazard(s[tail]), dtype=float)
+                out[tail] = model.sbar_t0 * np.exp(-cum)
+                rest = ~tail
         if rest.any():
             out[rest] = [scalar(v) for v in x[rest]]
         return out

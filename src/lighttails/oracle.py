@@ -437,11 +437,11 @@ def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float
 
 
 def quadrature_estimate(dist: TailDistribution, seq: WeightSequence, t: float,
-                        eps_trunc: float = 1e-9,
-                        tol_rel: float = 1e-9) -> OracleEstimate:
-    """Deterministic tail value by numerical convolution of the truncated sum."""
+                        eps_trunc: float = 1e-9) -> OracleEstimate:
+    """Deterministic tail value by numerical convolution of the truncated sum,
+    at convolved_sf's default relative tolerance."""
     n_trunc, entries = _truncation(seq, eps_trunc)
-    value, _ = convolved_sf([ScaledFactor(dist, w) for _, w in entries], t, tol_rel=tol_rel)
+    value, _ = convolved_sf([ScaledFactor(dist, w) for _, w in entries], t)
     return _record(dist, seq, n_trunc, entries, t, value, "quadrature")
 
 

@@ -115,9 +115,10 @@ GEOMETRIC = {"type": "geometric", "ratio": 0.5, "from_index": 3}
     ({"distribution": {"params": {"a": "0.4"}}}, "distribution"),
     ({"distribution": {"params": {"a": None}}}, "distribution"),
     ({"distribution": {"family": "custom", "symmetric": True}}, "distribution/symmetric"),
+    ({"weights": {"weights": [1.0, math.inf]}}, "weights"),
 ], ids=["ratio_above_one", "ratio_zero", "trailing_zero", "zero_with_generator",
         "two_sided_contradicts_symmetric", "negative_on_one_sided",
-        "string_parameter", "null_parameter", "symmetric_custom"])
+        "string_parameter", "null_parameter", "symmetric_custom", "infinite_weight"])
 def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
     doc = json.loads(json.dumps(BASE))
     for name, updates in sections.items():

@@ -184,8 +184,7 @@ def test_balanced_weights_need_two_sided():
 
 def test_subcritical_terms_are_scaled_tails():
     mix = second_order_mixture()
-    seq = lt.WeightSequence([1.0, 0.5],
-                            generator=lt.GeometricTail(0.5, 3, 0.25))
+    seq = lt.WeightSequence([1.0, 0.5], ratio=0.5)
     exp = lt.expand(mix, seq, 2)
     assert [(t.scale, t.deriv_index, t.coeff) for t in exp.terms] == [
         (1.0, 0, 1.0), (0.5, 0, 1.0)]
@@ -281,7 +280,7 @@ def test_critical_top_scale_gets_full_order():
 
 def test_critical_inclusion_monotone_in_k():
     ln = lt.lognormal_type(0.5)
-    seq = lt.WeightSequence([1.0], generator=lt.GeometricTail(0.5, 2, 0.5))
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     prev_keys = set()
     prev_orders: dict = {}
     for k in (1, 2, 3, 4):
@@ -296,7 +295,7 @@ def test_critical_inclusion_monotone_in_k():
 
 def test_critical_generator_entries_included():
     ln = lt.lognormal_type(0.5)
-    seq = lt.WeightSequence([1.0], generator=lt.GeometricTail(0.5, 2, 0.5))
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     exp = lt.expand(ln, seq, 2)
     scales = sorted({t.scale for t in exp.terms}, reverse=True)
     # threshold e^-2 ~ 0.135: scales 1, 0.5, 0.25 included, 0.125 excluded

@@ -5,8 +5,7 @@ import math
 import pytest
 
 import lighttails as lt
-from lighttails.weights import GeometricTail
-
+from lighttails.config import build_weights
 from helpers import geometric_power_sum
 
 ONE_SIDED = lt.weibull_type(0.4)
@@ -37,15 +36,23 @@ def test_empty_rejected():
         lt.WeightSequence([0.0])
 
 
-def test_delta_summability_closed_form():
-    seq = lt.WeightSequence.geometric(1.0, 0.5, delta=0.3)
-    # sum |c_i|^0.3 = sum (2^-0.3)^(i-1) = 1/(1 - 2^-0.3)
-    assert seq._delta_sum == pytest.approx(1.0 / (1.0 - 2 ** -0.3), rel=1e-12)
-
-
-def test_generator_must_continue_below_head():
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_weight_rejected(bad):
     with pytest.raises(ValueError):
-        lt.WeightSequence([1.0], generator=GeometricTail(0.5, 2, 2.0))
+        lt.WeightSequence([1.0, bad])
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, -1.0, 1.5, math.nan])
+def test_ratio_outside_the_unit_interval_rejected(ratio):
+    with pytest.raises(ValueError):
+        lt.WeightSequence([1.0], ratio=ratio)
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(lt, name) for name in lt.__all__)
+    # a geometric continuation is WeightSequence's ratio, not a class of its own
+    gone = "GeometricTail"
+    assert gone not in lt.__all__ and not hasattr(lt, gone) and not hasattr(lt.weights, gone)
 
 
 # -- levels ---------------------------------------------------------------------
@@ -102,8 +109,7 @@ def test_power_sums_closed_form():
 
 
 def test_negative_ratio_power_sums():
-    seq = lt.WeightSequence([1.0, -0.5],
-                            generator=GeometricTail(-0.5, 3, 0.25))
+    seq = lt.WeightSequence([1.0, -0.5], ratio=-0.5)
     assert seq.power_sum(1) == pytest.approx(1.0 - 0.5 + 0.25 / 1.5, rel=1e-14)
     assert seq.power_sum(2) == pytest.approx(1.0 + 0.25 + 0.0625 / 0.75, rel=1e-14)
 
@@ -112,10 +118,9 @@ def test_truncation_index_geometric():
     seq = lt.WeightSequence.geometric(1.0, 0.5)
     for eps in (1e-3, 1e-6, 1e-9):
         n = seq.truncation_index(eps)
-        tail = seq.generator.abs_tail_sum(n + 1)
-        assert tail < eps
+        assert _generated_tail(seq, n + 1) < eps
         if n > 1:
-            assert seq.generator.abs_tail_sum(n) >= eps
+            assert _generated_tail(seq, n) >= eps
     # 2^(1-N) < 1e-6 first holds at N = 21
     assert seq.truncation_index(1e-6) == 21
 
@@ -130,14 +135,14 @@ def test_truncation_index_finite_list():
 
 
 def test_truncation_index_generator_below_eps():
-    # the generator's whole tail (2e-12) is under eps, so truncation scans the
-    # explicit entries starting from that tail sum
-    seq = lt.WeightSequence([1.0, 0.5], generator=GeometricTail(0.5, 3, 1e-12))
+    # the generated tail (first weight 1e-12, sum 1e-12 / (1 - 2e-12)) is under
+    # eps, so truncation scans the explicit entries starting from that tail sum
+    seq = lt.WeightSequence([1.0, 0.5], ratio=2e-12)
     assert seq.truncation_index(1e-9) == 2
     assert seq.truncation_index(0.6) == 1
     for eps in (1e-9, 0.6):
         kept = seq.truncated_entries(seq.truncation_index(eps))
-        assert all(i < seq.generator.start_index for i, _ in kept)
+        assert all(i <= len(seq.entries) for i, _ in kept)
 
 
 def test_truncated_entries_include_generator():
@@ -146,12 +151,18 @@ def test_truncated_entries_include_generator():
     assert [w for _, w in entries] == [1.0, 0.5, 0.25, 0.125]
 
 
+def _generated_tail(seq, m):
+    """sum_{i >= m} |c_i| over the generated weights, from the first one at
+    or after m: |c_m| / (1 - |r|)."""
+    return abs(seq.weight(max(m, len(seq.entries) + 1))) / (1.0 - abs(seq.ratio))
+
+
 def _tail_scan(seq, eps):
     """Smallest N with sum_{i > N} |c_i| < eps, scanning N = 0, 1, ... over the
-    explicit entries plus the generator's closed-form tail from N + 1 on."""
+    explicit entries plus the generated weights' closed-form tail from N + 1 on."""
     for n in range(10_000):
         tail = sum(abs(w) for i, w in seq.entries if i > n)
-        if tail + seq.generator.abs_tail_sum(n + 1) < eps:
+        if tail + _generated_tail(seq, n + 1) < eps:
             return n
     raise AssertionError("no N found")
 
@@ -160,8 +171,8 @@ def _tail_scan(seq, eps):
 def test_truncation_index_is_the_smallest_n(ratio):
     # eps on a tail sum itself and one ulp either side puts the closed-form
     # estimate of N off by one, so both correction steps are reached
-    seq = lt.WeightSequence([1.0, 0.8], generator=GeometricTail(ratio, 3, 0.8 * ratio))
-    tails = [seq.generator.abs_tail_sum(m) for m in range(3, 30)]
+    seq = lt.WeightSequence([1.0, 0.8], ratio=ratio)
+    tails = [_generated_tail(seq, m) for m in range(3, 30)]
     for eps in [1e-2, 1e-5, 1e-9, 1.0, 5.0] + [
             e for tail in tails for e in (tail, math.nextafter(tail, 0.0),
                                            math.nextafter(tail, 1.0))]:
@@ -172,12 +183,54 @@ def test_truncation_index_is_the_smallest_n(ratio):
 def test_levels_are_the_truncated_entries(ratio):
     # a generated weight has one value, weight(i): the levels and the
     # subcritical expansion name the weights the oracle truncates to
-    seq = lt.WeightSequence([1.0, 0.5], generator=GeometricTail(ratio, 3, 0.5 * ratio))
+    seq = lt.WeightSequence([1.0, 0.5], ratio=ratio)
     entries = [w for _, w in seq.truncated_entries(8)]
     assert [lev.magnitude for lev in seq.levels(8)] == [abs(w) for w in entries]
     exp = lt.expand(lt.log_weibull(1.5, symmetric=ratio < 0), seq, 8)
     assert [t.scale for t in exp.terms] == entries
     assert exp.remainder.scale == abs(entries[-1])
+
+
+# float.hex of the generated weights c_3..c_40 of [1, 0.5] continued by ratio
+# 0.3: each is (c_2 * 0.3) * 0.3^(i - 3), which differs in the last bit from
+# c_2 * 0.3^(i - 2) at 13 of these indices
+PINNED_WEIGHTS_0_3 = [
+    "0x1.3333333333333p-3", "0x1.70a3d70a3d70ap-5", "0x1.ba5e353f7ced9p-7",
+    "0x1.096bb98c7e281p-8", "0x1.3e81450efdc9cp-10", "0x1.7e34b945308bap-12",
+    "0x1.caa5ab1fd3dacp-14", "0x1.133033797f1cdp-15", "0x1.4a39d75e9888fp-17",
+    "0x1.8c4568d7ea3e0p-19", "0x1.db867dcfe5e3ep-21", "0x1.1d50b1e32388cp-22",
+    "0x1.5660d576f770ep-24", "0x1.9ada99c1f5baap-26", "0x1.ed06521bf3accp-28",
+    "0x1.27d097aa5f014p-29", "0x1.62fa4f993ece5p-31", "0x1.a9f92c517e911p-33",
+    "0x1.ff2b01fb64ae2p-35", "0x1.32b36796d6021p-36", "0x1.700a7c4e9a68ep-38",
+    "0x1.b9a62ec4b94aap-40", "0x1.08fd4f42d5933p-41", "0x1.3dfcc58366b09p-43",
+    "0x1.7d95b9d0e1a0bp-45", "0x1.c9e6defaa85a7p-47", "0x1.12bdb8fccb697p-48",
+    "0x1.49b07795c0e4fp-50", "0x1.8ba08f808112ap-52", "0x1.dac0ac33ce165p-54",
+    "0x1.1cda00ebe20d7p-55", "0x1.55d2678175a9bp-57", "0x1.9a2faf6826cbap-59",
+    "0x1.ec3938e361c11p-61", "0x1.275588886dda4p-62", "0x1.6266a3d6ea391p-64",
+    "0x1.a947f7ceb2aaep-66", "0x1.fe565c91a3337p-68",
+]
+PINNED_POWER_SUMS_0_3 = [
+    "0x1.b6db6db6db6dcp+0", "0x1.4654654654654p+0", "0x1.20e35259fb43ap+0",
+    "0x1.102172d311021p+0", "0x1.0804fd1f8d477p+0", "0x1.0400bf3e0d61fp+0",
+    "0x1.02001cabf5a3ap+0", "0x1.0100044cd34b4p+0",
+]
+PINNED_RESIDUALS_0_3 = [
+    "0x1.9075075075076p+0", "0x1.4091d5ea2b6f8p+0", "0x1.2006233f5b853p+0",
+    "0x1.1000455bdf725p+0", "0x1.0800031a790b8p+0", "0x1.04000023b0bf5p+0",
+    "0x1.020000019af1ap+0", "0x1.01000000127d6p+0",
+]
+
+
+def test_generated_weights_and_sums_are_pinned_at_a_non_dyadic_ratio():
+    doc = {"weights": {"weights": [1.0, 0.5], "delta": 0.5,
+                       "generator": {"type": "geometric", "ratio": 0.3, "from_index": 3}}}
+    for seq in (build_weights(doc, ONE_SIDED), lt.WeightSequence([1.0, 0.5], ratio=0.3)):
+        assert [float.hex(seq.weight(i)) for i in range(3, 41)] == PINNED_WEIGHTS_0_3
+        assert [float.hex(seq.power_sum(n)) for n in range(1, 9)] == PINNED_POWER_SUMS_0_3
+        assert [float.hex(seq.residual_power_sum(3, n))
+                for n in range(1, 9)] == PINNED_RESIDUALS_0_3
+        assert float.hex(seq.abs_sum()) == "0x1.b6db6db6db6dcp+0"
+        assert seq.truncation_index(1e-9) == 18
 
 
 def test_truncated_entries_of_a_finite_sequence_stop_at_its_end():
