@@ -38,14 +38,17 @@ COMMANDS = ("classify", "expand", "evaluate", "oracle", "compare", "report")
 # hypotheses cannot be decided from finitely many values (see validate_metadata)
 PROVENANCE = "declared"
 
+# every object but params, whose keys depend on the family, refuses unnamed keys
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["distribution", "weights"],
+    "additionalProperties": False,
     "properties": {
         "distribution": {
             "type": "object",
             "required": ["family", "params"],
+            "additionalProperties": False,
             "properties": {
                 "family": {"enum": ["weibull", "logweibull", "lognormal2",
                                     "custom", "log_power_mixture"]},
@@ -58,6 +61,7 @@ CONFIG_SCHEMA = {
         "weights": {
             "type": "object",
             "required": ["weights", "delta"],
+            "additionalProperties": False,
             "properties": {
                 # no zeros, so from_index counts the weights WeightSequence keeps
                 "weights": {"type": "array", "minItems": 1,
@@ -65,6 +69,7 @@ CONFIG_SCHEMA = {
                 "generator": {
                     "type": ["object", "null"],
                     "required": ["type", "ratio", "from_index"],
+                    "additionalProperties": False,
                     "properties": {
                         "type": {"const": "geometric"},
                         "ratio": {"type": "number"},
@@ -79,6 +84,7 @@ CONFIG_SCHEMA = {
         },
         "expansion": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "order": {"type": "integer", "minimum": 0},
                 # null only: classify alone decides the regime; the key stays
@@ -89,6 +95,7 @@ CONFIG_SCHEMA = {
         "grid": {
             "type": "object",
             "required": ["t_min", "t_max", "points"],
+            "additionalProperties": False,
             "properties": {
                 "t_min": {"type": "number", "exclusiveMinimum": 0.0},
                 "t_max": {"type": "number", "exclusiveMinimum": 0.0},
@@ -98,6 +105,7 @@ CONFIG_SCHEMA = {
         },
         "oracle": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "method": {"enum": ["conditional_mc", "plain_mc", "quadrature"]},
                 "n": {"type": "integer", "minimum": 1},

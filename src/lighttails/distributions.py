@@ -60,7 +60,8 @@ _MOMENT_TOL = 1e-8
 class TailDistribution:
     """One innovation distribution: body CDF and density plus a hazard-rate
     upper tail; symmetric=True mirrors that tail below -upper.t0, so the body
-    then spans [-t0, t0].  ScaledFactor gives the law of c * X."""
+    then spans [-t0, t0].  The body is read only inside (body_left, t0), its
+    CDF also at the junctions checked here.  ScaledFactor gives the law of c * X."""
 
     upper: HazardModel
     body_cdf: Callable
@@ -73,6 +74,8 @@ class TailDistribution:
     _moment_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.body_left < self.upper.t0:
+            raise ValueError("body_left must lie below the tail anchor t0")
         gap = abs(self.body_cdf(self.upper.t0) - (1.0 - self.upper.sbar_t0))
         if gap > _JUNCTION_TOL:
             raise ValueError(f"body/upper-tail junction discontinuity {gap:.3e}")
@@ -165,9 +168,9 @@ class TailDistribution:
 
     def _tail_power_integral(self, k: int, upper: bool) -> tuple[float, float]:
         """int_0^inf x^(k-1) * P(side) dx for one side of the axis, with quad's
-        error estimate (QUADPACK can return it negative on [anchor, inf))."""
-        if not (upper or self.symmetric):
-            return self._body_negative_integral(k)
+        error estimate (QUADPACK can return it negative on [anchor, inf)).  A
+        side without a tail, below a one-sided law, is its body alone, on
+        [0, max(0, -body_left)]."""
         weight = self.sf if upper else (lambda x: self.cdf(-x))
         anchor = self.upper.t0
 
@@ -177,16 +180,14 @@ class TailDistribution:
         pts = sorted({p for p in (abs(b) for b in self.quad_breaks) if 0.0 < p < anchor})
         with warnings.catch_warnings():  # the caller's tolerance check decides
             warnings.simplefilter("ignore", IntegrationWarning)
+            if not (upper or self.symmetric):
+                if self.body_left >= 0.0:
+                    return 0.0, 0.0
+                body, body_err = quad(f, 0.0, -self.body_left, **_QUAD_KW)
+                return body, abs(body_err)
             head, head_err = quad(f, 0.0, anchor, points=pts or None, **_QUAD_KW)
             tail, tail_err = quad(f, anchor, math.inf, **_QUAD_KW)
         return head + tail, abs(head_err) + abs(tail_err)
-
-    def _body_negative_integral(self, k: int) -> tuple[float, float]:
-        if self.body_left >= 0:
-            return 0.0, 0.0
-        f = lambda x: x ** (k - 1) * self.cdf(-x)
-        val, err = quad(f, 0.0, -self.body_left, **_QUAD_KW)
-        return val, abs(err)
 
     def _moment_by_quadrature(self, k: int) -> float:
         pos, pos_err = self._tail_power_integral(k, upper=True)
@@ -290,22 +291,22 @@ class ScaledFactor:
 
 
 def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
-                 support_left, symmetric, smooth_order, **metadata):
+                 support_left, symmetric, **metadata):
     """A family with S(t) = exp(-psi(t)) in closed form above support_left.
 
     base_sf and base_pdf are the scalar one-sided survival and density,
     guarded at the support edge; base_sf stays in closed form so anchors far
     below machine epsilon of 1 stay accurate, and the body CDF is its
     complement.  psi_inv maps -log(1 - p) to the quantile, on arrays.  The
-    tail above t0 has hazard LogPowerSum(terms) and the family's own
-    cum_hazard (psi(t) - psi(t0) would round differently); metadata declares
-    its regime.  With symmetric=True both sides share one tail model and
-    each carries half the mass.
+    tail above t0 has hazard LogPowerSum(terms), _SMOOTH_ORDER times
+    differentiable, and the family's own cum_hazard (psi(t) - psi(t0) would
+    round differently); metadata declares its regime.  With symmetric=True
+    both sides share one tail model and each carries half the mass.
     """
     sbar = base_sf(t0)
-    upper = HazardModel(hazard_derivs=LogPowerSum(terms).hazard_derivatives(smooth_order),
+    upper = HazardModel(hazard_derivs=LogPowerSum(terms).hazard_derivatives(_SMOOTH_ORDER),
                         t0=t0, sbar_t0=0.5 * sbar if symmetric else sbar,
-                        cum_hazard=cum_hazard, smooth_order=smooth_order, **metadata)
+                        cum_hazard=cum_hazard, smooth_order=_SMOOTH_ORDER, **metadata)
     breaks = (support_left, t0)
 
     def base_ppf(p):
@@ -315,7 +316,7 @@ def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
     if not symmetric:
         return TailDistribution(
             upper=upper,
-            body_cdf=lambda x: 1.0 - base_sf(x) if x > support_left else 0.0,
+            body_cdf=lambda x: 1.0 - base_sf(x),
             body_pdf=base_pdf,
             ppf=base_ppf,
             body_left=support_left,
@@ -366,14 +367,10 @@ def _ramped(upper: HazardModel, log_sf_slope: Callable, body_left: float,
     log_sbar = math.log(upper.sbar_t0)
 
     def body_cdf(x):
-        if x <= body_left:
-            return 0.0
-        if x >= t0:
-            return mass
         return mass * (x - body_left) / width
 
     def body_pdf(x):
-        return mass / width if body_left < x < t0 else 0.0
+        return mass / width
 
     def ppf(p):
         p = np.asarray(p, dtype=float)
@@ -458,11 +455,10 @@ def _tail_quantile(log_sf_slope: Callable, t0: float, log_sbar: float,
 # built-in families
 # ---------------------------------------------------------------------------
 
-_DEFAULT_SMOOTH_ORDER = 8
+_SMOOTH_ORDER = 8
 
 
-def weibull_type(a: float, t0: float = 2.0, symmetric: bool = False,
-                 smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
+def weibull_type(a: float, t0: float = 2.0, symmetric: bool = False) -> TailDistribution:
     """Stretched-exponential tail S(t) = exp(-t^a) with 0 < a < 1."""
     if not 0.0 < a < 1.0:
         raise ValueError("weibull_type needs 0 < a < 1 (rapidly varying, subexponential)")
@@ -473,13 +469,12 @@ def weibull_type(a: float, t0: float = 2.0, symmetric: bool = False,
         lambda y: y ** (1.0 / a),
         ((a, a - 1.0, 0.0),),
         lambda t: t**a - t0**a,
-        t0, 0.0, symmetric, smooth_order,
+        t0, 0.0, symmetric,
         rv_index=a - 1.0,
     )
 
 
-def log_weibull(a: float, t0: float = math.e, symmetric: bool = False,
-                smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
+def log_weibull(a: float, t0: float = math.e, symmetric: bool = False) -> TailDistribution:
     """Tail S(t) = exp(-(log t)^a) with 1 < a < 2, support [1, inf)."""
     if not 1.0 < a < 2.0:
         raise ValueError("log_weibull needs 1 < a < 2 (hazard below the critical scale)")
@@ -491,13 +486,12 @@ def log_weibull(a: float, t0: float = math.e, symmetric: bool = False,
         lambda y: np.exp(y ** (1.0 / a)),
         ((a, -1.0, a - 1.0),),
         lambda t: np.log(t) ** a - math.log(t0) ** a,
-        t0, 1.0, symmetric, smooth_order,
+        t0, 1.0, symmetric,
         rv_index=-1.0, log_exponent=a - 1.0,
     )
 
 
-def lognormal_type(theta: float, t0: float = math.e, symmetric: bool = False,
-                   smooth_order: int = _DEFAULT_SMOOTH_ORDER) -> TailDistribution:
+def lognormal_type(theta: float, t0: float = math.e, symmetric: bool = False) -> TailDistribution:
     """Tail S(t) = exp(-theta * log(t)^2); hazard ~ 2*theta * t^-1 log t."""
     if not theta > 0.0:
         raise ValueError("lognormal_type needs theta > 0")
@@ -509,7 +503,7 @@ def lognormal_type(theta: float, t0: float = math.e, symmetric: bool = False,
         lambda y: np.exp(np.sqrt(y / theta)),
         ((2.0 * theta, -1.0, 1.0),),
         lambda t: theta * (np.log(t) ** 2 - math.log(t0) ** 2),
-        t0, 1.0, symmetric, smooth_order,
+        t0, 1.0, symmetric,
         rv_index=-1.0, log_exponent=1.0, lambda_coeff=2.0 * theta,
     )
 
@@ -526,9 +520,8 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
                   rv_index: float,
                   log_exponent: float = 0.0,
                   lambda_coeff: float | None = None,
-                  smooth_order: int = _DEFAULT_SMOOTH_ORDER,
-                  body_left: float = 0.0,
-                  name: str = "custom") -> TailDistribution:
+                  smooth_order: int = _SMOOTH_ORDER,
+                  body_left: float = 0.0) -> TailDistribution:
     """One-sided distribution with hazard h(t) = sum kappa * t^rho * log(t)^gamma.
 
     Metadata is declared by the caller, matching the convention that
@@ -548,7 +541,7 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
     )
     log_sbar = math.log(sbar_t0)
     return _ramped(upper, lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)),
-                   body_left, name)
+                   body_left, "custom")
 
 
 def _xp(t):
@@ -559,7 +552,6 @@ def _xp(t):
 def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[float, float]]]],
                       t0: float = 2.0,
                       body_left: float = 0.0,
-                      name: str = "log_power_mixture",
                       check_grid_decades: float = 8.0) -> TailDistribution:
     """Signed mixture tail S(t) = sum_i a_i * exp(-sum_j w_ij * log(b_i t)^e_ij).
 
@@ -648,4 +640,4 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
         smooth_order=0,
         tail_components=component_values,
     )
-    return _ramped(upper, log_sf_slope, body_left, name)
+    return _ramped(upper, log_sf_slope, body_left, "log_power_mixture")

@@ -325,9 +325,7 @@ def _panel_edges(lo: float, hi: float, probes, ladder: float) -> list[float]:
 
 def _log_quad_panels(log_g, lo: float, hi: float, probes,
                      tol_rel: float) -> tuple[float, float]:
-    """Integral of exp(log_g) over [lo, hi] by per-panel normalized quadrature."""
-    if hi <= lo:
-        return 0.0, 0.0
+    """Integral of exp(log_g) over [lo, hi], lo < hi, by per-panel normalized quadrature."""
     ladder = 4.0 if tol_rel < 1e-7 else 16.0
     edges = _panel_edges(lo, hi, probes, ladder)
     total = 0.0
@@ -361,22 +359,29 @@ def _log_quad_panels(log_g, lo: float, hi: float, probes,
     return total, total_err
 
 
+def _convolution_integral(inner, log_outer, t: float, lo: float, hi: float,
+                          probes, tol_rel: float) -> tuple[float, float]:
+    """int_lo^hi exp(log_outer(t - x)) dInner(x) by panel quadrature, with its
+    error bound: 0 on an empty interval, log_outer read where inner.pdf > 0."""
+    if hi <= lo:
+        return 0.0, 0.0
+
+    def log_g(x):
+        lp = inner.logpdf(x)
+        if lp == -math.inf:
+            return lp
+        return lp + log_outer(t - x)
+
+    return _log_quad_panels(log_g, lo, hi, probes, tol_rel)
+
+
 def _t_integral(f_logsf, k_factor, t: float, tol_rel: float) -> tuple[float, float]:
     """int_{-inf}^{t/2} exp(f_logsf(t - x)) dK(x) by panel quadrature."""
     hi = min(t / 2.0, k_factor.support_right)
     lo = k_factor.support_left
     if not math.isfinite(lo):
         lo = min(-1e6, hi - 1e6)  # mass further down is negligible for every factor shipped
-    if hi <= lo:
-        return 0.0, 0.0
-
-    def log_g(x):
-        lp = k_factor.logpdf(x)
-        if lp == -math.inf:
-            return -math.inf
-        return f_logsf(t - x) + lp
-
-    return _log_quad_panels(log_g, lo, hi, k_factor.breaks, tol_rel)
+    return _convolution_integral(k_factor, f_logsf, t, lo, hi, k_factor.breaks, tol_rel)
 
 
 def convolve_pair_sf(a, b, t: float, tol_rel: float = 1e-9,
@@ -395,20 +400,8 @@ def convolve_pair_sf(a, b, t: float, tol_rel: float = 1e-9,
 def _density_convolution(a, b, t: float, tol_rel: float) -> float:
     lo = max(a.support_left, t - b.support_right)
     hi = min(a.support_right, t - b.support_left)
-    if hi <= lo:
-        return 0.0
-
-    def log_g(x):
-        la = a.logpdf(x)
-        if la == -math.inf:
-            return -math.inf
-        lb = b.logpdf(t - x)
-        if lb == -math.inf:
-            return -math.inf
-        return la + lb
-
     probes = list(a.breaks) + [t - p for p in b.breaks]
-    return _log_quad_panels(log_g, lo, hi, probes, tol_rel)[0]
+    return _convolution_integral(a, b.logpdf, t, lo, hi, probes, tol_rel)[0]
 
 
 def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float]:

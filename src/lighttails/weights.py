@@ -50,11 +50,6 @@ class WeightSequence:
 
     # -- basic access -------------------------------------------------------
 
-    @classmethod
-    def geometric(cls, first: float, ratio: float, head: int = 1) -> "WeightSequence":
-        """Fully geometric sequence c_i = first * ratio^(i-1) with `head` explicit entries."""
-        return cls([first * ratio ** k for k in range(head)], ratio=ratio)
-
     @property
     def has_negative(self) -> bool:
         """Whether any weight, generated ones included, is negative."""

@@ -109,7 +109,7 @@ def test_criterion_2_derivative_engine():
 @criterion(3, "residual moment identities")
 def test_criterion_3_residual_moment_identities():
     d = lt.weibull_type(0.5, symmetric=True)
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     c2, c4 = 1.0 / 3.0, 1.0 / 15.0
     assert seq.residual_power_sum(1, 2) == pytest.approx(c2, rel=1e-14)
     assert seq.residual_power_sum(1, 4) == pytest.approx(c4, rel=1e-14)

@@ -12,7 +12,7 @@ import lighttails as lt
 from lighttails.cli import (EXIT_ERROR, EXIT_OK, EXIT_REGIME, EXIT_SCHEMA,
                             EXIT_SMOOTHNESS, main)
 from lighttails.config import (COMPARE_ROW, ORACLE_HEADER, build_distribution,
-                               build_weights, load_config, write_csv)
+                               build_weights, load_config, run_command, write_csv)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -128,6 +128,29 @@ def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
                  "--out", str(out)]) == EXIT_SCHEMA
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["path"] == path
+
+
+@pytest.mark.parametrize("sections, path", [
+    ({"oracle": {"samples": 1000}}, "oracle"),
+    ({"expansion": {"ordr": 3}}, "expansion"),
+    ({"grid": {"point": 3}}, "grid"),
+    ({"distribution": {"t_0": 3.0}}, "distribution"),
+    ({"weights": {"ratio": 0.5}}, "weights"),
+    ({"weights": {"generator": {**GEOMETRIC, "start": 3}}}, "weights/generator"),
+    ({"orcale": {"n": 1000}}, "<root>"),
+], ids=["oracle_samples", "expansion_ordr", "grid_point", "distribution_t_0",
+        "weights_ratio", "generator_start", "unknown_section"])
+def test_cli_unknown_key_exits_at_its_section(tmp_path, sections, path):
+    # a misspelled key is refused, not silently ignored; params alone is open
+    doc = json.loads(json.dumps(BASE))
+    for name, updates in sections.items():
+        doc.setdefault(name, {}).update(updates)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_SCHEMA
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["path"] == path
+    assert "Additional properties are not allowed" in err["message"]
 
 
 # -- CLI commands ------------------------------------------------------------------
@@ -534,3 +557,34 @@ def test_cli_boundary_weight_round_trips(tmp_path):
     # the boundary config carries exp(-1) through JSON at full precision
     doc = load_config(cfg("lognormal_gate_boundary.json"))
     assert doc["weights"]["weights"][1] == math.exp(-1.0)
+
+
+NO_A = {**BASE, "distribution": {"family": "weibull", "params": {}}}
+NO_GRID = {name: section for name, section in BASE.items() if name != "grid"}
+BACKWARD_GRID = {**BASE, "grid": {**BASE["grid"], "t_min": 200.0, "t_max": 50.0}}
+
+
+@pytest.mark.parametrize("command, content, path", [
+    ("classify", "not json {", None),
+    ("classify", NO_A, "distribution/params"),
+    ("evaluate", NO_GRID, "grid"),
+    ("evaluate", BACKWARD_GRID, "grid/t_max"),
+    ("report", "not json {", None),
+    ("report", {"evaluation": {}}, None),
+    ("report", {"config": BASE}, None),
+], ids=["config_not_json", "weibull_without_a", "evaluate_without_grid",
+        "t_max_below_t_min", "report_not_json", "report_without_config",
+        "report_without_evaluation"])
+def test_cli_refusals_exit_at_their_path(tmp_path, command, content, path):
+    # path None: the refusal names the input file itself
+    source = tmp_path / "input.json"
+    source.write_text(content if isinstance(content, str) else json.dumps(content))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(source), "--out", str(out)]) == EXIT_SCHEMA
+    assert json.loads((out / "error.json").read_text())["error"]["path"] == (path or str(source))
+
+
+def test_run_command_refuses_an_unknown_command(tmp_path):
+    with pytest.raises(lt.ConfigError) as err:
+        run_command("bogus", write_config(tmp_path, BASE), str(tmp_path / "out"))
+    assert err.value.path == "<command>"

@@ -383,7 +383,7 @@ def root_find_families():
         shipped("cancellation_pair"),
         shipped("logweibull_second_order"),
         lt.custom_hazard([(0.5, -0.5, 0.0), (1.0, -1.0, 0.5)], t0=2.0, sbar_t0=0.4,
-                         rv_index=-0.5, name="custom_closed_form"),
+                         rv_index=-0.5),
     ]
 
 
@@ -525,3 +525,30 @@ def test_symmetric_requires_mirrored_junction():
     lt.TailDistribution(**kw)
     with pytest.raises(ValueError, match="lower-tail junction"):
         lt.TailDistribution(**kw, symmetric=True)
+
+
+def _junction_gap():
+    up = lt.weibull_type(0.5).upper  # the body below meets 1 - S(t0) = 0.757 at 0.5
+    return lt.TailDistribution(upper=up, body_cdf=lambda x: 0.5, body_pdf=lambda x: 0.0,
+                               ppf=lambda p: p, body_left=0.0)
+
+
+ONE_COMPONENT = [(1.0, 1.0, [(1.0, 2.0)])]
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (_junction_gap, ValueError, "upper-tail junction"),
+    (lambda: lt.weibull_type(0.5).moment(-1), ValueError, "nonnegative"),
+    (lambda: lt.log_power_mixture([]), ValueError, "at least one component"),
+    (lambda: lt.log_power_mixture(ONE_COMPONENT, t0=1.0), ValueError, "t0 must exceed 1"),
+    # S(2) = 2 exp(-log(2)^2) = 1.24
+    (lambda: lt.log_power_mixture([(2.0, 1.0, [(1.0, 2.0)])]), ValueError, "below 1"),
+    (lambda: lt.custom_hazard([(0.5, -0.5, 0.0)], rv_index=-0.5, body_left=3.0),
+     ValueError, "below the tail anchor"),
+    (lambda: lt.custom_hazard([(0.5, -0.5, 0.0)], sbar_t0=1.0, rv_index=-0.5, body_left=2.0),
+     ValueError, "below the tail anchor"),
+], ids=["upper_junction_gap", "negative_moment_order", "empty_mixture", "mixture_t0_one",
+        "mixture_survival_at_t0_above_one", "body_left_above_t0", "empty_body_without_mass"])
+def test_distribution_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -166,7 +166,8 @@ def test_vanishing_coefficient_is_positive_zero():
 
 
 def test_supercritical_smoothness_error():
-    w = lt.weibull_type(0.4, smooth_order=2)
+    # the weibull_type(0.4) hazard, differentiable twice only
+    w = lt.custom_hazard([(0.4, -0.6, 0.0)], rv_index=-0.6, smooth_order=2)
     with pytest.raises(lt.SmoothnessError):
         lt.expand(w, lt.WeightSequence([1.0, 0.5]), 3)
 
@@ -786,3 +787,10 @@ def test_leading_order_is_multiplicity_times_top_tail(dist, order):
     exp = lt.expand(dist, seq, order)
     lead = [t for t in exp.terms if t.deriv_index == 0 and t.scale == 1.0]
     assert len(lead) == 1 and lead[0].coeff == 2.0
+
+
+def test_rewrite_refuses_keep_zero():
+    w = lt.weibull_type(0.4)
+    exp = lt.expand(w, lt.WeightSequence([1.0, 0.5]), 2)
+    with pytest.raises(ValueError, match="keep must be positive"):
+        lt.rewrite_in_hazard_scale(exp, w, keep=0)

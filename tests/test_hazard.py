@@ -212,7 +212,8 @@ def test_derivative_hazard_power_trend(name):
 
 
 def test_derivative_beyond_smoothness_raises():
-    m = lt.weibull_type(0.5, smooth_order=3).upper
+    # the weibull_type(0.5) hazard, differentiable three times only
+    m = lt.custom_hazard([(0.5, -0.5, 0.0)], rv_index=-0.5, smooth_order=3).upper
     with pytest.raises(lt.SmoothnessError):
         m.survival_derivative(4, 50.0)
 
@@ -339,3 +340,23 @@ def test_metadata_constructor_guards():
         lt.lognormal_type(-1.0)
     with pytest.raises(ValueError):
         lt.weibull_type(0.5, t0=0.8)
+
+
+def _model(sbar_t0=0.5, smooth_order=0):
+    return lt.HazardModel(hazard_derivs=(lambda t: 0.5 * t ** -0.5,), t0=2.0,
+                          sbar_t0=sbar_t0, cum_hazard=lambda t: 0.0, rv_index=-0.5,
+                          smooth_order=smooth_order)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: _model(sbar_t0=0.0), ValueError, "sbar_t0 must lie in"),
+    (lambda: _model(sbar_t0=1.5), ValueError, "sbar_t0 must lie in"),
+    (lambda: _model(smooth_order=2), ValueError, "hazard_derivs must provide"),
+    (lambda: _model().survival_derivatives_signed_log(-1, 50.0), ValueError, "nonnegative"),
+    (lambda: lt.validate_metadata(_model(), [2.0, 20.0, 200.0]), lt.DomainError,
+     "start above"),
+], ids=["sbar_t0_zero", "sbar_t0_above_one", "too_few_hazard_derivs",
+        "negative_derivative_order", "grid_starting_at_t0"])
+def test_hazard_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

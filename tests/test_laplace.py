@@ -109,14 +109,14 @@ def test_scale_moments():
 
 def test_residual_moments_symmetric_odd_vanish():
     d = lt.weibull_type(0.5, symmetric=True)
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     mv = lt.residual_moments(d, seq, 1, 5)
     assert mv[1] == 0.0 and mv[3] == 0.0 and mv[5] == 0.0
 
 
 def test_residual_moments_geometric_closed_form():
     d = lt.weibull_type(0.5, symmetric=True)
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     mv = lt.residual_moments(d, seq, 1, 4)
     mu2, mu4 = d.moment(2), d.moment(4)
     c2, c4 = 1.0 / 3.0, 1.0 / 15.0
@@ -198,7 +198,8 @@ def test_apply_truncation_difference():
 
 
 def test_apply_insufficient_smoothness():
-    d = lt.weibull_type(0.5, smooth_order=2)
+    # the weibull_type(0.5) hazard, differentiable twice only
+    d = lt.custom_hazard([(0.5, -0.5, 0.0)], rv_index=-0.5, smooth_order=2)
     ch = lt.character_from_moments((1.0, 1.0, 1.0, 1.0), 3)
     with pytest.raises(lt.SmoothnessError) as exc:
         lt.apply_character(ch, d, 1.0, 50.0)

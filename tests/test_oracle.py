@@ -248,7 +248,7 @@ def test_estimator_bounds(weibull04, pair_seq):
 
 
 def test_truncation_bias_below_recorded_bound(weibull04):
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     t = 150.0
     eps = 1e-4
     coarse = lt.conditional_mc(weibull04, seq, t, 200_000, seed=11, eps_trunc=eps)
@@ -381,7 +381,7 @@ def test_quadrature_rejects_three_two_sided_factors():
 
 
 def test_quadrature_estimate_rejects_many_factors(weibull04):
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     with pytest.raises(ValueError):
         lt.quadrature_estimate(weibull04, seq, 100.0, eps_trunc=1e-9)
 
@@ -454,3 +454,19 @@ def test_compare_critical_two_term_band():
     budget = lt.OracleBudget(method="conditional_mc", n=200_000, seed=9, slack=10.0)
     table = lt.compare_with_oracle(exp, ln, seq, np.geomspace(60.0, 600.0, 3), budget)
     assert table.passed.all()
+
+
+def _bogus_method():
+    dist, seq = lt.weibull_type(0.4), lt.WeightSequence([1.0, 0.5])
+    exp = lt.expand(dist, seq, 1)
+    lt.compare_with_oracle(exp, dist, seq, [50.0], lt.OracleBudget(method="bogus"))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: lt.conditional_mc(lt.weibull_type(0.4), lt.WeightSequence([1.0, 0.5]), 50.0,
+                               n=0, seed=0), ValueError, "sample count must be positive"),
+    (_bogus_method, ValueError, "unknown oracle method 'bogus'"),
+], ids=["no_samples", "unknown_method"])
+def test_oracle_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -23,8 +23,8 @@ def test_zero_weights_dropped():
 def test_one_sided_rejects_negative():
     # the sequence stores either sign; the law refuses a negative weight,
     # generated ones included, when the expansion is built
-    assert not lt.WeightSequence.geometric(1.0, 0.5).has_negative
-    for seq in (lt.WeightSequence([1.0, -0.5]), lt.WeightSequence.geometric(1.0, -0.5)):
+    assert not lt.WeightSequence([1.0], ratio=0.5).has_negative
+    for seq in (lt.WeightSequence([1.0, -0.5]), lt.WeightSequence([1.0], ratio=-0.5)):
         assert seq.has_negative
         with pytest.raises(lt.OutOfScopeError):
             lt.expand(ONE_SIDED, seq, 0)
@@ -73,14 +73,14 @@ def test_level_sequence_signed():
 
 
 def test_levels_with_generator():
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     levels = seq.levels(4)
     assert [l.magnitude for l in levels] == [1.0, 0.5, 0.25, 0.125]
     assert all(l.pos_count == 1 and l.neg_count == 0 for l in levels)
 
 
 def test_levels_infinite_needs_count():
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     with pytest.raises(ValueError):
         seq.levels()
 
@@ -96,7 +96,7 @@ def test_maximal_indices_multiplicity():
 
 
 def test_power_sums_closed_form():
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     for n in (1, 2, 3, 4):
         assert seq.power_sum(n) == pytest.approx(geometric_power_sum(1.0, 0.5, n),
                                                  rel=1e-14)
@@ -115,7 +115,7 @@ def test_negative_ratio_power_sums():
 
 
 def test_truncation_index_geometric():
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     for eps in (1e-3, 1e-6, 1e-9):
         n = seq.truncation_index(eps)
         assert _generated_tail(seq, n + 1) < eps
@@ -146,7 +146,7 @@ def test_truncation_index_generator_below_eps():
 
 
 def test_truncated_entries_include_generator():
-    seq = lt.WeightSequence.geometric(1.0, 0.5)
+    seq = lt.WeightSequence([1.0], ratio=0.5)
     entries = seq.truncated_entries(4)
     assert [w for _, w in entries] == [1.0, 0.5, 0.25, 0.125]
 
@@ -238,3 +238,13 @@ def test_truncated_entries_of_a_finite_sequence_stop_at_its_end():
     assert seq.truncated_entries(10) == ((1, 1.0), (2, -0.5), (3, 0.25))
     assert seq.truncated_entries(2) == ((1, 1.0), (2, -0.5))
     assert seq.truncated_entries(0) == ()
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: lt.WeightSequence([1.0, 0.5]).weight(0), KeyError, "no weight with index 0"),
+    (lambda: list(lt.WeightSequence([1.0], ratio=0.5).iter_weights()), ValueError,
+     "positive magnitude bound"),
+], ids=["weight_zero", "unbounded_iteration_of_a_generated_sequence"])
+def test_weight_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
