@@ -72,6 +72,11 @@ class TailDistribution:
     name: str = "custom"
     quad_breaks: tuple[float, ...] = ()
     _moment_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # the pointwise reads, x -> float, built by __post_init__
+    cdf: Callable = field(init=False, repr=False, compare=False)
+    sf: Callable = field(init=False, repr=False, compare=False)
+    logsf: Callable = field(init=False, repr=False, compare=False)
+    pdf: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.body_left < self.upper.t0:
@@ -84,35 +89,36 @@ class TailDistribution:
             if gap > _JUNCTION_TOL:
                 raise ValueError(f"body/lower-tail junction discontinuity {gap:.3e}")
 
-    # -- pointwise CDF machinery ------------------------------------------
+        # Quadrature makes millions of these calls, so each is one closure
+        # over the law's constants.  The tail is log S = log S(t0) - H, as in
+        # HazardModel.log_survival, and its density h * S.
+        t0, left, symmetric = self.upper.t0, self.body_left, self.symmetric
+        body_cdf, body_pdf = self.body_cdf, self.body_pdf
+        hazard, cum = self.upper.hazard_derivs[0], self.upper.cum_hazard
+        lsb, exp = math.log(self.upper.sbar_t0), math.exp
 
-    def cdf(self, x: float) -> float:
-        if x >= self.upper.t0:
-            return 1.0 - self.upper.survival(x)
-        if x <= self.body_left:
-            if self.symmetric and -x >= self.upper.t0:
-                return self.upper.survival(-x)
-            return 0.0
-        return self.body_cdf(x)
+        def cdf(x):
+            if x >= t0:
+                return 1.0 - exp(lsb - cum(x))
+            if x <= left:
+                return exp(lsb - cum(-x)) if symmetric and -x >= t0 else 0.0
+            return body_cdf(x)
 
-    def sf(self, x: float) -> float:
-        if x >= self.upper.t0:
-            return self.upper.survival(x)
-        return 1.0 - self.cdf(x)
+        def sf(x):
+            return exp(lsb - cum(x)) if x >= t0 else 1.0 - cdf(x)
 
-    def logsf(self, x: float) -> float:
-        if x >= self.upper.t0:
-            return self.upper.log_survival(x)
-        return math.log1p(-self.cdf(x))
+        def logsf(x):
+            return lsb - cum(x) if x >= t0 else math.log1p(-cdf(x))
 
-    def pdf(self, x: float) -> float:
-        if x >= self.upper.t0:
-            return self.upper.hazard(x) * self.upper.survival(x)
-        if x <= self.body_left:
-            if self.symmetric and -x >= self.upper.t0:
-                return self.upper.hazard(-x) * self.upper.survival(-x)
-            return 0.0
-        return self.body_pdf(x)
+        def pdf(x):
+            if x >= t0:
+                return hazard(x) * exp(lsb - cum(x))
+            if x <= left:
+                return hazard(-x) * exp(lsb - cum(-x)) if symmetric and -x >= t0 else 0.0
+            return body_pdf(x)
+
+        for name, read in (("cdf", cdf), ("sf", sf), ("logsf", logsf), ("pdf", pdf)):
+            object.__setattr__(self, name, read)
 
     @property
     def support_left(self) -> float:
@@ -215,7 +221,28 @@ class ScaledFactor:
             raise DegenerateWeightError("scale c = 0 is the point mass at zero")
         self.dist = dist
         self.c = c
-        self.log_abs_c = math.log(abs(c))
+        self.log_abs_c = log_abs_c = math.log(abs(c))
+        # the scalar reads, one closure each over c and log|c|: quadrature
+        # calls them per integrand value
+        side, logsf, pdf = dist.sf if c > 0 else dist.cdf, dist.logsf, dist.pdf
+        t0, symmetric, log = dist.upper.t0, dist.symmetric, math.log
+
+        def scaled_sf(x):
+            return side(x / c)
+
+        def mirrored_logsf(x):
+            # in the mirrored lower tail, its own log-survival: the linear
+            # complement loses precision in subnormals and then underflows to -inf
+            if symmetric and x / -c >= t0:
+                return logsf(x / -c)
+            return log_abs(side(x / c))
+
+        def logpdf(x):
+            v = pdf(x / c)
+            return -math.inf if v <= 0.0 else log(v) - log_abs_c
+
+        self.sf, self.logpdf = scaled_sf, logpdf
+        self.logsf = (lambda x: logsf(x / c)) if c > 0 else mirrored_logsf
 
     # the support and the panel breaks serve quadrature alone, so only it pays
     @cached_property
@@ -235,26 +262,8 @@ class ScaledFactor:
         pts.update(dist.quad_breaks)
         return tuple(sorted(self.c * p for p in pts))
 
-    def sf(self, x: float) -> float:
-        return self.dist.sf(x / self.c) if self.c > 0 else self.dist.cdf(x / self.c)
-
     def sf_batch(self, x) -> np.ndarray:
         return self.dist.sf_batch(x / self.c) if self.c > 0 else self.dist.cdf_batch(x / self.c)
-
-    def logsf(self, x: float) -> float:
-        if self.c > 0:
-            return self.dist.logsf(x / self.c)
-        # in the mirrored lower tail, its own log-survival: the linear
-        # complement loses precision in subnormals and then underflows to -inf
-        upper = self.dist.upper
-        if self.dist.symmetric and x / -self.c >= upper.t0:
-            return upper.log_survival(x / -self.c)
-        return log_abs(self.sf(x))
-
-    def logpdf(self, x: float) -> float:
-        # inline, not log_abs: a three-factor quadrature point makes ~1.9e6 of these calls
-        v = self.dist.pdf(x / self.c)
-        return -math.inf if v <= 0.0 else math.log(v) - self.log_abs_c
 
     def _tail_arg(self, t):
         if self.c < 0 and not self.dist.symmetric:

@@ -28,6 +28,8 @@ Three methods:
                    integrand so tails far below 1e-300 in product scale stay
                    representable.  A factor is a ScaledFactor, the law of
                    c_i X; three or four need every factor bounded below.
+                   Each panel's integrand calls the factors' logpdf and
+                   logsf, closures each factor builds once, directly.
 
 The conditional kernel reads P(c_i X > .) through the same ScaledFactor.
 
@@ -323,56 +325,55 @@ def _panel_edges(lo: float, hi: float, probes, ladder: float) -> list[float]:
     return sorted(edges)
 
 
-def _log_quad_panels(log_g, lo: float, hi: float, probes,
-                     tol_rel: float) -> tuple[float, float]:
-    """Integral of exp(log_g) over [lo, hi], lo < hi, by per-panel normalized quadrature."""
+def _convolution_integral(inner, log_outer, t: float, lo: float, hi: float,
+                          probes, tol_rel: float) -> tuple[float, float]:
+    """int_lo^hi exp(log_outer(t - x)) dInner(x), with its error bound, by
+    per-panel normalized quadrature: 0 on an empty interval, log_outer read
+    where inner.pdf > 0.  Each panel's integrand calls the two reads itself."""
+    if hi <= lo:
+        return 0.0, 0.0
+    log_inner, exp, ninf = inner.logpdf, math.exp, -math.inf
+
+    def log_g(x):
+        lp = log_inner(x)
+        if lp == ninf:
+            return lp
+        return lp + log_outer(t - x)
+
     ladder = 4.0 if tol_rel < 1e-7 else 16.0
     edges = _panel_edges(lo, hi, probes, ladder)
     total = 0.0
     total_err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        best = -math.inf
-        # np.linspace(a, b, 9)[1:-1], without its overhead
-        for x in (a + i * ((b - a) / 8) for i in range(1, 8)):
-            try:
-                v = log_g(x)
-            except (ValueError, OverflowError):
+    with warnings.catch_warnings():
+        # panel-level roundoff reports are expected near interpolant kinks;
+        # the per-panel error estimate is still accumulated and checked
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(edges, edges[1:]):
+            best = -math.inf
+            # np.linspace(a, b, 9)[1:-1], without its overhead
+            for x in (a + i * ((b - a) / 8) for i in range(1, 8)):
+                try:
+                    v = log_g(x)
+                except (ValueError, OverflowError):
+                    continue
+                if math.isfinite(v) and v > best:
+                    best = v
+            if best == -math.inf or (total > 0 and
+                                     exp(min(best, 300.0)) * (b - a) < 1e-18 * total):
                 continue
-            if math.isfinite(v) and v > best:
-                best = v
-        if best == -math.inf or (total > 0 and
-                                 math.exp(min(best, 300.0)) * (b - a) < 1e-18 * total):
-            continue
 
-        def integrand(x, m=best):
-            v = log_g(x)
-            return math.exp(v - m) if v > -math.inf else 0.0
+            def integrand(x, m=best):
+                lp = log_inner(x)
+                if lp == ninf:
+                    return 0.0
+                v = lp + log_outer(t - x)
+                return exp(v - m) if v > ninf else 0.0
 
-        with warnings.catch_warnings():
-            # panel-level roundoff reports are expected near interpolant kinks;
-            # the per-panel error estimate is still accumulated and checked
-            warnings.simplefilter("ignore", IntegrationWarning)
             val, err = quad(integrand, a, b, epsabs=1e-15,
                             epsrel=max(1e-11, tol_rel / 10), limit=200)
-        total += val * math.exp(best)
-        total_err += err * math.exp(best)
+            total += val * exp(best)
+            total_err += err * exp(best)
     return total, total_err
-
-
-def _convolution_integral(inner, log_outer, t: float, lo: float, hi: float,
-                          probes, tol_rel: float) -> tuple[float, float]:
-    """int_lo^hi exp(log_outer(t - x)) dInner(x) by panel quadrature, with its
-    error bound: 0 on an empty interval, log_outer read where inner.pdf > 0."""
-    if hi <= lo:
-        return 0.0, 0.0
-
-    def log_g(x):
-        lp = inner.logpdf(x)
-        if lp == -math.inf:
-            return lp
-        return lp + log_outer(t - x)
-
-    return _log_quad_panels(log_g, lo, hi, probes, tol_rel)
 
 
 def _t_integral(f_logsf, k_factor, t: float, tol_rel: float) -> tuple[float, float]:
@@ -392,8 +393,10 @@ def convolve_pair_sf(a, b, t: float, tol_rel: float = 1e-9,
     half = a.sf(t / 2.0) * b.sf(t / 2.0)
     value = i1 + i2 + half
     err = e1 + e2
-    if strict and value > 0 and err > tol_rel * value + 1e-300:
-        raise QuadratureToleranceError(achieved=err / value, requested=tol_rel)
+    # a value that underflows to 0 (or is NaN) has no relative error to meet
+    if strict and (not value > 0 or err > tol_rel * value + 1e-300):
+        raise QuadratureToleranceError(
+            achieved=err / value if value > 0 else math.inf, requested=tol_rel)
     return value, err
 
 

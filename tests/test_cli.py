@@ -524,6 +524,19 @@ def test_cli_unmet_quadrature_tolerance_exit_code(tmp_path):
     assert err["message"].startswith("quadrature achieved error bound ")
 
 
+def test_cli_underflowed_quadrature_exit_code(tmp_path):
+    # at t = 2e7 the pair's quadrature value underflows to 0.0: the row may
+    # not read as passed
+    doc = json.loads(json.dumps(BASE))
+    doc["oracle"]["method"] = "quadrature"
+    doc["grid"].update(t_min=2e7, t_max=2e7, points=1)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_ERROR
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["kind"] == "quadrature" and err["exit_code"] == EXIT_ERROR
+
+
 def test_cli_oracle_ignores_expansion_settings(tmp_path):
     # the oracle builds no expansion: an order the model cannot support
     # changes nothing in its output

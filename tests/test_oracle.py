@@ -369,6 +369,17 @@ def test_missed_quadrature_tolerance_fails_loudly(weibull04):
     assert err / value == exc.value.achieved
 
 
+def test_underflowed_pair_fails_loudly(weibull04):
+    # by t = 2e7 the pair's survival underflows to 0.0, which no relative
+    # error bound can vouch for; the pinned value at t = 3e5 still passes
+    pair = (lt.ScaledFactor(weibull04, 1.0), lt.ScaledFactor(weibull04, 0.5))
+    with pytest.raises(lt.QuadratureToleranceError) as exc:
+        lt.convolve_pair_sf(*pair, 2e7)
+    assert exc.value.achieved == math.inf and exc.value.requested == 1e-9
+    assert lt.convolve_pair_sf(*pair, 2e7, strict=False)[0] == 0.0
+    assert lt.convolve_pair_sf(*pair, 3e5)[0].hex() == "0x1.1587f4964bc1ep-224"
+
+
 def test_quadrature_rejects_three_two_sided_factors():
     # a two-sided pair has NaN density nodes: without the check this call runs
     # for minutes on exact solves
@@ -404,14 +415,25 @@ QUADRATURE_BITS = [
     ("weibull", [1.0, 0.5, 0.25], 700.0, "0x1.2af4ddf991ee1p-20"),
     # a negative scale: the mirrored density and lower-tail log-survival
     ("weibull_symmetric", [1.0, -0.5], 700.0, "0x1.24f08d935f8a7p-21"),
+    # the other law kinds the scalar reads are built for: a log-power closed
+    # form, a signed mixture and a closed-form custom hazard over a linear body
+    ("logweibull", [1.0, 0.5], 700.0, "0x1.e26050d9d7004p-25"),
+    ("cancellation_pair", [1.0, 0.5], 1e3, "0x1.c0c713364b1a2p-27"),
+    ("custom", [1.0, 0.5], 700.0, "0x1.0b3f4ca190ab9p-22"),
 ]
+QUADRATURE_LAWS = {
+    "lognormal": lambda: lt.lognormal_type(0.5),
+    "weibull_symmetric": lambda: lt.weibull_type(0.4, symmetric=True),
+    "logweibull": lambda: lt.log_weibull(1.5),
+    "cancellation_pair": lambda: _shipped("cancellation_pair.json")[0],
+    "custom": lambda: lt.custom_hazard([(0.4, -0.6, 0.0), (0.1, -1.0, 1.0)], rv_index=-0.6),
+}
 
 
 @pytest.mark.parametrize("family,weights,t,p_hex", QUADRATURE_BITS,
                          ids=[f"{f}{len(w)}@{t:g}" for f, w, t, _ in QUADRATURE_BITS])
 def test_quadrature_keeps_its_bits(weibull04, family, weights, t, p_hex):
-    dist = {"weibull": weibull04, "lognormal": lt.lognormal_type(0.5),
-            "weibull_symmetric": lt.weibull_type(0.4, symmetric=True)}[family]
+    dist = weibull04 if family == "weibull" else QUADRATURE_LAWS[family]()
     seq = lt.WeightSequence(weights)
     est = lt.quadrature_estimate(dist, seq, t)
     assert est.truncation_n == len(weights) and est.p_hat.hex() == p_hex

@@ -5,20 +5,22 @@ exits 1 and names each artifact whose hash differs from OLD.json, and
     python tools/artifact_manifest.py --against HEAD    # the byte gate of a change
 
 Runs classify, expand, evaluate, oracle, compare, then report, on each
-configs/*.json at its shipped budget; weibull_oracle_check also with method
-plain_mc and quadrature, with log_weibull(a = 1.5) under conditional_mc,
-under quadrature and symmetric, and with a closed-form custom hazard, and
-symmetric with a negative weight: plain, under quadrature, and log_weibull
-with alternating geometric tail weights, on a grid that starts below the
-tail anchor, with weights [1, 0.5, 0.25] under quadrature at the one
-point t = 700, and with weights [1, 0.5] continued by a geometric tail of
-ratio 0.3, whose generated weights are not dyadic; lognormal_gate_above also
-symmetric, with and without a negative weight; lognormal_gate_below also
-symmetric; lognormal_gate_boundary also under quadrature, and its two scales
-on a grid that starts below the anchor; multiplicity_pair also at expansion
-order 2; symmetric_moments also with method plain_mc, the mirrored quantile
-over 31 variables; weibull_oracle_check also with the command line's --order
-and --seed overrides.  A dense section runs evaluate, then report, on the
+configs/*.json at its shipped budget; cancellation_pair, a signed mixture,
+also under quadrature; weibull_oracle_check also with method plain_mc and
+quadrature, with log_weibull(a = 1.5) under conditional_mc, under
+quadrature and symmetric, and with a closed-form custom hazard, also under
+quadrature, and symmetric with a negative weight: plain, under quadrature,
+and log_weibull with alternating geometric tail weights, on a grid that
+starts below the tail anchor, with weights [1, 0.5, 0.25] under quadrature
+at the one point t = 700, and with weights [1, 0.5] continued by a
+geometric tail of ratio 0.3, whose generated weights are not dyadic;
+lognormal_gate_above also symmetric, with and without a negative weight;
+lognormal_gate_below also symmetric; lognormal_gate_boundary also under
+quadrature, and its two scales on a grid that starts below the anchor;
+multiplicity_pair also at expansion order 2; symmetric_moments also with
+method plain_mc, the mirrored quantile over 31 variables;
+weibull_oracle_check also with the command line's --order and --seed
+overrides.  A dense section runs evaluate, then report, on the
 1000-point window and deep grids of each shipped config, built as the
 benchmark's analytic-dense workload builds them.
 Output goes to a temporary directory; no artifact records it.  The configs
@@ -67,6 +69,7 @@ VARIANTS = {
         "+logweibull+quadrature": {"distribution": LOGWEIBULL, "oracle": QUADRATURE},
         "+logweibull+symmetric": {"distribution": {**LOGWEIBULL, "symmetric": True}},
         "+custom": {"distribution": CUSTOM},
+        "+custom+quadrature": {"distribution": CUSTOM, "oracle": QUADRATURE},
         "+symmetric+negative": {"distribution": SYMMETRIC, "weights": NEGATIVE},
         "+symmetric+negative+quadrature": {"distribution": SYMMETRIC, "weights": NEGATIVE,
                                            "oracle": QUADRATURE},
@@ -79,6 +82,7 @@ VARIANTS = {
         "+geometric0.3": {"weights": {"generator": {"type": "geometric", "ratio": 0.3,
                                                     "from_index": 3}}},
     },
+    "cancellation_pair": {"": {}, "+quadrature": {"oracle": QUADRATURE}},
     "lognormal_gate_above": {
         "": {},
         "+symmetric": {"distribution": SYMMETRIC},
