@@ -38,9 +38,10 @@ through numpy's SeedSequence/Philox, with a fixed block size.  Results are
 therefore reproducible from the seed alone, independent of how work is
 partitioned, and extending the truncation level appends variables without
 disturbing existing draws (which isolates truncation bias in paired runs).
-Inside a block the quantile maps chunks of about _CHUNK draws spanning every
-row, and the kernels work in chunks of _CHUNK columns; a quantile is per draw,
-a kernel's work per column, and a column sum adds the rows in the same order,
+Inside a block each row's stream draws one chunk of about _CHUNK columns
+after another, the quantile maps slabs of about _CHUNK draws spanning every
+row, and a kernel fills the chunk's values; a quantile is per draw, a
+kernel's work per column, and a column sum adds the rows in the same order,
 so the chunk size moves no value and is not part of the contract.
 """
 
@@ -145,29 +146,30 @@ def _truncation(seq: WeightSequence, eps_trunc: float):
     return n_trunc, seq.truncated_entries(n_trunc)
 
 
-def _chunks(size: int, rows: int = 1):
-    """Column slices covering range(size), max(1, _CHUNK // rows) wide: about
-    _CHUNK entries of a matrix with that many rows."""
-    width = max(1, _CHUNK // rows)
-    return (slice(lo, lo + width) for lo in range(0, size, width))
-
-
-def _summand_blocks(dist: TailDistribution, entries, n: int, seed: int):
-    """Each block's (variables x block) matrix of summands c_i X_i, drawn
-    into one buffer: a block is valid until the next one is drawn.  Every
-    row's uniforms are drawn in place first; then one quantile call maps a
-    slab of about _CHUNK draws spanning every row, and the weights scale it."""
-    buf = np.empty((len(entries), min(_BLOCK, n)))
+def _value_blocks(dist: TailDistribution, entries, n: int, seed: int, fill):
+    """Each block's values, filled chunk by chunk: a block is valid until the
+    next one is drawn.  Each row's stream draws the chunk's uniforms into one
+    buffer, continuing where the last chunk stopped; one quantile call maps
+    each slab of max(1, _CHUNK // rows) columns, spanning every row, the
+    weights scale it, and fill(summands, out) writes the chunk's values."""
+    rows = len(entries)
+    slab = max(1, _CHUNK // rows)
+    buf = np.empty((rows, min(slab * rows, n)))
+    values = np.empty(min(_BLOCK, n))
     weights = np.array([[w] for _, w in entries], dtype=float)
     for b, done in enumerate(range(0, n, _BLOCK)):
-        summands = buf[:, :min(_BLOCK, n - done)]
-        for row, (i, _) in enumerate(entries):
-            ss = np.random.SeedSequence(seed, spawn_key=(i, b))
-            np.random.Generator(np.random.Philox(ss)).random(out=summands[row])
-        for cols in _chunks(summands.shape[1], len(entries)):
-            slab = summands[:, cols]
-            np.multiply(weights, np.asarray(dist.ppf(slab), dtype=float), out=slab)
-        yield summands
+        streams = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            seed, spawn_key=(i, b)))) for i, _ in entries]
+        block = values[:min(_BLOCK, n - done)]
+        for lo in range(0, block.size, buf.shape[1]):
+            summands = buf[:, :min(buf.shape[1], block.size - lo)]
+            for stream, row in zip(streams, summands):
+                stream.random(out=row)
+            for cols in range(0, summands.shape[1], slab):
+                part = summands[:, cols:cols + slab]
+                np.multiply(weights, np.asarray(dist.ppf(part), dtype=float), out=part)
+            fill(summands, block[lo:lo + summands.shape[1]])
+        yield block
 
 
 def _top_two(summands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +184,10 @@ def _top_two(summands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return largest, second
 
 
-# The kernels work through a block in chunks of _CHUNK columns and the
-# quantile in chunks of about _CHUNK draws over every row, so each temporary
-# is about 64 KiB: it stays in cache, and the allocator reuses it instead of
-# faulting in fresh pages.  Only the summands and the values span the block.
+# Each temporary of a chunk is about 64 KiB and its summands about _CHUNK
+# draws a row, so they stay in cache and the allocator reuses them instead of
+# faulting in fresh pages.  Only the values span the block: _sample_stats sums
+# each block pairwise, so a block summed chunk by chunk would move p_hat.
 
 
 def _conditional_values(dist, entries, t, n, seed):
@@ -198,26 +200,22 @@ def _conditional_values(dist, entries, t, n, seed):
         for done in range(0, n, _BLOCK):
             yield np.full(min(_BLOCK, n - done), value)
         return
-    for summands in _summand_blocks(dist, entries, n, seed):
-        value = np.zeros(summands.shape[1])
-        for cols in _chunks(summands.shape[1]):
-            chunk, out = summands[:, cols], value[cols]
-            total = chunk.sum(axis=0)
-            largest, second = _top_two(chunk)
-            for row, factor in enumerate(factors):
-                resid_max = np.where(chunk[row] == largest, second, largest)
-                level = np.maximum(resid_max, t - (total - chunk[row]))
-                out += factor.sf_batch(level)
-        yield value
+
+    def fill(summands, out):
+        total = summands.sum(axis=0)
+        largest, second = _top_two(summands)
+        out.fill(0.0)
+        for row, factor in zip(summands, factors):
+            resid_max = np.where(row == largest, second, largest)
+            out += factor.sf_batch(np.maximum(resid_max, t - (total - row)))
+
+    yield from _value_blocks(dist, entries, n, seed, fill)
 
 
 def _plain_values(dist, entries, t, n, seed):
     """Per sample, the indicator of the truncated sum exceeding t."""
-    for summands in _summand_blocks(dist, entries, n, seed):
-        value = np.empty(summands.shape[1])
-        for cols in _chunks(summands.shape[1]):
-            np.greater(summands[:, cols].sum(axis=0), t, out=value[cols])
-        yield value
+    return _value_blocks(dist, entries, n, seed,
+                         lambda summands, out: np.greater(summands.sum(axis=0), t, out=out))
 
 
 def _monte_carlo(dist, seq, t, n, seed, eps_trunc, kernel, method) -> OracleEstimate:
@@ -475,7 +473,8 @@ def compare_with_oracle(expansion: TailExpansion, dist: TailDistribution,
     """Per grid point: oracle estimate, expansion total, deviation diagnostics.
 
     The acceptance band is max(3 * std_err + truncation bias, benchmark * slack):
-    statistical error plus the remainder-scale allowance.
+    statistical error plus the remainder-scale allowance.  A row passes only
+    where the benchmark is positive, never on underflowed zeros.
     """
     table = evaluate(expansion, dist, t_grid)
     estimates = [_estimate(dist, seq, t, budget) for t in table.t]
@@ -488,7 +487,7 @@ def compare_with_oracle(expansion: TailExpansion, dist: TailDistribution,
     band = np.maximum(3.0 * oracle_se + np.array([e.truncation_bias_bound
                                                   for e in estimates]),
                       table.benchmark * budget.slack)
-    passed = deviation <= band
+    passed = (deviation <= band) & (table.benchmark > 0.0)
     return ComparisonTable(
         evaluation=table,
         oracle_p=oracle_p,

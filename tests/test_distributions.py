@@ -442,9 +442,9 @@ def test_root_find_quantile_partition_independent(dist):
 @pytest.mark.parametrize("dist", all_families() + root_find_families(),
                          ids=lambda d: d.name)
 def test_ppf_chunk_independent(dist):
-    # the Monte Carlo sampling maps each block of uniforms in chunks of about
-    # _CHUNK draws spanning every row (test_ppf_maps_a_strided_slab), while
-    # the kernels work in chunks of _CHUNK columns
+    # the Monte Carlo sampling maps each chunk of uniforms in slabs of about
+    # _CHUNK draws spanning every row (test_ppf_maps_a_strided_slab), and the
+    # kernels work on chunks of about _CHUNK columns
     u = np.random.default_rng(11).random(3 * _CHUNK + 100)
     chunked = np.concatenate([dist.ppf(u[lo:lo + _CHUNK]) for lo in range(0, u.size, _CHUNK)])
     assert np.array_equal(chunked, dist.ppf(u))

@@ -84,6 +84,12 @@ SEEDED_BITS = [
     ("mixture", 2000, "0x1.bdffc432a4d12p-15", "0x1.f17e396e2b5c6p-24"),
     ("plain_pair", 20000, "0x1.6f0068db8bac7p-10", "0x1.153d6351cfec3p-12"),
     ("plain_two_blocks", (1 << 18) + 1000, "0x1.2bdb2bf710b9bp-10", "0x1.1460865cffa7ap-14"),
+    # 31 rows across a block edge: each row's stream runs on through a
+    # block's chunks and restarts, keyed anew, at the next block
+    ("symmetric_moments_two_blocks", (1 << 18) + 1000,
+     "0x1.36160480cbd1dp-9", "0x1.6e2561f2a0813p-20"),
+    ("plain_symmetric_moments_two_blocks", (1 << 18) + 1000,
+     "0x1.39cd8d440b8ccp-9", "0x1.8f979c2adae53p-14"),
 ]
 
 
@@ -105,6 +111,11 @@ def _seeded_case(case, weibull04, pair_seq):
                     100.0, 9, 1e-4, 2),
         "plain_pair": (lt.plain_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
         "plain_two_blocks": (lt.plain_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
+        "symmetric_moments_two_blocks": (lt.conditional_mc, *_shipped("symmetric_moments.json"),
+                                         30.25, 9, 1e-9, 31),
+        "plain_symmetric_moments_two_blocks": (lt.plain_mc,
+                                               *_shipped("symmetric_moments.json"),
+                                               30.25, 9, 1e-9, 31),
     }[case]
 
 
@@ -159,15 +170,22 @@ def test_one_quantile_call_per_chunk_of_draws():
         assert sum(cols for _, cols in slabs) == n
 
 
-@pytest.mark.parametrize("estimator,n,bound_mb", [(lt.conditional_mc, 1 << 20, 11.0),
-                                                  (lt.plain_mc, 1 << 18, 9.0)])
-def test_sampling_memory_stays_bounded(weibull04, pair_seq, estimator, n, bound_mb):
-    # beyond a block's summands (2 MB a row) and its values (2 MB), every
-    # temporary spans about _CHUNK draws; the first call warms the caches
-    estimator(weibull04, pair_seq, 150.0, 1000, seed=1)
+@pytest.mark.parametrize("estimator,case,n,bound_mb",
+                         [(lt.conditional_mc, "pair", 1 << 20, 4.0),
+                          (lt.plain_mc, "pair", 1 << 18, 3.5),
+                          (lt.conditional_mc, "symmetric_moments", oracle._BLOCK, 6.0),
+                          (lt.plain_mc, "symmetric_moments", oracle._BLOCK, 6.0)],
+                         ids=["conditional_mc-pair", "plain_mc-pair",
+                              "conditional_mc-symmetric_moments", "plain_mc-symmetric_moments"])
+def test_sampling_memory_stays_bounded(weibull04, pair_seq, estimator, case, n, bound_mb):
+    # beyond a block's values (2 MB) and one chunk of summands (about _CHUNK
+    # draws a row: 2 MB at 31 rows, 128 KiB at 2), every temporary spans about
+    # _CHUNK draws; the first call warms the caches
+    _, dist, seq, t, seed, _, _ = _seeded_case(case, weibull04, pair_seq)
+    estimator(dist, seq, t, 1000, seed=seed)
     tracemalloc.start()
     try:
-        estimator(weibull04, pair_seq, 150.0, n, seed=1)
+        estimator(dist, seq, t, n, seed=seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,6 +494,27 @@ def test_compare_critical_two_term_band():
     budget = lt.OracleBudget(method="conditional_mc", n=200_000, seed=9, slack=10.0)
     table = lt.compare_with_oracle(exp, ln, seq, np.geomspace(60.0, 600.0, 3), budget)
     assert table.passed.all()
+
+
+@pytest.mark.parametrize("method", ["conditional_mc", "plain_mc"])
+def test_compare_fails_rows_past_the_double_range(weibull04, pair_seq, method):
+    # S(t) leaves the double range between t = 1e7 and 2e7: there the totals,
+    # the benchmark and the oracle value all read 0.0, and a band of zeros
+    # says nothing, so no such row passes
+    exp = lt.expand(weibull04, pair_seq, 2)
+    budget = lt.OracleBudget(method=method, n=20000, seed=9)
+    table = lt.compare_with_oracle(exp, weibull04, pair_seq, [1e6, 2e7, 1e8], budget)
+    deep = [table.evaluation.totals, table.evaluation.benchmark, table.oracle_p]
+    assert not any(column[1:].any() for column in deep)
+    assert not table.passed[1:].any()
+    # the representable row keeps its bits and its verdict: conditional MC
+    # passes within 3 std_err, plain MC sees no exceedance and fails
+    want = {"conditional_mc": ("0x1.872ac9344acfcp-363", "0x1.89794d174a607p-381",
+                               "0x1.6621ad03e0000p-380", True),
+            "plain_mc": ("0x0.0p+0", "0x0.0p+0", "0x1.872a1623744ddp-363", False)}[method]
+    got = (table.oracle_p[0].hex(), table.oracle_stderr[0].hex(), table.deviation[0].hex(),
+           bool(table.passed[0]))
+    assert got == want
 
 
 def _bogus_method():

@@ -18,7 +18,8 @@ lognormal_gate_above also symmetric, with and without a negative weight;
 lognormal_gate_below also symmetric; lognormal_gate_boundary also under
 quadrature, and its two scales on a grid that starts below the anchor;
 multiplicity_pair also at expansion order 2; symmetric_moments also with
-method plain_mc, the mirrored quantile over 31 variables;
+method plain_mc, the mirrored quantile over 31 variables, and at n = 300000
+on two grid points, so its 31 rows' streamed draws cross a block edge;
 weibull_oracle_check also with the command line's --order and --seed
 overrides.  A dense section runs evaluate, then report, on the
 1000-point window and deep grids of each shipped config, built as the
@@ -92,7 +93,8 @@ VARIANTS = {
     "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE},
                                 "+below_anchor": {"grid": BELOW_ANCHOR}},
     "multiplicity_pair": {"": {}, "+order2": {"expansion": {"order": 2}}},
-    "symmetric_moments": {"": {}, "+plain_mc": {"oracle": {"method": "plain_mc"}}},
+    "symmetric_moments": {"": {}, "+plain_mc": {"oracle": {"method": "plain_mc"}},
+                          "+two_blocks": {"oracle": {"n": 300000}, "grid": {"points": 2}}},
 }
 # run_command keywords per variant, as --order and --seed pass them, so that
 # report.json's order_override and the oracle's seed override are hashed
