@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (DegenerateWeightError, QuadratureToleranceError,
                      UnsupportedSignError)
@@ -177,6 +176,7 @@ class TailDistribution:
         error estimate (QUADPACK can return it negative on [anchor, inf)).  A
         side without a tail, below a one-sided law, is its body alone, on
         [0, max(0, -body_left)]."""
+        from scipy.integrate import IntegrationWarning, quad
         weight = self.sf if upper else (lambda x: self.cdf(-x))
         anchor = self.upper.t0
 

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, SmoothnessError
 from .hazardpoly import poly_values, survival_derivative_polys
@@ -112,6 +111,8 @@ class LogPowerSum:
                 numeric.append((kappa, rho, gamma))
 
         part = LogPowerSum(tuple(numeric))
+        if numeric:
+            from scipy.integrate import quad
 
         def integral(t):
             val, _ = quad(part, t0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
@@ -187,9 +188,6 @@ class HazardModel:
     def log_survival(self, t: float) -> float:
         self._check_domain(t)
         return math.log(self.sbar_t0) - self.cum_hazard(t)
-
-    def survival(self, t: float) -> float:
-        return math.exp(self.log_survival(t))
 
     def survival_derivative(self, k: int, t: float) -> float:
         sign, logabs = self.survival_derivative_signed_log(k, t)

@@ -52,7 +52,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import ScaledFactor, TailDistribution
 from .errors import QuadratureToleranceError
@@ -330,6 +329,7 @@ def _convolution_integral(inner, log_outer, t: float, lo: float, hi: float,
     where inner.pdf > 0.  Each panel's integrand calls the two reads itself."""
     if hi <= lo:
         return 0.0, 0.0
+    from scipy.integrate import IntegrationWarning, quad
     log_inner, exp, ninf = inner.logpdf, math.exp, -math.inf
 
     def log_g(x):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -601,3 +603,52 @@ def test_run_command_refuses_an_unknown_command(tmp_path):
     with pytest.raises(lt.ConfigError) as err:
         run_command("bogus", write_config(tmp_path, BASE), str(tmp_path / "out"))
     assert err.value.path == "<command>"
+
+
+# -- start-up ----------------------------------------------------------------------
+
+
+COLD_START = """
+import json, sys
+from lighttails.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([" ".join(argv[:3]), main(argv), scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_at_the_first_integral(tmp_path):
+    # a fresh interpreter: importing the CLI and every command that integrates
+    # nothing leave scipy unloaded; a supercritical expand reaches its moments
+    def one_point(name, **sections):
+        doc = {**load_config(cfg(name)), **sections}
+        doc["grid"].update(points=1, t_max=doc["grid"]["t_min"])
+        doc["oracle"]["n"] = 2000
+        return write_config(tmp_path, doc, "custom.json" if sections else name)
+
+    weibull, pair = one_point("weibull_oracle_check.json"), one_point("cancellation_pair.json")
+    # every hazard term has a closed-form antiderivative
+    custom = one_point("weibull_oracle_check.json", distribution={
+        "family": "custom", "params": {"terms": [[0.4, -0.6, 0.0], [0.1, -1.0, 1.0]],
+                                       "rv_index": -0.6}})
+    runs = [["classify", "--config", cfg("weibull_oracle_check.json")],
+            ["classify", "--config", custom],
+            ["oracle", "--config", weibull], ["oracle", "--config", pair],
+            ["compare", "--config", pair],
+            ["expand", "--config", cfg("weibull_oracle_check.json")]]
+    runs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert [code for _, code, _ in seen] == [EXIT_OK] * (1 + len(runs))
+    for step, _, modules in seen[:-1]:
+        assert modules == [], step
+    assert "scipy.integrate" in seen[-1][2]

@@ -327,8 +327,8 @@ def test_custom_hazard_matches_closed_form():
     cu = lt.custom_hazard([(0.5, -0.5, 0.0)], t0=2.0, sbar_t0=0.4, rv_index=-0.5)
     ref = lt.weibull_type(0.5)
     for t in (5.0, 50.0, 500.0):
-        ratio = cu.upper.survival(t) / cu.upper.survival(5.0)
-        ref_ratio = ref.upper.survival(t) / ref.upper.survival(5.0)
+        ratio = math.exp(cu.upper.log_survival(t)) / math.exp(cu.upper.log_survival(5.0))
+        ref_ratio = math.exp(ref.upper.log_survival(t)) / math.exp(ref.upper.log_survival(5.0))
         assert ratio == pytest.approx(ref_ratio, rel=1e-10)
 
 
