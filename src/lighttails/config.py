@@ -17,6 +17,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -258,8 +259,39 @@ def write_atomic(path: str, data: str) -> None:
         raise
 
 
+# the JSON words of a list of bools and None
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, nested at
+    `indent`, for str dict keys.  json indents only in its pure-Python encoder,
+    one generator step per item, so a list of plain floats, or of bools and
+    None, is joined here in one pass instead."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(obj.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    sep, kinds = ",\n" + inner, set(map(type, obj))
+    if kinds <= {bool, type(None)}:
+        text = sep.join(map(_JSON_WORDS.__getitem__, obj))
+    else:
+        text = sep.join(map(float.__repr__, obj)) if kinds == {float} else None
+        # nan and inf, the only floats whose repr has an n, are NaN and Infinity in JSON
+        if text is None or "n" in text:
+            text = sep.join(_json_text(v, inner) for v in obj)
+    return "[\n" + inner + text + "\n" + indent + "]"
+
+
 def write_json(path: str, obj) -> None:
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, _json_text(obj) + "\n")
 
 
 def write_csv(path: str, named) -> None:
@@ -344,7 +376,7 @@ def _evaluate(doc: dict, order_override: int | None):
 def _same_bits(value, stored) -> bool:
     """Each stored cell a float, NaN where NaN, else equal on the int64 view."""
     want, cells = np.asarray(value, dtype=float), np.asarray(stored, dtype=object)
-    if cells.shape != want.shape or any(type(v) is not float for v in cells.flat):
+    if cells.shape != want.shape or not {float}.issuperset(map(type, cells.flat)):
         return False
     got = cells.astype(float)
     return bool((np.isnan(want) & np.isnan(got)

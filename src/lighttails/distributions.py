@@ -28,9 +28,10 @@ to the negative axis.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -288,9 +289,9 @@ class ScaledFactor:
         return [(sign, logabs - j * self.log_abs_c) for j, (sign, logabs)
                 in enumerate(self.dist.upper.survival_derivatives_signed_log(k, x))]
 
-    def tail_components(self, t: float) -> np.ndarray:
+    def tail_components(self, t: float) -> list[float]:
         """Signed closed-form pieces of P(c*X > t), on a tail that exposes them."""
-        return np.asarray(self.dist.upper.tail_components(self._tail_arg(t)), dtype=float)
+        return self.dist.upper.tail_components(self._tail_arg(t))
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +579,10 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
     if t0 <= 1.0:  # the validity probe below runs before HazardModel checks t0
         raise ValueError("t0 must exceed 1")
 
+    def left_sum(items):
+        # left to right from 0.0, on any Python: sum() compensates floats from 3.12
+        return reduce(operator.add, items, 0.0)
+
     def psi(xp, b, ts, t):
         lg = xp.log(b * t)
         return sum(w * lg**e for w, e in ts)
@@ -586,22 +591,31 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
         lg = xp.log(b * t)
         return sum(w * e * lg ** (e - 1.0) for w, e in ts) / t
 
-    # One formula for scalars and arrays.  Scalars go through math, which
-    # keeps the values that classify, expand and evaluate record bit for bit
-    # (numpy's exp differs from math.exp in the last bit on some inputs);
-    # arrays broadcast through numpy, one row per component.
+    # One formula for scalars and arrays.  A scalar read is plain floats
+    # through math, no numpy: math keeps the values that classify, expand and
+    # evaluate record bit for bit (numpy's exp differs from math.exp in the
+    # last bit on some inputs).  Arrays broadcast through numpy, one row per
+    # component.
     def component_values(t):
         xp = _xp(t)
-        return np.array([a * xp.exp(-psi(xp, b, ts, t)) for a, b, ts in comps])
+        vals = [a * xp.exp(-psi(xp, b, ts, t)) for a, b, ts in comps]
+        return vals if xp is math else np.array(vals)
+
+    # a scalar's components add in np.sum's order, which they were recorded
+    # in: left to right below 8 terms, numpy's pairwise sum from 8 on
+    scalar_sum = left_sum if len(comps) < 8 else (lambda vals: float(np.sum(vals)))
+
+    def component_sum(vals):
+        return scalar_sum(vals) if isinstance(vals, list) else vals.sum(axis=0)
 
     def sf_value(t):
-        return float(np.sum(component_values(t)))
+        return scalar_sum(component_values(t))
 
     def positive_sum(vals, t):
-        total = vals.sum(axis=0)
-        if (total <= 0.0).any():
-            raise ValueError("mixture survival nonpositive at t = "
-                             f"{np.extract(total <= 0.0, t)[0]}")
+        total = component_sum(vals)
+        low = total <= 0.0
+        if low if isinstance(low, bool) else low.any():
+            raise ValueError(f"mixture survival nonpositive at t = {np.extract(low, t)[0]}")
         return total
 
     def log_sf(t):
@@ -609,11 +623,11 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
 
     def weighted_psi_prime(vals, t):
         xp = _xp(t)
-        return sum(v * psi_prime(xp, b, ts, t) for v, (_, b, ts) in zip(vals, comps))
+        return left_sum(v * psi_prime(xp, b, ts, t) for v, (_, b, ts) in zip(vals, comps))
 
     def hazard_value(t):
         vals = component_values(t)
-        return weighted_psi_prime(vals, t) / vals.sum(axis=0)
+        return weighted_psi_prime(vals, t) / component_sum(vals)
 
     def log_sf_slope(t):
         # (log S(t), t h(t)) for the quantile solver, from one evaluation of

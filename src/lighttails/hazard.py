@@ -67,8 +67,8 @@ class LogPowerSum:
         A float skips the array round trip but keeps np.power and np.log:
         their loops differ from libm in the last bit on a few percent of
         inputs, and the quadrature and evaluate artifacts record numpy's
-        bits.  The mixture's _xp takes math for scalars for the same reason:
-        its artifacts were recorded from math.
+        bits.  A mixture's scalar read is plain floats through math, with no
+        numpy, for the same reason: its artifacts were recorded from math.
         """
         scalar = isinstance(t, float)
         t = t if scalar else np.asarray(t, dtype=float)

@@ -9,12 +9,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lighttails as lt
 from lighttails.cli import (EXIT_ERROR, EXIT_OK, EXIT_REGIME, EXIT_SCHEMA,
                             EXIT_SMOOTHNESS, main)
 from lighttails.config import (COMPARE_ROW, ORACLE_HEADER, build_distribution,
-                               build_weights, load_config, run_command, write_csv)
+                               build_weights, load_config, run_command, write_csv,
+                               write_json)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -372,6 +375,39 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
     want = "\n".join([",".join(name for name, _ in named)]
                      + [",".join(_cell(col[r]) for col in columns) for r in range(8)]) + "\n"
     assert path.read_text() == want
+
+
+# JSON documents as the artifacts hold them, and the corners around them:
+# non-finite floats, non-ASCII and control characters, empty containers
+_json_scalars = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text())
+_json_docs = st.recursive(
+    st.one_of(_json_scalars, st.lists(st.floats()),
+              st.lists(st.one_of(st.booleans(), st.none()))),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=20)
+
+
+@given(doc=_json_docs)
+@settings(max_examples=150, deadline=None)
+def test_write_json_matches_json_dumps(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    write_json(str(path), doc)
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [math.nan, math.inf, -math.inf],
+    [0.5, math.inf],  # no artifact writes Infinity, so this is its only check
+    {"t": [-0.0, 5e-324, 1e308, 0.1], "flags": [True, None, False]},
+    [1.0, 2, 3.5], [1.0, True], [False, 0, None], [np.float64(0.25), 0.5],
+    {"outer": ({"é\n\x00": [[], {}, ()]},), "": [[1.0, math.nan], [2.0, -0.0]]},
+    -math.inf, "naïve", None,
+])
+def test_write_json_formats_the_corners_as_json_does(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    write_json(str(path), doc)
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_compare_json_rows_are_compare_csv_columns(tmp_path):
