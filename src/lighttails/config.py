@@ -1,8 +1,10 @@
 """Experiment configuration: one JSON file describes distribution, weights,
 expansion order, evaluation grid and oracle budget.
 
-The schema is validated with jsonschema so violations report the offending
-key's path.  Builders turn the validated document into package objects.  Each
+CONFIG_SCHEMA, a JSON Schema (draft 2020-12), is checked by this module's own
+interpreter of the few keywords it uses, so a violation reports the offending
+key's path with jsonschema's message; jsonschema itself is the tests'
+reference.  Builders turn the validated document into package objects.  Each
 command's artifacts come from one function as (file name, content) pairs, a
 CSV as its (column name, column) pairs and a JSON file as its dict, and
 run_command writes them in one loop, atomically and formatted
@@ -13,6 +15,7 @@ identical (config, seed) pairs give byte-identical outputs.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from contextlib import contextmanager
@@ -20,7 +23,6 @@ from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import expansion as xp
 from . import oracle as orc
@@ -119,13 +121,76 @@ CONFIG_SCHEMA = {
 }
 
 
+# JSON Schema draft 2020-12's types: a bool is not a number, and 3.0 is an integer
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": (int, float), "integer": (int, float)}
+# each bound keyword: the comparison that breaks it and the words of its message
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of")}
+
+
+def _is_type(value, name: str) -> bool:
+    if isinstance(value, bool) and name in ("number", "integer"):
+        return False
+    return isinstance(value, _TYPES[name]) and (
+        name != "integer" or isinstance(value, int) or value.is_integer())
+
+
+def _schema_errors(schema: dict, value, path: tuple):
+    """(path, message) of each keyword of schema that value breaks, in
+    jsonschema's order and words.  A bound binds only numbers, so a NaN passes
+    it; a keyword that has no check here raises."""
+    for key, arg in schema.items():
+        if key == "type":
+            names = [arg] if isinstance(arg, str) else arg
+            if not any(_is_type(value, name) for name in names):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "required":
+            for name in arg if isinstance(value, dict) else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in arg.items() if isinstance(value, dict) else ():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], path + (name,))
+        elif key == "additionalProperties" and arg is False:
+            extra = sorted(value.keys() - schema.get("properties", {}).keys()
+                           if isinstance(value, dict) else ())
+            if extra:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif key in ("enum", "const"):
+            # JSON equality with the schema's scalars: true is not 1, -0.0 is 0
+            if not any(value == each and isinstance(value, bool) == isinstance(each, bool)
+                       for each in (arg if key == "enum" else [arg])):
+                yield path, (f"{value!r} is not one of {arg!r}" if key == "enum"
+                             else f"{arg!r} was expected")
+        elif key == "not":
+            if next(_schema_errors(arg, value, path), None) is None:
+                yield path, f"{value!r} should not be valid under {arg!r}"
+        elif key in _BOUNDS:
+            broken, words = _BOUNDS[key]
+            if _is_type(value, "number") and broken(value, arg):
+                yield path, f"{value!r} is {words} {arg!r}"
+        elif key == "items":
+            for index, item in enumerate(value if isinstance(value, list) else ()):
+                yield from _schema_errors(arg, item, path + (index,))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key not in ("$schema", "default"):
+            raise NotImplementedError(f"schema keyword {key!r}: {arg!r}")
+
+
 def validate_config(doc: dict) -> None:
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    """Refuse doc at the first path, in path order, where it breaks
+    CONFIG_SCHEMA: a ConfigError with jsonschema's message."""
+    errors = list(_schema_errors(CONFIG_SCHEMA, doc, ()))
     if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(err.message, path=path)
+        path, message = min(errors, key=lambda error: error[0])
+        raise ConfigError(message, path="/".join(map(str, path)) or "<root>")
 
 
 def load_config(path: str) -> dict:

@@ -189,10 +189,6 @@ class HazardModel:
         self._check_domain(t)
         return math.log(self.sbar_t0) - self.cum_hazard(t)
 
-    def survival_derivative(self, k: int, t: float) -> float:
-        sign, logabs = self.survival_derivative_signed_log(k, t)
-        return sign * math.exp(logabs) if sign else 0.0
-
     def survival_derivative_signed_log(self, k: int, t: float) -> tuple[float, float]:
         """Return (sign, log|S^(k)(t)|); a zero sign encodes an exact zero."""
         return self.survival_derivatives_signed_log(k, t)[k]

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 import lighttails as lt
+from lighttails import config
 from lighttails.cli import (EXIT_ERROR, EXIT_OK, EXIT_REGIME, EXIT_SCHEMA,
                             EXIT_SMOOTHNESS, main)
-from lighttails.config import (COMPARE_ROW, ORACLE_HEADER, build_distribution,
-                               build_weights, load_config, run_command, write_csv,
-                               write_json)
+from lighttails.config import (COMPARE_ROW, CONFIG_SCHEMA, ORACLE_HEADER,
+                               build_distribution, build_weights, load_config,
+                               run_command, validate_config, write_csv, write_json)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -39,6 +41,14 @@ BASE = {
     "grid": {"t_min": 50.0, "t_max": 200.0, "points": 3, "spacing": "geometric"},
     "oracle": {"method": "conditional_mc", "n": 10000, "seed": 4, "eps_trunc": 1e-9},
 }
+
+
+def with_changes(**sections):
+    """A copy of BASE with each section updated by, or set to, its keys."""
+    doc = json.loads(json.dumps(BASE))
+    for name, updates in sections.items():
+        doc.setdefault(name, {}).update(updates)
+    return doc
 
 
 # -- config layer ---------------------------------------------------------------
@@ -125,11 +135,8 @@ GEOMETRIC = {"type": "geometric", "ratio": 0.5, "from_index": 3}
         "two_sided_contradicts_symmetric", "negative_on_one_sided",
         "string_parameter", "null_parameter", "symmetric_custom", "infinite_weight"])
 def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
-    doc = json.loads(json.dumps(BASE))
-    for name, updates in sections.items():
-        doc[name].update(updates)
     out = tmp_path / "out"
-    assert main(["expand", "--config", write_config(tmp_path, doc),
+    assert main(["expand", "--config", write_config(tmp_path, with_changes(**sections)),
                  "--out", str(out)]) == EXIT_SCHEMA
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["path"] == path
@@ -147,15 +154,152 @@ def test_cli_bad_weights_exit_at_their_path(tmp_path, sections, path):
         "weights_ratio", "generator_start", "unknown_section"])
 def test_cli_unknown_key_exits_at_its_section(tmp_path, sections, path):
     # a misspelled key is refused, not silently ignored; params alone is open
-    doc = json.loads(json.dumps(BASE))
-    for name, updates in sections.items():
-        doc.setdefault(name, {}).update(updates)
     out = tmp_path / "out"
-    assert main(["classify", "--config", write_config(tmp_path, doc),
+    assert main(["classify", "--config", write_config(tmp_path, with_changes(**sections)),
                  "--out", str(out)]) == EXIT_SCHEMA
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["path"] == path
     assert "Additional properties are not allowed" in err["message"]
+
+
+# -- the schema interpreter against jsonschema --------------------------------------
+
+
+def verdict(doc):
+    """validate_config's refusal of doc as (path, message), None if it accepts."""
+    try:
+        validate_config(doc)
+    except lt.ConfigError as exc:
+        return exc.path, str(exc)
+    return None
+
+
+def reference_verdict(doc):
+    """The same from jsonschema: its first error once sorted by path."""
+    errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    path = "/".join(map(str, errors[0].absolute_path)) or "<root>"
+    return path, f"{errors[0].message} (at {path})"
+
+
+def schema_words(node):
+    """Every key and string value of a schema: the names a config may use."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from schema_words(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from schema_words(value)
+    elif isinstance(node, str):
+        yield node
+
+
+def containers(node):
+    """Every object and array in a JSON document, the document first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from containers(child)
+
+
+SHIPPED_DOCS = [load_config(cfg(name)) for name in sorted(SHIPPED_REGIMES)]
+_names = st.one_of(st.sampled_from(sorted(set(schema_words(CONFIG_SCHEMA)))),
+                   st.text(max_size=3))
+_values = st.recursive(
+    st.one_of(st.booleans(), st.integers(-3, 3), st.integers(), st.floats(),
+              st.sampled_from([0.0, -0.0, 1.0, 3.0, 0.5, math.nan, math.inf, -math.inf]),
+              _names, st.none()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_names, inner, max_size=3),
+    max_leaves=6)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_config_agrees_with_jsonschema(data):
+    # replace, delete and add keys and items at random places in a shipped config
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(SHIPPED_DOCS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent = data.draw(st.sampled_from(list(containers(doc))))
+        keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"] if keys else ["add"]))
+        if action == "delete":
+            del parent[data.draw(st.sampled_from(keys))]
+        elif action == "replace":
+            parent[data.draw(st.sampled_from(keys))] = data.draw(_values)
+        elif isinstance(parent, dict):
+            parent[data.draw(_names)] = data.draw(_values)
+        else:
+            parent.append(data.draw(_values))
+    assert verdict(doc) == reference_verdict(doc)
+
+
+@pytest.mark.parametrize("doc, expected", [
+    (BASE, None),
+    (with_changes(grid={"points": 3.0}), None),  # 3.0 is an integer
+    (with_changes(grid={"points": True}), ("grid/points", "True is not of type 'integer'")),
+    (with_changes(weights={"delta": False}), ("weights/delta", "False is not of type 'number'")),
+    (with_changes(weights={"weights": [1.0, -0.0]}),
+     ("weights/weights/1", "-0.0 should not be valid under {'const': 0}")),
+    (with_changes(weights={"delta": math.nan}, grid={"t_min": math.nan}), None),
+    (with_changes(weights={"delta": math.inf}),
+     ("weights/delta", "inf is greater than or equal to the maximum of 1.0")),
+    (with_changes(oracle={"y": 1, "x": 2}),
+     ("oracle", "Additional properties are not allowed ('x', 'y' were unexpected)")),
+    ({"distribution": BASE["distribution"], "weights": {"weights": [], "x": 1}},
+     ("weights", "'delta' is a required property")),
+    (with_changes(weights={"weights": []}), ("weights/weights", "[] should be non-empty")),
+    # the first path in path order, not the first error found
+    (with_changes(grid={"points": 0}, distribution={"family": "gamma"}),
+     ("distribution/family", "'gamma' is not one of ['weibull', 'logweibull', "
+      "'lognormal2', 'custom', 'log_power_mixture']")),
+    ([BASE], ("<root>", f"{[BASE]!r} is not of type 'object'")),
+], ids=["valid", "float_integer", "bool_integer", "bool_number", "negative_zero_weight",
+        "nan_passes_bounds", "inf_above_delta", "extra_keys_sorted",
+        "required_before_additional", "empty_weights", "path_order", "root_not_object"])
+def test_validate_config_refuses_as_jsonschema_does(doc, expected):
+    if expected is not None:
+        expected = expected[0], f"{expected[1]} (at {expected[0]})"
+    assert verdict(doc) == reference_verdict(doc) == expected
+
+
+@pytest.mark.parametrize("schema, value", [
+    ({"type": "number"}, True), ({"type": "integer"}, False), ({"type": "integer"}, 3.0),
+    ({"type": "integer"}, 3.5), ({"type": "integer"}, math.inf), ({"type": "integer"}, 10**400),
+    ({"type": ["object", "null"]}, "x"), ({"type": ["object", "null"]}, None),
+    ({"enum": [1, "a"]}, True), ({"enum": [1, "a"]}, 1.0), ({"const": 1}, True),
+    ({"const": False}, 0), ({"const": 0}, -0.0),
+    ({"not": {"const": 0}}, 0), ({"not": {"const": 0}}, -0.0), ({"not": {"const": 0}}, False),
+    ({"minimum": 2, "exclusiveMinimum": 0.0, "exclusiveMaximum": 1.0}, math.nan),
+    ({"minimum": 2, "exclusiveMinimum": 0.0, "exclusiveMaximum": 1.0}, -math.inf),
+    ({"minimum": 2, "exclusiveMinimum": 0.0, "exclusiveMaximum": 1.0}, 1),
+    ({"minimum": 2, "exclusiveMinimum": 0.0}, "0"), ({"minimum": 2}, False),
+    ({"minItems": 1, "items": {"minimum": 0}}, []),
+    ({"minItems": 3, "items": {"minimum": 0}}, [-1, 0.5]),
+    ({"properties": {"a": {"type": "null"}}, "additionalProperties": False},
+     {"z": 1, "a": 0, "b": 2}),
+    ({"properties": {"a": {}}, "additionalProperties": False}, {"a": 1, "q": 2}),
+    ({"required": ["b", "a"], "properties": {"a": {}}, "additionalProperties": False}, {"c": 1}),
+    ({"required": ["a"], "properties": {"a": {"minimum": 1}}, "minItems": 1}, [0]),
+])
+def test_schema_interpreter_keeps_draft_2020_12_semantics(schema, value):
+    # every error, in order: the keywords in turn, each with jsonschema's words
+    expected = [(tuple(e.absolute_path), e.message)
+                for e in Draft202012Validator(schema).iter_errors(value)]
+    assert list(config._schema_errors(schema, value, ())) == expected
+
+
+@pytest.mark.parametrize("keyword", [{"minProperties": 1}, {"additionalProperties": {}},
+                                     {"pattern": "^w"}])
+def test_a_schema_keyword_without_a_check_raises(monkeypatch, keyword):
+    # so a keyword added to CONFIG_SCHEMA can never be skipped in silence
+    schema = json.loads(json.dumps(CONFIG_SCHEMA))
+    schema["properties"]["grid"].update(keyword)
+    monkeypatch.setattr(config, "CONFIG_SCHEMA", schema)
+    with pytest.raises(NotImplementedError):
+        validate_config(BASE)
 
 
 # -- CLI commands ------------------------------------------------------------------
@@ -648,28 +792,43 @@ COLD_START = """
 import json, sys
 from lighttails.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules if m == sys.argv[2] or m.startswith(sys.argv[2] + "."))
 
-seen = [["import", 0, scipy_modules()]]
+seen = [["import", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
-    seen.append([" ".join(argv[:3]), main(argv), scipy_modules()])
+    seen.append([" ".join(argv[:3]), main(argv), loaded()])
 print(json.dumps(seen))
 """
+
+
+def cold_start(tmp_path, runs, package):
+    """[step, exit code, the modules of package loaded after it] for importing
+    the CLI and then each run of main, in one fresh interpreter."""
+    runs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs), package],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def one_point(tmp_path, name, **sections):
+    """A shipped config cut to one grid point and 2000 oracle samples."""
+    doc = {**load_config(cfg(name)), **sections}
+    doc["grid"].update(points=1, t_max=doc["grid"]["t_min"])
+    doc["oracle"]["n"] = 2000
+    return write_config(tmp_path, doc, "custom.json" if sections else name)
 
 
 def test_scipy_loads_only_at_the_first_integral(tmp_path):
     # a fresh interpreter: importing the CLI and every command that integrates
     # nothing leave scipy unloaded; a supercritical expand reaches its moments
-    def one_point(name, **sections):
-        doc = {**load_config(cfg(name)), **sections}
-        doc["grid"].update(points=1, t_max=doc["grid"]["t_min"])
-        doc["oracle"]["n"] = 2000
-        return write_config(tmp_path, doc, "custom.json" if sections else name)
-
-    weibull, pair = one_point("weibull_oracle_check.json"), one_point("cancellation_pair.json")
+    weibull = one_point(tmp_path, "weibull_oracle_check.json")
+    pair = one_point(tmp_path, "cancellation_pair.json")
     # every hazard term has a closed-form antiderivative
-    custom = one_point("weibull_oracle_check.json", distribution={
+    custom = one_point(tmp_path, "weibull_oracle_check.json", distribution={
         "family": "custom", "params": {"terms": [[0.4, -0.6, 0.0], [0.1, -1.0, 1.0]],
                                        "rv_index": -0.6}})
     runs = [["classify", "--config", cfg("weibull_oracle_check.json")],
@@ -677,14 +836,22 @@ def test_scipy_loads_only_at_the_first_integral(tmp_path):
             ["oracle", "--config", weibull], ["oracle", "--config", pair],
             ["compare", "--config", pair],
             ["expand", "--config", cfg("weibull_oracle_check.json")]]
-    runs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
-    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)],
-                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen = cold_start(tmp_path, runs, "scipy")
     assert [code for _, code, _ in seen] == [EXIT_OK] * (1 + len(runs))
     for step, _, modules in seen[:-1]:
         assert modules == [], step
     assert "scipy.integrate" in seen[-1][2]
+
+
+def test_no_command_loads_jsonschema(tmp_path):
+    # configs are checked by config's own interpreter: jsonschema is test-only,
+    # also where a command integrates or a config is refused
+    weibull = one_point(tmp_path, "weibull_oracle_check.json")
+    invalid = write_config(tmp_path, with_changes(weights={"weights": []}), "invalid.json")
+    runs = [[command, "--config", weibull]
+            for command in ("classify", "expand", "evaluate", "oracle", "compare")]
+    runs += [["report", "--config", str(tmp_path / "out2" / "report.json")],  # evaluate's
+             ["classify", "--config", invalid]]
+    seen = cold_start(tmp_path, runs, "jsonschema")
+    assert [code for _, code, _ in seen] == [EXIT_OK] * len(runs) + [EXIT_SCHEMA]
+    assert [modules for _, _, modules in seen] == [[]] * len(seen)

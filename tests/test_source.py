@@ -1,9 +1,15 @@
-"""Source hygiene: no private helper under src/lighttails that nothing calls."""
+"""Source hygiene: no private helper under src/lighttails that nothing calls,
+and the runtime dependencies pyproject.toml declares are the ones it imports."""
 
 import ast
 import pathlib
+import re
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lighttails"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lighttails"
 
 
 def _private(name: str) -> bool:
@@ -58,3 +64,39 @@ class _Box:
 """
     assert _unreferenced({"m.py": source}) == [
         "_Box (m.py:10)", "_UNUSED (m.py:3)", "_helper (m.py:6)", "_method (m.py:11)"]
+
+
+def _third_party_imports(sources: dict) -> set[str]:
+    """The top-level name of each absolute import, also one inside a function,
+    that is neither the standard library's nor the package's own."""
+    names = set()
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=file)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "lighttails"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group() for req in project["dependencies"]}
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert declared == _third_party_imports(sources) == {"numpy", "scipy"}
+
+
+def test_the_import_scan_sees_imports_inside_functions():
+    source = """
+from __future__ import annotations
+import os.path, numpy as np
+from . import sibling
+from lighttails.errors import ConfigError
+
+
+def f():
+    from scipy.integrate import quad
+    import jsonschema.validators
+"""
+    assert _third_party_imports({"m.py": source}) == {"numpy", "scipy", "jsonschema"}
