@@ -140,16 +140,17 @@ class TailDistribution:
         x = np.asarray(x, dtype=float)
         model = self.upper
         s, scalar = (-x, self.cdf) if lower else (x, self.sf)
-        out = np.empty_like(x)
-        rest = np.ones(x.shape, dtype=bool)
         if self.symmetric or not lower:
             tail = s >= model.t0
             if tail.all():
                 return model.sbar_t0 * np.exp(-np.asarray(model.cum_hazard(s), dtype=float))
-            if tail.any():
-                cum = np.asarray(model.cum_hazard(s[tail]), dtype=float)
-                out[tail] = model.sbar_t0 * np.exp(-cum)
-                rest = ~tail
+        else:
+            tail = np.zeros(x.shape, dtype=bool)
+        out = np.empty_like(x)
+        if tail.any():
+            cum = np.asarray(model.cum_hazard(s[tail]), dtype=float)
+            out[tail] = model.sbar_t0 * np.exp(-cum)
+        rest = ~tail
         if rest.any():
             out[rest] = [scalar(v) for v in x[rest]]
         return out
@@ -222,14 +223,23 @@ class ScaledFactor:
             raise DegenerateWeightError("scale c = 0 is the point mass at zero")
         self.dist = dist
         self.c = c
-        self.log_abs_c = log_abs_c = math.log(abs(c))
-        # the scalar reads, one closure each over c and log|c|: quadrature
-        # calls them per integrand value
-        side, logsf, pdf = dist.sf if c > 0 else dist.cdf, dist.logsf, dist.pdf
-        t0, symmetric, log = dist.upper.t0, dist.symmetric, math.log
+        self.log_abs_c = math.log(abs(c))
 
-        def scaled_sf(x):
-            return side(x / c)
+    # the scalar reads (one closure each over c and log|c|, which quadrature
+    # calls per integrand value), the support and the panel breaks serve
+    # quadrature alone, so each is built on first read and only it pays
+    @cached_property
+    def sf(self) -> Callable[[float], float]:
+        side, c = self.dist.sf if self.c > 0 else self.dist.cdf, self.c
+        return lambda x: side(x / c)
+
+    @cached_property
+    def logsf(self) -> Callable[[float], float]:
+        dist, c = self.dist, self.c
+        logsf = dist.logsf
+        if c > 0:
+            return lambda x: logsf(x / c)
+        side, t0, symmetric = dist.cdf, dist.upper.t0, dist.symmetric
 
         def mirrored_logsf(x):
             # in the mirrored lower tail, its own log-survival: the linear
@@ -238,14 +248,18 @@ class ScaledFactor:
                 return logsf(x / -c)
             return log_abs(side(x / c))
 
+        return mirrored_logsf
+
+    @cached_property
+    def logpdf(self) -> Callable[[float], float]:
+        pdf, c, log_abs_c, log = self.dist.pdf, self.c, self.log_abs_c, math.log
+
         def logpdf(x):
             v = pdf(x / c)
             return -math.inf if v <= 0.0 else log(v) - log_abs_c
 
-        self.sf, self.logpdf = scaled_sf, logpdf
-        self.logsf = (lambda x: logsf(x / c)) if c > 0 else mirrored_logsf
+        return logpdf
 
-    # the support and the panel breaks serve quadrature alone, so only it pays
     @cached_property
     def support_left(self) -> float:
         return self.c * self.dist.support_left if self.c > 0 else -math.inf

@@ -171,28 +171,45 @@ def _value_blocks(dist: TailDistribution, entries, n: int, seed: int, fill):
         yield block
 
 
-def _top_two(summands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of two or more rows, the largest and second-largest entry,
-    a repeated maximum included: np.sort(summands, axis=0)[-1] and [-2] (up
-    to the sign of a zero), from a running top two instead of a sort."""
-    largest = np.maximum(summands[0], summands[1])
-    second = np.minimum(summands[0], summands[1])
-    for row in summands[2:]:
-        np.maximum(second, np.minimum(largest, row), out=second)
-        np.maximum(largest, row, out=largest)
-    return largest, second
+def _residual_maxima(summands: np.ndarray):
+    """Per column tile of a matrix of two or more rows, and per row i in index
+    order, (tile, i, M'_i): the tile's column slice and the largest entry of
+    the other rows there, np.max(np.delete(summands, i, axis=0), axis=0)[tile]
+    (up to the sign of a zero).  M'_i is the larger of a running maximum of
+    the rows before i and a maximum of the rows after i; with two rows it is
+    the other row.  max only selects, so a tie gives the tied value."""
+    rows, width = summands.shape
+    # the maxima of the rows after i are stored before row 0 is visited, so a
+    # tile of columns bounds their memory; like the chunk, it moves no bits
+    tile = max(1, 16 * _CHUNK // rows)
+    store = np.empty((rows - 1, min(tile, width)))
+    for lo in range(0, width, tile):
+        cols = slice(lo, lo + tile)
+        part = summands[:, cols]
+        after = store[:, :part.shape[1]]
+        after[-1] = part[-1]
+        for i in range(rows - 3, -1, -1):
+            np.maximum(part[i + 1], after[i + 1], out=after[i])
+        yield cols, 0, after[0]
+        before = part[0]
+        for i in range(1, rows - 1):
+            yield cols, i, np.maximum(before, after[i], out=after[i])
+            before = np.maximum(before, part[i])
+        yield cols, rows - 1, before
 
 
-# Each temporary of a chunk is about 64 KiB and its summands about _CHUNK
-# draws a row, so they stay in cache and the allocator reuses them instead of
-# faulting in fresh pages.  Only the values span the block: _sample_stats sums
-# each block pairwise, so a block summed chunk by chunk would move p_hat.
+# Each temporary of a chunk is at most about 64 KiB and its summands about
+# _CHUNK draws a row, so they stay in cache and the allocator reuses them
+# instead of faulting in fresh pages.  The one larger temporary is the store
+# of _residual_maxima, (rows - 1) * tile floats: under 16 * _CHUNK floats
+# (1 MiB), 1.0 MB at 31 rows.  Only the values span the block: _sample_stats
+# sums each block pairwise, so a block summed chunk by chunk would move p_hat.
 
 
 def _conditional_values(dist, entries, t, n, seed):
     """Per sample, sum_i P(c_i X > max(M'_i, t - S'_i) | rest), where M'_i is
-    the second-largest summand if summand i is the largest, else the largest.
-    With one variable every sample is P(c X > t): nothing is drawn."""
+    the largest of the other summands.  With one variable every sample is
+    P(c X > t): nothing is drawn."""
     factors = [ScaledFactor(dist, w) for _, w in entries]
     if len(entries) == 1:
         value = factors[0].sf_batch(np.array([t]))[0]
@@ -202,11 +219,12 @@ def _conditional_values(dist, entries, t, n, seed):
 
     def fill(summands, out):
         total = summands.sum(axis=0)
-        largest, second = _top_two(summands)
         out.fill(0.0)
-        for row, factor in zip(summands, factors):
-            resid_max = np.where(row == largest, second, largest)
-            out += factor.sf_batch(np.maximum(resid_max, t - (total - row)))
+        # each column is in one tile and takes its rows in index order
+        for cols, i, resid_max in _residual_maxima(summands):
+            into = out[cols]
+            into += factors[i].sf_batch(
+                np.maximum(resid_max, t - (total[cols] - summands[i, cols])))
 
     yield from _value_blocks(dist, entries, n, seed, fill)
 

@@ -13,7 +13,7 @@ from scipy.integrate import dblquad, quad
 import lighttails as lt
 from lighttails.config import build_distribution, build_weights, load_config
 from lighttails import oracle
-from lighttails.oracle import _top_two
+from lighttails.oracle import _residual_maxima
 
 from helpers import brentq_quantile
 
@@ -50,8 +50,20 @@ def test_single_weight_estimator_is_constant(weibull04):
     assert est.n_samples == (1 << 18) + 1000
 
 
+def _residual_maxima_by_row(m):
+    """_residual_maxima's tiles put back together: M'_i per row i, checking
+    that each tile visits every row once, in index order."""
+    got = np.full(m.shape, np.nan)
+    order = []
+    for cols, i, resid_max in _residual_maxima(m):
+        got[i, cols] = resid_max
+        order.append(i)
+    assert order == list(range(len(m))) * (len(order) // len(m))
+    return got
+
+
 @pytest.mark.parametrize("rows", [2, 3, 31])
-def test_top_two_matches_sort(rows):
+def test_residual_maxima_match_brute_force(rows):
     rng = np.random.default_rng(rows)
     ties = rng.integers(-3, 4, size=(rows, 300)).astype(float)
     spread = rng.standard_normal((rows, 300))
@@ -61,15 +73,16 @@ def test_top_two_matches_sort(rows):
     zeros[:2] = (-0.0, 0.0)
     special = np.column_stack([np.full(rows, 1.5), dup_max, -np.arange(1.0, rows + 1.0),
                                zeros, zeros[::-1]])
-    for m in (ties, -ties, spread, special):
-        order = np.sort(m, axis=0)
-        largest, second = _top_two(m)
-        # equality as floats compare: the sort leaves the order of -0.0 and
-        # 0.0 to its algorithm, and no survival tells the two apart
-        np.testing.assert_array_equal(largest, order[-1])
-        np.testing.assert_array_equal(second, order[-2])
-    largest, second = _top_two(special)
-    assert largest[1] == second[1] == 7.0 and largest[0] == second[0] == 1.5
+    # wider than a tile, and not a whole number of tiles
+    tile = max(1, 16 * oracle._CHUNK // rows)
+    wide = rng.integers(-3, 4, size=(rows, 2 * tile + 17)).astype(float)
+    for m in (ties, -ties, spread, special, wide):
+        want = np.stack([np.max(np.delete(m, i, axis=0), axis=0) for i in range(rows)])
+        # equality as floats compare: no survival tells -0.0 from 0.0
+        np.testing.assert_array_equal(_residual_maxima_by_row(m), want)
+    got = _residual_maxima_by_row(special)
+    # a repeated maximum is every row's residual maximum
+    assert (got[:, 1] == 7.0).all() and (got[:, 0] == 1.5).all()
 
 
 # float.hex of seeded (p_hat, std_err): an edit to the sampling or to a kernel
@@ -172,15 +185,18 @@ def test_one_quantile_call_per_chunk_of_draws():
 
 @pytest.mark.parametrize("estimator,case,n,bound_mb",
                          [(lt.conditional_mc, "pair", 1 << 20, 4.0),
+                          (lt.conditional_mc, "triple", 1 << 20, 4.0),
                           (lt.plain_mc, "pair", 1 << 18, 3.5),
                           (lt.conditional_mc, "symmetric_moments", oracle._BLOCK, 6.0),
                           (lt.plain_mc, "symmetric_moments", oracle._BLOCK, 6.0)],
-                         ids=["conditional_mc-pair", "plain_mc-pair",
-                              "conditional_mc-symmetric_moments", "plain_mc-symmetric_moments"])
+                         ids=["conditional_mc-pair", "conditional_mc-triple",
+                              "plain_mc-pair", "conditional_mc-symmetric_moments",
+                              "plain_mc-symmetric_moments"])
 def test_sampling_memory_stays_bounded(weibull04, pair_seq, estimator, case, n, bound_mb):
-    # beyond a block's values (2 MB) and one chunk of summands (about _CHUNK
-    # draws a row: 2 MB at 31 rows, 128 KiB at 2), every temporary spans about
-    # _CHUNK draws; the first call warms the caches
+    # beyond a block's values (2 MB), one chunk of summands (about _CHUNK
+    # draws a row: 2 MB at 31 rows, 128 KiB at 2) and the conditional kernel's
+    # store of maxima (under 1 MiB), every temporary spans about _CHUNK draws;
+    # the first call warms the caches
     _, dist, seq, t, seed, _, _ = _seeded_case(case, weibull04, pair_seq)
     estimator(dist, seq, t, 1000, seed=seed)
     tracemalloc.start()
