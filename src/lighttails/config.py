@@ -324,15 +324,22 @@ def write_atomic(path: str, data: str) -> None:
         raise
 
 
+class Spelled(list):
+    """A float column as the repr of each cell.  A command spells each float
+    cell of its artifacts once and hands the texts to every writer: write_csv
+    writes them as they are (nan, inf), write_json as JSON does (NaN, Infinity)."""
+
+
 # the JSON words of a list of bools and None
 _JSON_WORDS = {True: "true", False: "false", None: "null"}
 
 
 def _json_text(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True) byte for byte, nested at
-    `indent`, for str dict keys.  json indents only in its pure-Python encoder,
-    one generator step per item, so a list of plain floats, or of bools and
-    None, is joined here in one pass instead."""
+    `indent`, for str dict keys, with a Spelled column as its floats.  json
+    indents only in its pure-Python encoder, one generator step per item, so a
+    list of plain floats, a Spelled column, or a list of bools and None, is
+    joined here in one pass instead."""
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -344,14 +351,17 @@ def _json_text(obj, indent: str = "") -> str:
         return json.dumps(obj)
     if not obj:
         return "[]"
-    sep, kinds = ",\n" + inner, set(map(type, obj))
+    sep = ",\n" + inner
+    kinds = {float} if isinstance(obj, Spelled) else set(map(type, obj))
     if kinds <= {bool, type(None)}:
         text = sep.join(map(_JSON_WORDS.__getitem__, obj))
-    else:
-        text = sep.join(map(float.__repr__, obj)) if kinds == {float} else None
+    elif kinds == {float}:
+        text = sep.join(obj if isinstance(obj, Spelled) else map(float.__repr__, obj))
         # nan and inf, the only floats whose repr has an n, are NaN and Infinity in JSON
-        if text is None or "n" in text:
-            text = sep.join(_json_text(v, inner) for v in obj)
+        if "n" in text:
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    else:
+        text = sep.join(_json_text(v, inner) for v in obj)
     return "[\n" + inner + text + "\n" + indent + "]"
 
 
@@ -362,11 +372,13 @@ def write_json(path: str, obj) -> None:
 def write_csv(path: str, named) -> None:
     """CSV of (column name, column) pairs, each column formatted by its numpy
     kind: floats in shortest round-trip repr, integers in decimal, booleans
-    as 1/0, strings as they are."""
+    as 1/0, strings and a Spelled column's texts as they are."""
     cells = []
     for _, col in named:
-        col = np.asarray(col)
-        cells.append(map(str, (col.astype(int) if col.dtype.kind == "b" else col).tolist()))
+        if not isinstance(col, Spelled):
+            col = np.asarray(col)
+            col = map(str, (col.astype(int) if col.dtype.kind == "b" else col).tolist())
+        cells.append(col)
     rows = [",".join(name for name, _ in named)] + [",".join(row) for row in zip(*cells)]
     write_atomic(path, "\n".join(rows) + "\n")
 
@@ -412,13 +424,15 @@ def _evaluation_columns(table, inserted=()):
                     ("cancellation_flag", table.cancellation)]
 
 
-def evaluation_to_json(table) -> dict:
+def _evaluation_fields(table) -> dict:
+    """An evaluation's JSON fields, the float ones as the table's arrays and
+    the others in plain Python values."""
     return {
-        "t": table.t.tolist(),
-        "totals": table.totals.tolist(),
+        "t": table.t,
+        "totals": table.totals,
         "term_labels": list(table.term_labels),
-        "term_values": table.term_values.tolist(),
-        "benchmark": table.benchmark.tolist(),
+        "term_values": table.term_values,
+        "benchmark": table.benchmark,
         "cancellation": table.cancellation.tolist(),
         "domain_ok": table.domain_ok.tolist(),
         "notes": list(table.notes),
@@ -438,9 +452,9 @@ def _evaluate(doc: dict, order_override: int | None):
     return exp, xp.evaluate(exp, dist, build_grid(doc))
 
 
-def _same_bits(value, stored) -> bool:
-    """Each stored cell a float, NaN where NaN, else equal on the int64 view."""
-    want, cells = np.asarray(value, dtype=float), np.asarray(stored, dtype=object)
+def _same_bits(want: np.ndarray, stored) -> bool:
+    """Each stored cell a float, NaN where NaN, else equal to want on the int64 view."""
+    cells = np.asarray(stored, dtype=object)
     if cells.shape != want.shape or not {float}.issuperset(map(type, cells.flat)):
         return False
     got = cells.astype(float)
@@ -464,9 +478,8 @@ def _verify_report(report_path: str) -> dict:
     validate_config(doc)
     _, table = _evaluate(doc, report.get("order_override"))
     stored = report["evaluation"]
-    mismatches = [key for key, value in evaluation_to_json(table).items()
-                  if not (_same_bits(value, stored.get(key))
-                          if key in ("t", "totals", "term_values", "benchmark")
+    mismatches = [key for key, value in _evaluation_fields(table).items()
+                  if not (_same_bits(value, stored.get(key)) if isinstance(value, np.ndarray)
                           else json.dumps(value) == json.dumps(stored.get(key)))]
     return {
         "roundtrip_ok": not mismatches,
@@ -476,19 +489,29 @@ def _verify_report(report_path: str) -> dict:
 
 
 def _artifacts(command: str, config_path: str, seed_override: int | None,
-               order_override: int | None) -> list[tuple[str, object]]:
-    """A command's artifacts as (file name, content) pairs, its JSON file last:
-    a CSV's content is its (column name, column) pairs, a JSON file's its dict."""
+               order_override: int | None) -> tuple[list[tuple[str, object]], dict]:
+    """A command's artifacts as (file name, content) pairs, its JSON file last,
+    and that file's content in plain Python values: a CSV's content is its
+    (column name, column) pairs, a JSON file's its dict."""
     if command == "report":
-        return [("report_verified.json", _verify_report(config_path))]
+        verdict = _verify_report(config_path)
+        return [("report_verified.json", verdict)], verdict
     doc = load_config(config_path)
     if command == "evaluate":
         exp, table = _evaluate(doc, order_override)
-        return [("evaluation.csv", _evaluation_columns(table)),
-                ("report.json", {"config": doc, "seed": build_budget(doc).seed,
-                                 "order_override": order_override,
-                                 "expansion": expansion_to_json(exp),
-                                 "evaluation": evaluation_to_json(table)})]
+        # each float cell is spelled once, for evaluation.csv and report.json alike
+        named = [(name, col if col.dtype.kind == "b"
+                  else Spelled(map(float.__repr__, col.tolist())))
+                 for name, col in _evaluation_columns(table)]
+        t, totals, *terms, benchmark, _ = (col for _, col in named)
+        fields = _evaluation_fields(table)
+        report = {"config": doc, "seed": build_budget(doc).seed,
+                  "order_override": order_override, "expansion": expansion_to_json(exp)}
+        spelled = {**fields, "t": t, "totals": totals, "benchmark": benchmark,
+                   "term_values": list(map(Spelled, zip(*terms)))}
+        plain = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in fields.items()}
+        return ([("evaluation.csv", named), ("report.json", {**report, "evaluation": spelled})],
+                {**report, "evaluation": plain})
 
     dist = build_distribution(doc)
     seq = build_weights(doc, dist)
@@ -496,7 +519,7 @@ def _artifacts(command: str, config_path: str, seed_override: int | None,
         model = dist.upper
         regime = xp.classify(model)
         diag = validate_metadata(model, xp.default_diagnostic_grid(model))
-        return [("classify.json", {
+        summary = {
             "regime": regime.kind.value,
             "lambda": regime.lam,
             "provenance": PROVENANCE,
@@ -507,10 +530,11 @@ def _artifacts(command: str, config_path: str, seed_override: int | None,
                 "smooth_order": model.smooth_order,
             },
             "diagnostics": asdict(diag),
-        })]
+        }
+        return [("classify.json", summary)], summary
     if command == "expand":
-        return [("expansion.json",
-                 expansion_to_json(build_expansion(doc, dist, seq, order_override)))]
+        summary = expansion_to_json(build_expansion(doc, dist, seq, order_override))
+        return [("expansion.json", summary)], summary
 
     grid = build_grid(doc)
     budget = build_budget(doc, seed_override)
@@ -518,9 +542,10 @@ def _artifacts(command: str, config_path: str, seed_override: int | None,
     if command == "oracle":
         with _rejected_at("oracle"):
             estimates = [orc._estimate(dist, seq, float(t), budget) for t in grid]
+        summary = {"estimates": [vars(e) for e in estimates]}
         return [("oracle.csv", [(name, [getattr(e, f) for e in estimates])
                                 for f, name in ORACLE_HEADER.items()]),
-                ("oracle.json", {"estimates": [vars(e) for e in estimates]})]
+                ("oracle.json", summary)], summary
 
     # compare
     exp = build_expansion(doc, dist, seq, order_override)
@@ -531,14 +556,14 @@ def _artifacts(command: str, config_path: str, seed_override: int | None,
         ("oracle_p", "oracle_stderr", "deviation", "deviation_over_benchmark")])
     named.append(("passed", table.passed))
     columns = dict(named)
-    return [("compare.csv", named),
-            ("compare.json", {
-                "config": doc,
-                "budget": {k: getattr(table.estimates[0], k) for k in
-                           ("n_samples", "seed", "method")} if table.estimates else {},
-                "rows": [dict(zip(COMPARE_ROW, row)) for row in
-                         zip(*(columns[name].tolist() for name in COMPARE_ROW))],
-            })]
+    summary = {
+        "config": doc,
+        "budget": {k: getattr(table.estimates[0], k) for k in
+                   ("n_samples", "seed", "method")} if table.estimates else {},
+        "rows": [dict(zip(COMPARE_ROW, row)) for row in
+                 zip(*(columns[name].tolist() for name in COMPARE_ROW))],
+    }
+    return [("compare.csv", named), ("compare.json", summary)], summary
 
 
 def run_command(command: str, config_path: str, out_dir: str,
@@ -549,11 +574,10 @@ def run_command(command: str, config_path: str, out_dir: str,
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}", path="<command>")
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = _artifacts(command, config_path, seed_override, order_override)
+    artifacts, summary = _artifacts(command, config_path, seed_override, order_override)
     for name, content in artifacts:
         write = write_csv if name.endswith(".csv") else write_json
         write(os.path.join(out_dir, name), content)
-    summary = artifacts[-1][1]
     if command == "report" and not summary["roundtrip_ok"]:
         raise ConfigError(f"report tables failed to reproduce: "
                           f"{summary['mismatched_fields']}", path=config_path)

@@ -299,13 +299,18 @@ class ScaledFactor:
         as arrays over an array t and floats for a float t: each derivative
         pulls out one factor |c|^-1, so order j is |c|^-j times the upper
         tail's j-th derivative at t/|c|."""
-        x = self._tail_arg(t)
-        return [(sign, logabs - j * self.log_abs_c) for j, (sign, logabs)
-                in enumerate(self.dist.upper.survival_derivatives_signed_log(k, x))]
+        return self.tail_reads(k, t)[0]
+
+    def tail_reads(self, k: int, t) -> tuple[list[tuple], list | None]:
+        """tail_derivs_signed_log(k, t) and the tail components of P(c*X > t)
+        at each point of t, None on a tail without them: one read of each point."""
+        orders, pieces = self.dist.upper.tail_reads(k, self._tail_arg(t))
+        return [(sign, logabs - j * self.log_abs_c)
+                for j, (sign, logabs) in enumerate(orders)], pieces
 
     def tail_components(self, t: float) -> list[float]:
         """Signed closed-form pieces of P(c*X > t), on a tail that exposes them."""
-        return self.dist.upper.tail_components(self._tail_arg(t))
+        return self.dist.upper.cum_and_components(self._tail_arg(t))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +587,7 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
     Each component is (coeff a_i, scale b_i, [(w_ij, e_ij), ...]).  The first
     component must be the asymptotically dominant one; metadata derives from
     its leading log power (largest exponent).  The signed pieces are exposed
-    through the model's tail_components hook so the expansion evaluator can
+    through the model's cum_and_components hook so the expansion evaluator can
     report cancellations between them.  Smoothness order is 0: these models
     serve the regime where expansions carry no derivative terms.
     """
@@ -632,9 +637,6 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
             raise ValueError(f"mixture survival nonpositive at t = {np.extract(low, t)[0]}")
         return total
 
-    def log_sf(t):
-        return _xp(t).log(positive_sum(component_values(t), t))
-
     def weighted_psi_prime(vals, t):
         xp = _xp(t)
         return left_sum(v * psi_prime(xp, b, ts, t) for v, (_, b, ts) in zip(vals, comps))
@@ -666,15 +668,21 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
     lambda_coeff = 2.0 * lead_w if log_exponent == 1.0 else None
 
     log_sbar = math.log(sbar_t0)
+
+    def cum_and_components(t):
+        # the cumulative hazard and the components it sums, from one evaluation
+        vals = component_values(t)
+        return log_sbar - _xp(t).log(positive_sum(vals, t)), vals
+
     upper = HazardModel(
         hazard_derivs=(hazard_value,),
         t0=t0,
         sbar_t0=sbar_t0,
-        cum_hazard=lambda t: log_sbar - log_sf(t),
+        cum_hazard=lambda t: cum_and_components(t)[0],
         rv_index=-1.0,
         log_exponent=log_exponent,
         lambda_coeff=lambda_coeff,
         smooth_order=0,
-        tail_components=component_values,
+        cum_and_components=cum_and_components,
     )
     return _ramped(upper, log_sf_slope, body_left, "log_power_mixture")

@@ -398,7 +398,7 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
         f = ScaledFactor(dist, c)
         below = f.below_tail(t_grid)
         inside = t_grid[~below]
-        orders = f.tail_derivs_signed_log(top.get(c, 0), inside)
+        orders, pieces = f.tail_reads(top.get(c, 0), inside)
         if below.any():
             for r in np.flatnonzero(below & (fail > n_terms)).tolist():
                 fail[r] = col
@@ -409,9 +409,8 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
             # over the whole grid: a point below the domain reads the fill past the end
             at = np.where(below, inside.size, np.cumsum(~below) - 1)
             orders = [(np.append(s, 0.0)[at], np.append(l, math.nan)[at]) for s, l in orders]
-        comps = None if dist.upper.tail_components is None else dict(zip(
-            np.flatnonzero(~below).tolist(), map(f.tail_components, inside.tolist())))
-        reads[c] = orders, comps
+        reads[c] = orders, None if pieces is None else dict(
+            zip(np.flatnonzero(~below).tolist(), pieces))
     good = fail > n_terms
 
     # one row per term: sign and log magnitude; a zero coefficient's log is -inf

@@ -140,8 +140,9 @@ class HazardModel:
 
     hazard_derivs[j] evaluates h^(j) on (t0, infinity).  cum_hazard(t) is the
     integral of h from t0 to t, so survival(t) = sbar_t0 * exp(-cum_hazard(t)).
-    tail_components, when present, returns the signed closed-form pieces whose
-    sum is the survival value; the expansion evaluator uses it to detect
+    cum_and_components, when present, maps a float t to cum_hazard(t) and the
+    signed closed-form pieces whose sum is the survival value, from one
+    evaluation of the pieces; the expansion evaluator uses the pieces to detect
     cancellation between pieces of different terms.
     """
 
@@ -153,7 +154,7 @@ class HazardModel:
     log_exponent: float = 0.0
     lambda_coeff: float | None = None
     smooth_order: int = 0
-    tail_components: Callable | None = None
+    cum_and_components: Callable | None = None
 
     def __post_init__(self):
         if not self.t0 > 1.0:
@@ -198,6 +199,11 @@ class HazardModel:
         for a float t, which goes through the same code as a one-element array;
         a zero sign encodes an exact zero.  S^(j) = P_j(h, ..., h^(j-1)) * S: all
         orders share one log S(t), taken point by point, and one set of hazards."""
+        return self.tail_reads(k, t)[0]
+
+    def tail_reads(self, k: int, t):
+        """survival_derivatives_signed_log(k, t) and the tail components at each
+        point of t, None on a tail without them: one read of each point."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
         if k > self.smooth_order:
@@ -205,7 +211,12 @@ class HazardModel:
         x = np.asarray(t, dtype=float).reshape(-1)
         if (x < self.t0).any():
             self._check_domain(x[x < self.t0][0])
-        logsf = math.log(self.sbar_t0) - libm(self.cum_hazard, x)
+        if self.cum_and_components is None:
+            cum, pieces = libm(self.cum_hazard, x), None
+        else:
+            reads = list(map(self.cum_and_components, x.tolist()))
+            cum, pieces = np.array([c for c, _ in reads]), [p for _, p in reads]
+        logsf = math.log(self.sbar_t0) - cum
         hvals = [self.hazard_derivs[j](x) for j in range(k)]
         out = [(np.ones(x.size), logsf)]
         for poly in survival_derivative_polys(k)[1:]:
@@ -213,8 +224,8 @@ class HazardModel:
                                libm(lambda v: v ** e, hvals[j]))
             out.append((np.copysign(pval != 0.0, pval), libm(log_abs, pval) + logsf))
         if np.ndim(t) == 0:
-            return [(float(sign[0]), float(logabs[0])) for sign, logabs in out]
-        return out
+            return [(float(sign[0]), float(logabs[0])) for sign, logabs in out], pieces
+        return out, pieces
 
 
 @dataclass

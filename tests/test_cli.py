@@ -17,7 +17,7 @@ import lighttails as lt
 from lighttails import config
 from lighttails.cli import (EXIT_ERROR, EXIT_OK, EXIT_REGIME, EXIT_SCHEMA,
                             EXIT_SMOOTHNESS, main)
-from lighttails.config import (COMPARE_ROW, CONFIG_SCHEMA, ORACLE_HEADER,
+from lighttails.config import (COMPARE_ROW, CONFIG_SCHEMA, ORACLE_HEADER, Spelled,
                                build_distribution, build_weights, load_config,
                                run_command, validate_config, write_csv, write_json)
 
@@ -512,6 +512,8 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
         list(range(8)),
         [int(i) ** 5 for i in range(8)],
         ["conditional_mc", "plain_mc", "quadrature", "a", "b", "c", "d", "e"],
+        # the float column spelled beforehand, as evaluate hands it to the writers
+        Spelled(map(repr, floats.tolist())),
     ]
     named = [(f"col{i}", col) for i, col in enumerate(columns)]
     path = tmp_path / "table.csv"
@@ -519,6 +521,8 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
     want = "\n".join([",".join(name for name, _ in named)]
                      + [",".join(_cell(col[r]) for col in columns) for r in range(8)]) + "\n"
     assert path.read_text() == want
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == [row[0] for row in rows]
 
 
 # JSON documents as the artifacts hold them, and the corners around them:
@@ -552,6 +556,56 @@ def test_write_json_formats_the_corners_as_json_does(tmp_path, doc):
     path = tmp_path / "doc.json"
     write_json(str(path), doc)
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # each list of plain floats spelled beforehand writes the same bytes
+    write_json(str(tmp_path / "spelled.json"), _spell_float_lists(doc))
+    assert (tmp_path / "spelled.json").read_text() == path.read_text()
+
+
+def _spell_float_lists(doc):
+    """doc with each nonempty list of plain floats as the Spelled column of their reprs."""
+    if isinstance(doc, dict):
+        return {key: _spell_float_lists(value) for key, value in doc.items()}
+    if isinstance(doc, list) and doc and {type(v) for v in doc} == {float}:
+        return Spelled(map(repr, doc))
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_spell_float_lists, doc))
+    return doc
+
+
+def test_evaluate_spells_each_float_cell_alike_in_both_files(tmp_path):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", write_config(tmp_path, BELOW_ANCHOR),
+                 "--out", str(out)]) == EXIT_OK
+    lines = (out / "evaluation.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    csv_columns = dict(zip(header, zip(*(line.split(",") for line in lines[1:]))))
+    # each float of report.json as the text it is written in
+    stored = json.loads((out / "report.json").read_text(),
+                        parse_float=str, parse_constant=str)["evaluation"]
+    json_columns = {"t": stored["t"], "expansion_total": stored["totals"],
+                    "remainder_benchmark": stored["benchmark"],
+                    **{f"term_{k}_{label}": column for k, (label, column) in
+                       enumerate(zip(stored["term_labels"], zip(*stored["term_values"])))}}
+    assert sorted(json_columns) == sorted(header[:-1])
+    json_spelling = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    for name, column in json_columns.items():
+        assert [json_spelling.get(v, v) for v in csv_columns[name]] == list(column), name
+    assert "nan" in csv_columns["expansion_total"]  # the grid's first point is a gap
+    assert main(["report", "--config", str(out / "report.json"), "--out", str(out)]) == EXIT_OK
+
+
+def test_run_command_returns_the_report_in_plain_floats(tmp_path):
+    out = tmp_path / "out"
+    summary = run_command("evaluate", write_config(tmp_path, BELOW_ANCHOR), str(out))
+    evaluation = summary["evaluation"]
+    columns = [evaluation[key] for key in ("t", "totals", "benchmark")]
+    for column in columns + [evaluation["term_values"]] + evaluation["term_values"]:
+        assert type(column) is list
+    for column in columns + evaluation["term_values"]:
+        assert {type(v) for v in column} == {float}
+    # json.dumps spells NaN alike on both sides, so equal texts mean equal up to NaN
+    written = json.loads((out / "report.json").read_text())
+    assert json.dumps(summary, sort_keys=True) == json.dumps(written, sort_keys=True)
 
 
 def test_compare_json_rows_are_compare_csv_columns(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -772,6 +773,31 @@ def test_dense_evaluation_keeps_its_bits(name):
     exp = config.build_expansion(doc, dist, config.build_weights(doc, dist), None)
     got = tuple(_evaluation_digest(lt.evaluate(exp, dist, grid)) for grid in _dense_grids(doc))
     assert got == DENSE_EVALUATION_DIGESTS[name]
+
+
+def test_evaluate_reads_each_mixture_point_once():
+    # the log-survival and the cancellation check share one read of the
+    # components per scale and tail point
+    doc = config.load_config(f"{CONFIGS}/cancellation_pair.json")
+    mix = config.build_distribution(doc)
+    exp = config.build_expansion(doc, mix, config.build_weights(doc, mix), None)
+    reads = Counter()
+
+    def counted(name):
+        read = getattr(mix.upper, name)
+
+        def counting(t):
+            reads[name] += 1
+            return read(t)
+        return counting
+
+    upper = replace(mix.upper, **{name: counted(name)
+                                  for name in ("cum_hazard", "cum_and_components")})
+    grid = _dense_grids(doc)[1]  # deep: every point in both scales' tails
+    table = lt.evaluate(exp, replace(mix, upper=upper), grid)
+    scales = {term.scale for term in exp.terms} | {exp.remainder.scale}
+    assert reads == {"cum_and_components": grid.size * len(scales)}
+    assert _evaluation_digest(table) == DENSE_EVALUATION_DIGESTS["cancellation_pair"][1]
 
 
 # -- leading-order consistency across regimes ------------------------------------
