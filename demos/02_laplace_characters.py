@@ -25,7 +25,7 @@ print(f"  char(A + B)        = {lt.character_from_moments(conv, 2).coeffs}")
 print("\n=== residual moments of a geometric weighted sum")
 dist = lt.weibull_type(0.5, symmetric=True)
 seq = lt.WeightSequence([1.0], ratio=0.5)   # weights 1, 1/2, 1/4, ...
-print(f"  innovation: {dist.name}; weights 2^-(i-1)")
+print("  innovation: weibull_type(a=0.5)_symmetric; weights 2^-(i-1)")
 print(f"  power sums without the top entry: "
       f"C2 = {seq.residual_power_sum(1, 2):.12f} (1/3), "
       f"C4 = {seq.residual_power_sum(1, 4):.12f} (1/15)")

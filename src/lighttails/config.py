@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
@@ -56,8 +55,8 @@ CONFIG_SCHEMA = {
                 "family": {"enum": ["weibull", "logweibull", "lognormal2",
                                     "custom", "log_power_mixture"]},
                 "params": {"type": "object"},
-                "two_sided": {"type": "boolean", "default": False},
-                "symmetric": {"type": "boolean", "default": False},
+                "two_sided": {"type": "boolean"},
+                "symmetric": {"type": "boolean"},
                 "t0": {"type": "number", "exclusiveMinimum": 1.0},
             },
         },
@@ -103,7 +102,7 @@ CONFIG_SCHEMA = {
                 "t_min": {"type": "number", "exclusiveMinimum": 0.0},
                 "t_max": {"type": "number", "exclusiveMinimum": 0.0},
                 "points": {"type": "integer", "minimum": 1},
-                "spacing": {"enum": ["geometric", "linear"], "default": "geometric"},
+                "spacing": {"enum": ["geometric", "linear"]},
             },
         },
         "oracle": {
@@ -180,7 +179,7 @@ def _schema_errors(schema: dict, value, path: tuple):
         elif key == "minItems":
             if isinstance(value, list) and len(value) < arg:
                 yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
-        elif key not in ("$schema", "default"):
+        elif key != "$schema":
             raise NotImplementedError(f"schema keyword {key!r}: {arg!r}")
 
 
@@ -311,11 +310,13 @@ COMPARE_ROW = ("t", "expansion_total", "oracle_p", "oracle_stderr", "deviation",
 
 
 def write_atomic(path: str, data: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # "x" gives the file the mode open(path, "w") would, 0o666 less the umask;
+    # a mkstemp file would stay 0600 through the replace
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -69,7 +69,6 @@ class TailDistribution:
     ppf: Callable
     body_left: float
     symmetric: bool = False
-    name: str = "custom"
     quad_breaks: tuple[float, ...] = ()
     _moment_cache: dict = field(default_factory=dict, compare=False, repr=False)
     # the pointwise reads, x -> float, built by __post_init__
@@ -213,9 +212,9 @@ class ScaledFactor:
     that knows what the sign of a scale means.
 
     Over the full range, P(c*X > x) is S(x/c) for c > 0 and F(x/c) for c < 0,
-    on any law.  The tail-domain reads (log_tail_sf, tail_derivs_signed_log,
-    tail_components) take the upper tail at t/|c|; for c < 0 that is the
-    survival of -X, which only a symmetric law has a tail model for.
+    on any law.  The tail-domain reads (log_tail_sf, tail_reads) take the
+    upper tail at t/|c|; for c < 0 that is the survival of -X, which only a
+    symmetric law has a tail model for.
     """
 
     def __init__(self, dist: TailDistribution, c: float):
@@ -294,23 +293,13 @@ class ScaledFactor:
         """log P(c*X > t)."""
         return self.dist.upper.log_survival(self._tail_arg(t))
 
-    def tail_derivs_signed_log(self, k: int, t) -> list[tuple]:
-        """(sign, log|.|) of the j-th derivative of t -> P(c*X > t) for j = 0..k,
-        as arrays over an array t and floats for a float t: each derivative
-        pulls out one factor |c|^-1, so order j is |c|^-j times the upper
-        tail's j-th derivative at t/|c|."""
-        return self.tail_reads(k, t)[0]
-
     def tail_reads(self, k: int, t) -> tuple[list[tuple], list | None]:
-        """tail_derivs_signed_log(k, t) and the tail components of P(c*X > t)
-        at each point of t, None on a tail without them: one read of each point."""
+        """HazardModel.tail_reads of t -> P(c*X > t): (sign, log|.|) of its j-th
+        derivative for j = 0..k, which is |c|^-j times the upper tail's at t/|c|,
+        and its tail components at each point of t."""
         orders, pieces = self.dist.upper.tail_reads(k, self._tail_arg(t))
         return [(sign, logabs - j * self.log_abs_c)
                 for j, (sign, logabs) in enumerate(orders)], pieces
-
-    def tail_components(self, t: float) -> list[float]:
-        """Signed closed-form pieces of P(c*X > t), on a tail that exposes them."""
-        return self.dist.upper.cum_and_components(self._tail_arg(t))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +308,7 @@ class ScaledFactor:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
+def _closed_form(base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
                  support_left, symmetric, **metadata):
     """A family with S(t) = exp(-psi(t)) in closed form above support_left.
 
@@ -349,7 +338,6 @@ def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
             body_pdf=base_pdf,
             ppf=base_ppf,
             body_left=support_left,
-            name=name,
             quad_breaks=breaks,
         )
 
@@ -374,17 +362,15 @@ def _closed_form(name, base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
         ppf=ppf,
         body_left=-t0,
         symmetric=True,
-        name=name + "_symmetric",
         quad_breaks=tuple(sorted(set(breaks) | {-b for b in breaks})),
     )
 
 
-def _ramped(upper: HazardModel, log_sf_slope: Callable, body_left: float,
-            name: str) -> TailDistribution:
+def _ramped(upper: HazardModel, log_sf_slope: Callable) -> TailDistribution:
     """A hazard-defined upper tail above a linear body.
 
-    The body CDF rises linearly from 0 at body_left to 1 - S(t0) at the tail
-    anchor t0.  log_sf_slope maps an array t >= t0 to (log S(t), t h(t)).
+    The body CDF rises linearly on [0, t0] from 0 to 1 - S(t0), the mass below
+    the tail anchor t0.  log_sf_slope maps an array t >= t0 to (log S(t), t h(t)).
     Tail quantiles solve log S(t) = log(1 - p) on whole arrays; scalars go
     through the same path as 0-d arrays.  Each element's iterates depend on
     its own p only, so a draw does not depend on how a block of draws is
@@ -392,14 +378,13 @@ def _ramped(upper: HazardModel, log_sf_slope: Callable, body_left: float,
     """
     t0 = upper.t0
     mass = 1.0 - upper.sbar_t0
-    width = t0 - body_left
     log_sbar = math.log(upper.sbar_t0)
 
     def body_cdf(x):
-        return mass * (x - body_left) / width
+        return mass * x / t0
 
     def body_pdf(x):
-        return mass / width
+        return mass / t0
 
     def ppf(p):
         p = np.asarray(p, dtype=float)
@@ -408,14 +393,13 @@ def _ramped(upper: HazardModel, log_sf_slope: Callable, body_left: float,
             raise ValueError("quantile defined on (0, 1)")
         tail = flat > mass
         out = np.empty_like(flat)  # body draws only: S(t0) = 1 makes mass 0 and none
-        out[~tail] = body_left + flat[~tail] / mass * width
+        out[~tail] = flat[~tail] / mass * t0
         if tail.any():
             out[tail] = _tail_quantile(log_sf_slope, t0, log_sbar, np.log1p(-flat[tail]))
         return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
     return TailDistribution(upper=upper, body_cdf=body_cdf, body_pdf=body_pdf,
-                            ppf=ppf, body_left=body_left, name=name,
-                            quad_breaks=(body_left, t0))
+                            ppf=ppf, body_left=0.0, quad_breaks=(0.0, t0))
 
 
 _PPF_RTOL = 1e-14   # relative step in t (= step in log t) that ends the iteration
@@ -492,7 +476,6 @@ def weibull_type(a: float, t0: float = 2.0, symmetric: bool = False) -> TailDist
     if not 0.0 < a < 1.0:
         raise ValueError("weibull_type needs 0 < a < 1 (rapidly varying, subexponential)")
     return _closed_form(
-        f"weibull_type(a={a})",
         lambda x: math.exp(-(x ** a)) if x > 0 else 1.0,
         lambda x: a * x ** (a - 1.0) * math.exp(-(x ** a)) if x > 0 else 0.0,
         lambda y: y ** (1.0 / a),
@@ -508,7 +491,6 @@ def log_weibull(a: float, t0: float = math.e, symmetric: bool = False) -> TailDi
     if not 1.0 < a < 2.0:
         raise ValueError("log_weibull needs 1 < a < 2 (hazard below the critical scale)")
     return _closed_form(
-        f"log_weibull(a={a})",
         lambda x: math.exp(-(math.log(x) ** a)) if x > 1.0 else 1.0,
         lambda x: (a * math.log(x) ** (a - 1.0) / x
                    * math.exp(-(math.log(x) ** a))) if x > 1.0 else 0.0,
@@ -525,7 +507,6 @@ def lognormal_type(theta: float, t0: float = math.e, symmetric: bool = False) ->
     if not theta > 0.0:
         raise ValueError("lognormal_type needs theta > 0")
     return _closed_form(
-        f"lognormal_type(theta={theta})",
         lambda x: math.exp(-theta * math.log(x) ** 2) if x > 1.0 else 1.0,
         lambda x: (2.0 * theta * math.log(x) / x
                    * math.exp(-theta * math.log(x) ** 2)) if x > 1.0 else 0.0,
@@ -549,13 +530,12 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
                   rv_index: float,
                   log_exponent: float = 0.0,
                   lambda_coeff: float | None = None,
-                  smooth_order: int = _SMOOTH_ORDER,
-                  body_left: float = 0.0) -> TailDistribution:
+                  smooth_order: int = _SMOOTH_ORDER) -> TailDistribution:
     """One-sided distribution with hazard h(t) = sum kappa * t^rho * log(t)^gamma.
 
     Metadata is declared by the caller, matching the convention that
     regular-variation indices cannot be inferred from finitely many values.
-    The body below t0 is a linear ramp carrying the remaining mass.
+    The body on [0, t0] is a linear ramp carrying the remaining mass.
     """
     h = LogPowerSum(tuple(tuple(map(float, trm)) for trm in terms))
     upper = HazardModel(
@@ -569,8 +549,7 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
         smooth_order=smooth_order,
     )
     log_sbar = math.log(sbar_t0)
-    return _ramped(upper, lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)),
-                   body_left, "custom")
+    return _ramped(upper, lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)))
 
 
 def _xp(t):
@@ -579,9 +558,7 @@ def _xp(t):
 
 
 def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[float, float]]]],
-                      t0: float = 2.0,
-                      body_left: float = 0.0,
-                      check_grid_decades: float = 8.0) -> TailDistribution:
+                      t0: float = 2.0) -> TailDistribution:
     """Signed mixture tail S(t) = sum_i a_i * exp(-sum_j w_ij * log(b_i t)^e_ij).
 
     Each component is (coeff a_i, scale b_i, [(w_ij, e_ij), ...]).  The first
@@ -652,8 +629,8 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
         total = positive_sum(vals, t)
         return np.log(total), t * weighted_psi_prime(vals, t) / total
 
-    # validity: survival must be positive and nonincreasing from t0 onward
-    probe = np.geomspace(t0, t0 * 10.0 ** check_grid_decades, 64)
+    # validity: survival must be positive and nonincreasing on 8 decades from t0
+    probe = np.geomspace(t0, t0 * 1e8, 64)
     sf_probe = [sf_value(t) for t in probe]
     if min(sf_probe) <= 0.0 or any(b > a * (1.0 + 1e-12) for a, b in zip(sf_probe, sf_probe[1:])):
         raise ValueError("mixture is not a valid tail on [t0, inf): "
@@ -685,4 +662,4 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
         smooth_order=0,
         cum_and_components=cum_and_components,
     )
-    return _ramped(upper, log_sf_slope, body_left, "log_power_mixture")
+    return _ramped(upper, log_sf_slope)

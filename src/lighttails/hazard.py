@@ -192,18 +192,14 @@ class HazardModel:
 
     def survival_derivative_signed_log(self, k: int, t: float) -> tuple[float, float]:
         """Return (sign, log|S^(k)(t)|); a zero sign encodes an exact zero."""
-        return self.survival_derivatives_signed_log(k, t)[k]
-
-    def survival_derivatives_signed_log(self, k: int, t):
-        """[(sign, log|S^(j)(t)|) for j = 0..k], arrays over an array t and floats
-        for a float t, which goes through the same code as a one-element array;
-        a zero sign encodes an exact zero.  S^(j) = P_j(h, ..., h^(j-1)) * S: all
-        orders share one log S(t), taken point by point, and one set of hazards."""
-        return self.tail_reads(k, t)[0]
+        return self.tail_reads(k, t)[0][k]
 
     def tail_reads(self, k: int, t):
-        """survival_derivatives_signed_log(k, t) and the tail components at each
-        point of t, None on a tail without them: one read of each point."""
+        """[(sign, log|S^(j)(t)|) for j = 0..k] and the tail components at each
+        point of t (None on a tail without them), from one read of each point:
+        arrays over an array t, floats for a float t, which takes the same code
+        as a one-element array.  A zero sign encodes an exact zero.  S^(j) =
+        P_j(h, ..., h^(j-1)) * S: all orders share one log S(t) and one set of hazards."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
         if k > self.smooth_order:

@@ -150,7 +150,7 @@ def apply_character(ch: LaplaceCharacter, dist: TailDistribution, c: float,
     """Evaluate (L applied to the scaled survival) at t: sum_i a_i D^i P(cX > .)."""
     total = 0.0
     for a, (sign, logabs) in zip(ch.coeffs,
-                                 ScaledFactor(dist, c).tail_derivs_signed_log(ch.order, t)):
+                                 ScaledFactor(dist, c).tail_reads(ch.order, t)[0]):
         if a != 0.0:
             total += a * sign * math.exp(logabs)
     return total

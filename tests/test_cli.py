@@ -292,7 +292,7 @@ def test_schema_interpreter_keeps_draft_2020_12_semantics(schema, value):
 
 
 @pytest.mark.parametrize("keyword", [{"minProperties": 1}, {"additionalProperties": {}},
-                                     {"pattern": "^w"}])
+                                     {"pattern": "^w"}, {"default": 100}])
 def test_a_schema_keyword_without_a_check_raises(monkeypatch, keyword):
     # so a keyword added to CONFIG_SCHEMA can never be skipped in silence
     schema = json.loads(json.dumps(CONFIG_SCHEMA))
@@ -499,6 +499,28 @@ def _cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_artifacts_get_the_mode_of_a_plainly_opened_file(tmp_path, umask_022):
+    # 0644 under umask 022, as open(path, "w") makes it: a temporary file
+    # replaced into place would keep its 0600 and hide the results directory
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", cfg("weibull_oracle_check.json"),
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "plain.txt", "w"):
+        pass
+    modes = {path.name: path.stat().st_mode for path in out.iterdir()}
+    plain = modes.pop("plain.txt")
+    assert oct(plain) == oct(0o100644)
+    assert sorted(modes) == ["evaluation.csv", "report.json"]
+    assert all(mode == plain for mode in modes.values()), {k: oct(v) for k, v in modes.items()}
 
 
 def test_write_csv_matches_the_per_cell_format(tmp_path):

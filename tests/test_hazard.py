@@ -84,7 +84,7 @@ def test_survival_derivatives_below_anchor_raise_on_an_array():
     # the first point below t0 = 2 is named, wherever it sits in the array
     model = lt.weibull_type(0.5).upper
     with pytest.raises(lt.DomainError, match="t = 1.5 below tail anchor t0 = 2.0"):
-        model.survival_derivatives_signed_log(2, np.array([3.0, 1.5, 1.0, 4.0]))
+        model.tail_reads(2, np.array([3.0, 1.5, 1.0, 4.0]))
 
 
 def test_survival_monotone_positive():
@@ -255,10 +255,10 @@ def test_scalar_derivatives_are_entries_of_the_array_call(name):
     t = np.geomspace(m.t0, 1e9, 40)
     bits = lambda pair: tuple(float(v).hex() for v in pair)
     for k in range(m.smooth_order + 1):
-        orders = m.survival_derivatives_signed_log(k, t)
+        orders = m.tail_reads(k, t)[0]
         assert all(len(s) == len(l) == len(t) for s, l in orders)
         for i, x in enumerate(t.tolist()):
-            scalar = m.survival_derivatives_signed_log(k, x)
+            scalar = m.tail_reads(k, x)[0]
             assert all(type(v) is float for pair in scalar for v in pair)
             assert [bits(pair) for pair in scalar] == [bits((s[i], l[i])) for s, l in orders]
 
@@ -358,7 +358,7 @@ def _model(sbar_t0=0.5, smooth_order=0):
     (lambda: _model(sbar_t0=0.0), ValueError, "sbar_t0 must lie in"),
     (lambda: _model(sbar_t0=1.5), ValueError, "sbar_t0 must lie in"),
     (lambda: _model(smooth_order=2), ValueError, "hazard_derivs must provide"),
-    (lambda: _model().survival_derivatives_signed_log(-1, 50.0), ValueError, "nonnegative"),
+    (lambda: _model().tail_reads(-1, 50.0), ValueError, "nonnegative"),
     (lambda: lt.validate_metadata(_model(), [2.0, 20.0, 200.0]), lt.DomainError,
      "start above"),
 ], ids=["sbar_t0_zero", "sbar_t0_above_one", "too_few_hazard_derivs",

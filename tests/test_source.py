@@ -1,5 +1,6 @@
 """Source hygiene: no private helper under src/lighttails that nothing calls,
-and the runtime dependencies pyproject.toml declares are the ones it imports."""
+no public read of a law that nothing calls, and the runtime dependencies
+pyproject.toml declares are the ones it imports."""
 
 import ast
 import pathlib
@@ -64,6 +65,74 @@ class _Box:
 """
     assert _unreferenced({"m.py": source}) == [
         "_Box (m.py:10)", "_UNUSED (m.py:3)", "_helper (m.py:6)", "_method (m.py:11)"]
+
+
+# the law layer: each public method or property is read under src/ or patched
+# by the benchmark's tracer
+LAW_CLASSES = ("HazardModel", "TailDistribution", "ScaledFactor")
+
+
+def _unread_public(sources: dict, classes, exempt) -> list[str]:
+    """Each public method and property of the named classes in the sources
+    (file name -> text), as Class.name, that no source reads as an Attribute
+    and that exempt does not name."""
+    defined, read = [], set()
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=file)):
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                defined += [(node.name, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{owner}.{name}" for owner, name in defined
+                  if name not in read and name not in exempt)
+
+
+def _traced_names() -> set[str]:
+    """The attribute names bench/tracing.py's _TARGETS patches."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_TARGETS"])
+    return {entry.elts[1].value for entry in targets.elts}
+
+
+def test_every_public_law_read_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    traced = _traced_names()
+    assert "survival_derivative_signed_log" in traced
+    unread = _unread_public(sources, LAW_CLASSES, traced)
+    assert not unread, f"public law reads nothing under src/ reads: {unread}"
+
+
+def test_the_guard_flags_an_unread_public_method():
+    source = """
+class Law:
+    def read(self):
+        return self.other.used()
+
+    @property
+    def shape(self):
+        return 1
+
+    def traced(self):
+        return 2
+
+    def __repr__(self):
+        return "Law"
+
+    def _private(self):
+        return 3
+
+    def used(self):
+        return 4
+
+
+class Bystander:
+    def unread(self):
+        return 5
+"""
+    assert _unread_public({"m.py": source}, ("Law",), {"traced"}) == ["Law.read", "Law.shape"]
 
 
 def _third_party_imports(sources: dict) -> set[str]:
