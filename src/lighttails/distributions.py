@@ -52,6 +52,8 @@ __all__ = [
 
 _JUNCTION_TOL = 1e-12
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+# -log S at a law's zero point: past exp's underflow at 745.13, with margin
+_ZERO_NEG_LOG_SF = 800.0
 # a moment whose summed quad error estimate exceeds this share of it raises
 _MOMENT_TOL = 1e-8
 
@@ -61,7 +63,11 @@ class TailDistribution:
     """One innovation distribution: body CDF and density plus a hazard-rate
     upper tail; symmetric=True mirrors that tail below -upper.t0, so the body
     then spans [-t0, t0].  The body is read only inside (body_left, t0), its
-    CDF also at the junctions checked here.  ScaledFactor gives the law of c * X."""
+    CDF also at the junctions checked here.  ScaledFactor gives the law of c * X.
+
+    zero_point: a point at or past t0 from which sf_batch and the mirrored
+    cdf_batch are exactly +0.0 (log-survival at most -800), or inf for a law
+    that cannot show one cheaply."""
 
     upper: HazardModel
     body_cdf: Callable
@@ -70,6 +76,7 @@ class TailDistribution:
     body_left: float
     symmetric: bool = False
     quad_breaks: tuple[float, ...] = ()
+    zero_point: float = math.inf
     _moment_cache: dict = field(default_factory=dict, compare=False, repr=False)
     # the pointwise reads, x -> float, built by __post_init__
     cdf: Callable = field(init=False, repr=False, compare=False)
@@ -224,6 +231,11 @@ class ScaledFactor:
         self.c = c
         self.log_abs_c = math.log(abs(c))
 
+    @property
+    def zero_point(self) -> float:
+        """|c| times the law's zero point: sf_batch is exactly +0.0 from here on."""
+        return abs(self.c) * self.dist.zero_point
+
     # the scalar reads (one closure each over c and log|c|, which quadrature
     # calls per integrand value), the support and the panel breaks serve
     # quadrature alone, so each is built on first read and only it pays
@@ -315,7 +327,8 @@ def _closed_form(base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
     base_sf and base_pdf are the scalar one-sided survival and density,
     guarded at the support edge; base_sf stays in closed form so anchors far
     below machine epsilon of 1 stay accurate, and the body CDF is its
-    complement.  psi_inv maps -log(1 - p) to the quantile, on arrays.  The
+    complement.  psi_inv maps -log(1 - p) to the quantile, on arrays, and
+    -log S = 800 to the zero point, which lies above t0 as S(t0) > 0.  The
     tail above t0 has hazard LogPowerSum(terms), _SMOOTH_ORDER times
     differentiable, and the family's own cum_hazard (psi(t) - psi(t0) would
     round differently); metadata declares its regime.  With symmetric=True
@@ -326,6 +339,7 @@ def _closed_form(base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
                         t0=t0, sbar_t0=0.5 * sbar if symmetric else sbar,
                         cum_hazard=cum_hazard, smooth_order=_SMOOTH_ORDER, **metadata)
     breaks = (support_left, t0)
+    zero_point = float(psi_inv(_ZERO_NEG_LOG_SF))
 
     def base_ppf(p):
         out = psi_inv(-np.log1p(-np.asarray(p, dtype=float)))
@@ -339,6 +353,7 @@ def _closed_form(base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
             ppf=base_ppf,
             body_left=support_left,
             quad_breaks=breaks,
+            zero_point=zero_point,
         )
 
     def body_cdf(x):
@@ -363,6 +378,7 @@ def _closed_form(base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
         body_left=-t0,
         symmetric=True,
         quad_breaks=tuple(sorted(set(breaks) | {-b for b in breaks})),
+        zero_point=zero_point,
     )
 
 

@@ -42,7 +42,10 @@ Inside a block each row's stream draws one chunk of about _CHUNK columns
 after another, the quantile maps slabs of about _CHUNK draws spanning every
 row, and a kernel fills the chunk's values; a quantile is per draw, a
 kernel's work per column, and a column sum adds the rows in the same order,
-so the chunk size moves no value and is not part of the contract.
+so the chunk size moves no value and is not part of the contract.  A row-tile
+is not read where every argument in it is at or past the row's zero point
+(ScaledFactor.zero_point), from which its survival is exactly +0.0; skipping
+an exact +0.0 moves no bit, so the zero point is not part of the contract.
 """
 
 from __future__ import annotations
@@ -217,14 +220,19 @@ def _conditional_values(dist, entries, t, n, seed):
             yield np.full(min(_BLOCK, n - done), value)
         return
 
+    zeros = [f.zero_point for f in factors]
+
     def fill(summands, out):
         total = summands.sum(axis=0)
         out.fill(0.0)
         # each column is in one tile and takes its rows in index order
         for cols, i, resid_max in _residual_maxima(summands):
+            arg = np.maximum(resid_max, t - (total[cols] - summands[i, cols]))
+            # only a row whose survival is +0.0 from below t on can skip a tile
+            if zeros[i] < t and arg.min() >= zeros[i]:
+                continue
             into = out[cols]
-            into += factors[i].sf_batch(
-                np.maximum(resid_max, t - (total[cols] - summands[i, cols])))
+            into += factors[i].sf_batch(arg)
 
     yield from _value_blocks(dist, entries, n, seed, fill)
 

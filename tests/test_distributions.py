@@ -335,6 +335,20 @@ def test_all_tail_batch_matches_masked_path():
     assert np.array_equal(d.cdf_batch(-xs), d.cdf_batch(np.append(-xs, 0.5))[:-1])
 
 
+@pytest.mark.parametrize("dist", all_families(), ids=FAMILY_IDS)
+def test_zero_point_is_exact(dist):
+    # the conditional kernel skips a row's survival read past |c| * zero_point,
+    # so every read there must be +0.0: no sign bit, no subnormal
+    x0 = dist.zero_point
+    half = math.log(0.5) if dist.symmetric else 0.0
+    assert dist.upper.log_survival(x0) == pytest.approx(-800.0 + half, abs=1e-9)
+    for c in (1.0, 0.5) + ((-0.5,) if dist.symmetric else ()):
+        factor = lt.ScaledFactor(dist, c)
+        assert factor.zero_point == abs(c) * x0
+        got = factor.sf_batch(np.geomspace(factor.zero_point, 1e300, 10**4))
+        assert (got == 0.0).all() and not np.signbit(got).any()
+
+
 # -- custom constructors -----------------------------------------------------------
 
 
@@ -607,6 +621,16 @@ def test_mixture_sf_batch_matches_scalar(name):
     dist = shipped(name)
     xs = np.concatenate([[0.5, 1.0, 1.999, 2.0], np.geomspace(2.0, 1e6, 200)])
     np.testing.assert_allclose(dist.sf_batch(xs), [dist.sf(x) for x in xs], rtol=1e-14)
+
+
+@pytest.mark.parametrize("dist", root_find_families(), ids=ROOT_FIND_IDS)
+def test_root_find_laws_have_no_zero_point(dist):
+    # neither a mixture nor a custom hazard has a cheap inverse of its
+    # survival, and a mixture's sf_batch raises once its survival underflows
+    # (test_mixture_array_survival_rejects_nonpositive), which a skipped read
+    # would hide
+    assert dist.zero_point == math.inf
+    assert lt.ScaledFactor(dist, 0.5).zero_point == math.inf
 
 
 def test_mixture_array_survival_rejects_nonpositive():

@@ -103,19 +103,28 @@ SEEDED_BITS = [
      "0x1.36160480cbd1dp-9", "0x1.6e2561f2a0813p-20"),
     ("plain_symmetric_moments_two_blocks", (1 << 18) + 1000,
      "0x1.39cd8d440b8ccp-9", "0x1.8f979c2adae53p-14"),
+    # deeper in the tail, where most rows' scaled survival is exactly +0.0
+    # over whole tiles, and 219 rows of a slowly decaying sum
+    ("symmetric_moments_t300", 20000, "0x1.03551b24292eep-26", "0x1.4dc559f5442d3p-37"),
+    ("symmetric_moments_ratio0.9", 20000, "0x1.b818fd67fbe72p-26", "0x1.45a7c382f935ap-34"),
 ]
+CONDITIONAL_BITS = [case for case in SEEDED_BITS if not case[0].startswith("plain")]
 
 
 def _seeded_case(case, weibull04, pair_seq):
     """(estimator, law, weights, t, seed, eps_trunc, truncation rows) of a case."""
     symmetric = lt.weibull_type(0.5, symmetric=True)
+    moments = _shipped("symmetric_moments.json")
     return {
         "one": (lt.conditional_mc, weibull04, lt.WeightSequence([1.0]), 50.0, 1, 1e-9, 1),
         "pair": (lt.conditional_mc, weibull04, pair_seq, 150.0, 7, 1e-9, 2),
         "triple": (lt.conditional_mc, weibull04, lt.WeightSequence([1.0, 0.5, 0.25]),
                    150.0, 7, 1e-9, 3),
-        "symmetric_moments": (lt.conditional_mc, *_shipped("symmetric_moments.json"),
-                              30.25, 9, 1e-9, 31),
+        "symmetric_moments": (lt.conditional_mc, *moments, 30.25, 9, 1e-9, 31),
+        "symmetric_moments_t300": (lt.conditional_mc, *moments, 300.0, 9, 1e-9, 31),
+        "symmetric_moments_ratio0.9": (lt.conditional_mc, moments[0],
+                                       lt.WeightSequence([1.0], ratio=0.9),
+                                       300.0, 9, 1e-9, 219),
         "negative_pair": (lt.conditional_mc, symmetric,
                           lt.WeightSequence([1.0, -0.5]),
                           70.0, 3, 1e-9, 2),
@@ -124,21 +133,95 @@ def _seeded_case(case, weibull04, pair_seq):
                     100.0, 9, 1e-4, 2),
         "plain_pair": (lt.plain_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
         "plain_two_blocks": (lt.plain_mc, weibull04, pair_seq, 125.3, 5, 1e-9, 2),
-        "symmetric_moments_two_blocks": (lt.conditional_mc, *_shipped("symmetric_moments.json"),
-                                         30.25, 9, 1e-9, 31),
-        "plain_symmetric_moments_two_blocks": (lt.plain_mc,
-                                               *_shipped("symmetric_moments.json"),
-                                               30.25, 9, 1e-9, 31),
+        "symmetric_moments_two_blocks": (lt.conditional_mc, *moments, 30.25, 9, 1e-9, 31),
+        "plain_symmetric_moments_two_blocks": (lt.plain_mc, *moments, 30.25, 9, 1e-9, 31),
     }[case]
+
+
+def _assert_seeded_bits(weibull04, pair_seq, case, n, p_hex, se_hex):
+    estimator, dist, seq, t, seed, eps, rows = _seeded_case(case, weibull04, pair_seq)
+    est = estimator(dist, seq, t, n, seed=seed, eps_trunc=eps)
+    assert est.truncation_n == rows and est.n_samples == n
+    assert (est.p_hat.hex(), est.std_err.hex()) == (p_hex, se_hex)
 
 
 @pytest.mark.parametrize("case,n,p_hex,se_hex", SEEDED_BITS,
                          ids=[case[0] for case in SEEDED_BITS])
 def test_seeded_estimates_keep_their_bits(weibull04, pair_seq, case, n, p_hex, se_hex):
-    estimator, dist, seq, t, seed, eps, rows = _seeded_case(case, weibull04, pair_seq)
-    est = estimator(dist, seq, t, n, seed=seed, eps_trunc=eps)
-    assert est.truncation_n == rows and est.n_samples == n
-    assert (est.p_hat.hex(), est.std_err.hex()) == (p_hex, se_hex)
+    _assert_seeded_bits(weibull04, pair_seq, case, n, p_hex, se_hex)
+
+
+@pytest.mark.parametrize("case,n,p_hex,se_hex", CONDITIONAL_BITS,
+                         ids=[case[0] for case in CONDITIONAL_BITS])
+def test_zero_points_move_no_bits(weibull04, pair_seq, monkeypatch, case, n, p_hex, se_hex):
+    # with no zero point the kernel reads every row-tile: a skipped read adds
+    # +0.0, so the zero points are not part of the randomness contract
+    monkeypatch.setattr(lt.ScaledFactor, "zero_point", math.inf)
+    assert lt.ScaledFactor(lt.weibull_type(0.5), 1.0).zero_point == math.inf
+    _assert_seeded_bits(weibull04, pair_seq, case, n, p_hex, se_hex)
+
+
+def _row_tile_reads(estimate):
+    """(the scale of each survival read, row-tiles, result) of the
+    conditional kernel over estimate()."""
+    scales, counts = [], [0]
+    sf_batch, residual_maxima = lt.ScaledFactor.sf_batch, oracle._residual_maxima
+
+    def counted_sf_batch(self, x):
+        scales.append(self.c)
+        return sf_batch(self, x)
+
+    def counted_maxima(summands):
+        for row_tile in residual_maxima(summands):
+            counts[0] += 1
+            yield row_tile
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lt.ScaledFactor, "sf_batch", counted_sf_batch)
+        patch.setattr(oracle, "_residual_maxima", counted_maxima)
+        result = estimate()
+    return scales, counts[0], result
+
+
+@pytest.mark.parametrize("case,share", [("symmetric_moments_t300", 0.5), ("pair", 1.0),
+                                        ("triple", 1.0), ("negative_pair", 1.0)])
+def test_zero_points_skip_where_they_should(weibull04, pair_seq, case, share):
+    # deep in the tail most of symmetric_moments' 31 rows are past their zero
+    # point on whole tiles (60 of 155 row-tiles are read); the top rows of a
+    # short sum never are
+    estimator, dist, seq, t, seed, eps, _ = _seeded_case(case, weibull04, pair_seq)
+    scales, row_tiles, _ = _row_tile_reads(lambda: estimator(
+        dist, seq, t, 20000, seed=seed, eps_trunc=eps))
+    reads = len(scales)
+    if share < 1.0:
+        assert 0 < reads <= share * row_tiles
+    else:
+        assert reads == row_tiles
+
+
+def test_zero_points_read_a_tile_with_one_live_column():
+    # two rows, c = (1, 0.5), zero points (640000, 320000), at t = 400000:
+    # only row 1 may skip.  Its argument max(x_0, t - x_0) is x_0 = 1e7 in
+    # every column but one, where x_0 = 200000 puts it below the zero point
+    law = lt.weibull_type(0.5, symmetric=True)
+    seq = lt.WeightSequence([1.0, 0.5])
+    assert [lt.ScaledFactor(law, c).zero_point for c in (1.0, 0.5)] == [640000.0, 320000.0]
+
+    def run(live):
+        def ppf(u):
+            x = np.full(np.shape(u), 1e7)
+            x[0, 3] = live
+            return x
+
+        scales, row_tiles, est = _row_tile_reads(lambda: lt.conditional_mc(
+            dataclasses.replace(law, ppf=ppf), seq, 400000.0, 8, seed=1))
+        return len(scales), row_tiles, est.p_hat
+
+    # P(X > 2 * 200000) = exp(-632) / 2 reaches the sample mean
+    assert run(200000.0) == (2, 2, pytest.approx(0.5 * math.exp(-math.sqrt(4e5)) / 8,
+                                                 rel=1e-12))
+    # with that column past the zero point too, row 1 skips its one tile
+    assert run(1e7) == (1, 2, 0.0)
 
 
 @pytest.mark.parametrize("case", ["triple", "symmetric_moments", "negative_pair", "mixture"])
@@ -292,6 +375,27 @@ def test_truncation_bias_below_recorded_bound(weibull04):
     noise = 3.0 * math.hypot(coarse.std_err, fine.std_err)
     assert abs(coarse.p_hat - fine.p_hat) <= coarse.truncation_bias_bound + noise
     assert coarse.truncation_bias_bound > 0.0
+
+
+@pytest.mark.parametrize("name,t,margin", [("symmetric_moments.json", 100.0, 9360.0),
+                                           ("symmetric_moments.json", 1000.0, 10577.0),
+                                           ("logweibull_second_order.json", 10.0, 37.1),
+                                           ("logweibull_second_order.json", 1e5, 48.5)])
+def test_truncation_bound_dominates_ten_more_rows(name, t, margin):
+    # the same seed draws the same values on the kept rows, so the ten rows
+    # that eps_trunc 1e-12 adds to the shipped 31 move p by the dropped tail
+    # alone; the bound holds without a noise allowance, by the measured margin
+    dist, seq = _shipped(name)
+    coarse = lt.conditional_mc(dist, seq, t, 20000, seed=9, eps_trunc=1e-9)
+    scales, _, fine = _row_tile_reads(
+        lambda: lt.conditional_mc(dist, seq, t, 20000, seed=9, eps_trunc=1e-12))
+    assert (coarse.truncation_n, fine.truncation_n) == (31, 41)
+    gap = abs(coarse.p_hat - fine.p_hat)
+    assert 0.0 < gap <= coarse.truncation_bias_bound
+    assert coarse.truncation_bias_bound / gap == pytest.approx(margin, rel=0.01)
+    if dist.zero_point < math.inf:
+        # the added rows' survival is +0.0 on every tile: none is read
+        assert min(map(abs, scales)) >= abs(seq.weight(31))
 
 
 def test_negative_scale_sampling():

@@ -19,9 +19,10 @@ lognormal_gate_below also symmetric; lognormal_gate_boundary also under
 quadrature, and its two scales on a grid that starts below the anchor;
 multiplicity_pair also at expansion order 2; symmetric_moments also with
 method plain_mc, the mirrored quantile over 31 variables, and at n = 300000
-on two grid points, so its 31 rows' streamed draws cross a block edge;
-weibull_oracle_check also with the command line's --order and --seed
-overrides.  A dense section runs evaluate, then report, on the
+on two grid points, so its 31 rows' streamed draws cross a block edge, and
+with generator ratio 0.9 at n = 20000, 219 rows of which most are past
+their zero point over whole tiles; weibull_oracle_check also with the
+command line's --order and --seed overrides.  A dense section runs evaluate, then report, on the
 1000-point window and deep grids of each shipped config, built as the
 benchmark's analytic-dense workload builds them.
 Output goes to a temporary directory; no artifact records it.  The configs
@@ -94,7 +95,11 @@ VARIANTS = {
                                 "+below_anchor": {"grid": BELOW_ANCHOR}},
     "multiplicity_pair": {"": {}, "+order2": {"expansion": {"order": 2}}},
     "symmetric_moments": {"": {}, "+plain_mc": {"oracle": {"method": "plain_mc"}},
-                          "+two_blocks": {"oracle": {"n": 300000}, "grid": {"points": 2}}},
+                          "+two_blocks": {"oracle": {"n": 300000}, "grid": {"points": 2}},
+                          "+ratio0.9": {"weights": {"generator": {"type": "geometric",
+                                                                  "ratio": 0.9,
+                                                                  "from_index": 2}},
+                                        "oracle": {"n": 20000}}},
 }
 # run_command keywords per variant, as --order and --seed pass them, so that
 # report.json's order_override and the oracle's seed override are hashed
