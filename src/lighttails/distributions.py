@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Sequence
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import (DegenerateWeightError, QuadratureToleranceError,
                      UnsupportedSignError)
-from .hazard import HazardModel, LogPowerSum, log_abs
+from .hazard import HazardModel, LogPowerSum, log_abs, quad
 
 __all__ = [
     "TailDistribution",
@@ -184,7 +183,6 @@ class TailDistribution:
         error estimate (QUADPACK can return it negative on [anchor, inf)).  A
         side without a tail, below a one-sided law, is its body alone, on
         [0, max(0, -body_left)]."""
-        from scipy.integrate import IntegrationWarning, quad
         weight = self.sf if upper else (lambda x: self.cdf(-x))
         anchor = self.upper.t0
 
@@ -192,15 +190,13 @@ class TailDistribution:
             return x ** (k - 1) * weight(x)
 
         pts = sorted({p for p in (abs(b) for b in self.quad_breaks) if 0.0 < p < anchor})
-        with warnings.catch_warnings():  # the caller's tolerance check decides
-            warnings.simplefilter("ignore", IntegrationWarning)
-            if not (upper or self.symmetric):
-                if self.body_left >= 0.0:
-                    return 0.0, 0.0
-                body, body_err = quad(f, 0.0, -self.body_left, **_QUAD_KW)
-                return body, abs(body_err)
-            head, head_err = quad(f, 0.0, anchor, points=pts or None, **_QUAD_KW)
-            tail, tail_err = quad(f, anchor, math.inf, **_QUAD_KW)
+        if not (upper or self.symmetric):
+            if self.body_left >= 0.0:
+                return 0.0, 0.0
+            body, body_err = quad(f, 0.0, -self.body_left, **_QUAD_KW)
+            return body, abs(body_err)
+        head, head_err = quad(f, 0.0, anchor, points=pts or None, **_QUAD_KW)
+        tail, tail_err = quad(f, anchor, math.inf, **_QUAD_KW)
         return head + tail, abs(head_err) + abs(tail_err)
 
     def _moment_by_quadrature(self, k: int) -> float:

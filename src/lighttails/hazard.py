@@ -20,13 +20,16 @@ model.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SmoothnessError
+from .errors import DomainError, QuadratureToleranceError, SmoothnessError
 from .hazardpoly import poly_values, survival_derivative_polys
 
 __all__ = [
@@ -48,6 +51,43 @@ def libm(f: Callable, x: np.ndarray) -> np.ndarray:
 
 def log_abs(v: float) -> float:
     return math.log(abs(v)) if v else -math.inf
+
+
+@cache
+def _quadpack():
+    """scipy's compiled QUADPACK extension, loaded from its file without the
+    scipy.integrate package around it, and not entered in sys.modules."""
+    import scipy
+    spec = PathFinder.find_spec("_quadpack", [os.path.join(scipy.__path__[0], "integrate")])
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
+         points=None) -> tuple[float, float]:
+    """(int_a^b f, QUADPACK's error estimate), with scipy.integrate.quad's bits
+    on finite limits, on b = inf and with points on a finite interval.  It
+    calls _qagse, _qagie and _qagpe, private entry points of scipy's compiled
+    _quadpack (signatures as in scipy 1.17.1), as scipy's quad does, and never
+    warns: each caller checks the estimate against its own tolerance.  ier = 6
+    (invalid input) raises ValueError; an exception raised by f propagates."""
+    if a == b:
+        return 0.0, 0.0
+    if b < a:
+        value, err = quad(f, b, a, epsabs, epsrel, limit, points)
+        return -value, err
+    if b == math.inf:
+        value, err, ier = _quadpack()._qagie(f, a, 1, (), 0, epsabs, epsrel, limit)
+    elif points is None:
+        value, err, ier = _quadpack()._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
+    else:
+        inside = np.unique(points)
+        inside = np.concatenate((inside[(a < inside) & (inside < b)], (0.0, 0.0)))
+        value, err, ier = _quadpack()._qagpe(f, a, b, inside, (), 0, epsabs, epsrel, limit)
+    if ier == 6:
+        raise ValueError(f"QUADPACK refused its input (limit {limit}, ier 6)")
+    return value, err
 
 
 @dataclass(frozen=True)
@@ -97,7 +137,9 @@ class LogPowerSum:
 
         Closed-form terms broadcast over an array t.  quad takes one upper
         limit at a time, so the quadrature terms of an array t are integrated
-        element by element: the scalar fallback of the array paths.
+        element by element: the scalar fallback of the array paths.  An
+        integral whose error estimate misses its tolerance raises
+        QuadratureToleranceError.
         """
         closed = []
         numeric = []
@@ -111,11 +153,12 @@ class LogPowerSum:
                 numeric.append((kappa, rho, gamma))
 
         part = LogPowerSum(tuple(numeric))
-        if numeric:
-            from scipy.integrate import quad
 
         def integral(t):
-            val, _ = quad(part, t0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
+            val, err = quad(part, t0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
+            if err > max(1e-14, 1e-12 * abs(val)):
+                raise QuadratureToleranceError(
+                    achieved=err / abs(val) if val else math.inf, requested=1e-12)
             return val
 
         def cum(t):

@@ -51,7 +51,7 @@ an exact +0.0 moves no bit, so the zero point is not part of the contract.
 from __future__ import annotations
 
 import math
-import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +59,7 @@ import numpy as np
 from .distributions import ScaledFactor, TailDistribution
 from .errors import QuadratureToleranceError
 from .expansion import EvaluationTable, TailExpansion, evaluate
-from .hazard import log_abs
+from .hazard import log_abs, quad
 from .weights import WeightSequence
 
 __all__ = [
@@ -282,20 +282,46 @@ _NODES = 129  # interpolation nodes per window of a composite factor
 class _LogInterpolant:
     """x -> log f(x) for an exact solve f: inside the window [xs[0], hi] from
     a monotone interpolant of the exact values on the nodes xs, when there are
-    nodes and every value is finite, and elsewhere from the exact solve."""
+    nodes and every value is finite, and elsewhere from the exact solve.
+
+    The interpolant is scipy's PchipInterpolator (Fritsch & Carlson) on three
+    or more nodes, with its bits: the derivatives of its _find_derivatives
+    and _edge_case and the coefficients of CubicHermiteSpline, computed in
+    the same order on numpy arrays, then read as scipy's PPoly reads them."""
 
     def __init__(self, exact, xs, hi: float):
-        from scipy.interpolate import PchipInterpolator
         self.exact = exact
         self.window = (math.inf, -math.inf)  # empty: every x takes the exact solve
         ys = [log_abs(exact(float(x))) for x in xs]
         if ys and all(math.isfinite(y) for y in ys):
-            self.interp = PchipInterpolator(xs, ys)
-            self.window = (float(xs[0]), hi)
+            self.xs = [float(x) for x in xs]
+            h = np.diff(self.xs)
+            m = np.diff(ys) / h
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            d = np.zeros(len(ys))
+            hmean = ~((np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0))
+            d[1:-1][hmean] = 1.0 / ((w1[hmean] / m[:-1][hmean] + w2[hmean] / m[1:][hmean])
+                                    / (w1[hmean] + w2[hmean]))
+            for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                        (-1, h[-1], h[-2], m[-1], m[-2])):
+                d[end] = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+                if np.sign(d[end]) != np.sign(m0):
+                    d[end] = 0.0
+                elif np.sign(m0) != np.sign(m1) and abs(d[end]) > 3.0 * abs(m0):
+                    d[end] = 3.0 * m0
+            t = (d[:-1] + d[1:] - 2 * m) / h
+            self.coeffs = list(zip((t / h).tolist(), ((m - d[:-1]) / h - t).tolist(),
+                                   d[:-1].tolist(), ys[:-1]))
+            self.window = (self.xs[0], hi)
 
     def __call__(self, x):
         if self.window[0] <= x <= self.window[1]:
-            return float(self.interp(x))
+            # the interval of PPoly's find_interval: closed at the right end,
+            # the last one past it; the sum in its evaluate_poly1 order
+            i = min(bisect_right(self.xs, x) - 1, len(self.coeffs) - 1)
+            c0, c1, c2, c3 = self.coeffs[i]
+            s = x - self.xs[i]
+            return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
         return log_abs(self.exact(x))
 
 
@@ -355,7 +381,6 @@ def _convolution_integral(inner, log_outer, t: float, lo: float, hi: float,
     where inner.pdf > 0.  Each panel's integrand calls the two reads itself."""
     if hi <= lo:
         return 0.0, 0.0
-    from scipy.integrate import IntegrationWarning, quad
     log_inner, exp, ninf = inner.logpdf, math.exp, -math.inf
 
     def log_g(x):
@@ -368,35 +393,31 @@ def _convolution_integral(inner, log_outer, t: float, lo: float, hi: float,
     edges = _panel_edges(lo, hi, probes, ladder)
     total = 0.0
     total_err = 0.0
-    with warnings.catch_warnings():
-        # panel-level roundoff reports are expected near interpolant kinks;
-        # the per-panel error estimate is still accumulated and checked
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(edges, edges[1:]):
-            best = -math.inf
-            # np.linspace(a, b, 9)[1:-1], without its overhead
-            for x in (a + i * ((b - a) / 8) for i in range(1, 8)):
-                try:
-                    v = log_g(x)
-                except (ValueError, OverflowError):
-                    continue
-                if math.isfinite(v) and v > best:
-                    best = v
-            if best == -math.inf or (total > 0 and
-                                     exp(min(best, 300.0)) * (b - a) < 1e-18 * total):
+    for a, b in zip(edges, edges[1:]):
+        best = -math.inf
+        # np.linspace(a, b, 9)[1:-1], without its overhead
+        for x in (a + i * ((b - a) / 8) for i in range(1, 8)):
+            try:
+                v = log_g(x)
+            except (ValueError, OverflowError):
                 continue
+            if math.isfinite(v) and v > best:
+                best = v
+        if best == -math.inf or (total > 0 and
+                                 exp(min(best, 300.0)) * (b - a) < 1e-18 * total):
+            continue
 
-            def integrand(x, m=best):
-                lp = log_inner(x)
-                if lp == ninf:
-                    return 0.0
-                v = lp + log_outer(t - x)
-                return exp(v - m) if v > ninf else 0.0
+        def integrand(x, m=best):
+            lp = log_inner(x)
+            if lp == ninf:
+                return 0.0
+            v = lp + log_outer(t - x)
+            return exp(v - m) if v > ninf else 0.0
 
-            val, err = quad(integrand, a, b, epsabs=1e-15,
-                            epsrel=max(1e-11, tol_rel / 10), limit=200)
-            total += val * exp(best)
-            total_err += err * exp(best)
+        val, err = quad(integrand, a, b, epsabs=1e-15,
+                        epsrel=max(1e-11, tol_rel / 10), limit=200)
+        total += val * exp(best)
+        total_err += err * exp(best)
     return total, total_err
 
 

@@ -900,23 +900,34 @@ def one_point(tmp_path, name, **sections):
 
 def test_scipy_loads_only_at_the_first_integral(tmp_path):
     # a fresh interpreter: importing the CLI and every command that integrates
-    # nothing leave scipy unloaded; a supercritical expand reaches its moments
+    # nothing leave scipy unloaded; a supercritical expand reaches its moments,
+    # and a three-factor quadrature compare its interpolants, and each loads
+    # scipy itself, for its compiled QUADPACK, but none of its packages
     weibull = one_point(tmp_path, "weibull_oracle_check.json")
     pair = one_point(tmp_path, "cancellation_pair.json")
     # every hazard term has a closed-form antiderivative
     custom = one_point(tmp_path, "weibull_oracle_check.json", distribution={
         "family": "custom", "params": {"terms": [[0.4, -0.6, 0.0], [0.1, -1.0, 1.0]],
                                        "rv_index": -0.6}})
+    triple = load_config(cfg("weibull_oracle_check.json"))
+    triple["weights"]["weights"] = [1.0, 0.5, 0.25]
+    triple["oracle"]["method"] = "quadrature"
+    triple["grid"].update(points=1, t_min=700.0, t_max=700.0)
     runs = [["classify", "--config", cfg("weibull_oracle_check.json")],
             ["classify", "--config", custom],
             ["oracle", "--config", weibull], ["oracle", "--config", pair],
             ["compare", "--config", pair],
-            ["expand", "--config", cfg("weibull_oracle_check.json")]]
+            ["expand", "--config", cfg("weibull_oracle_check.json")],
+            ["compare", "--config", write_config(tmp_path, triple, "triple.json")]]
     seen = cold_start(tmp_path, runs, "scipy")
     assert [code for _, code, _ in seen] == [EXIT_OK] * (1 + len(runs))
-    for step, _, modules in seen[:-1]:
+    for step, _, modules in seen[:-2]:
         assert modules == [], step
-    assert "scipy.integrate" in seen[-1][2]
+    packages = {"scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.linalg",
+                "scipy.sparse", "scipy.optimize"}
+    for step, _, modules in seen[-2:]:
+        assert "scipy" in modules, step
+        assert not packages & {".".join(m.split(".")[:2]) for m in modules}, step
 
 
 def test_no_command_loads_jsonschema(tmp_path):

@@ -233,7 +233,6 @@ def test_moments_of_one_sided_law_with_body_below_zero():
             assert dist.moment(k) == pytest.approx(body + tail, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_moment_quadrature_out_of_tolerance_raises():
     # quad's estimate for the x^3 S(x) integral of weibull_type(0.25) is about
     # as large as the moment (true error 2.6e-3): that must not pass silently

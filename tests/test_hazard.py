@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import lighttails as lt
+from lighttails import hazard
 from lighttails.hazardpoly import poly_values, survival_derivative_polys
 
 from helpers import (faa_di_bruno_ratio, hand_survival_ratio, log_power_sum_reference,
@@ -107,6 +109,66 @@ def test_representation_consistency():
             integral, _ = quad(m.hazard, t1, t2, epsabs=1e-14, epsrel=1e-12)
             ratio = math.exp(m.log_survival(t2)) / math.exp(m.log_survival(t1))
             assert ratio == pytest.approx(math.exp(-integral), rel=1e-10)
+
+
+# -- the QUADPACK wrapper --------------------------------------------------------
+
+
+def _moment_integrand(x):
+    return x ** 2 * math.exp(-x ** 0.4)
+
+
+# every argument pattern the library passes; scipy's quad is the reference
+QUAD_CALLS = {
+    "finite": (0.0, 30.0, None),
+    # repeated, at an end and outside the interval
+    "points": (0.0, 30.0, [12.0, 5.0, 5.0, 0.0, 31.0]),
+    "to_inf": (2.0, math.inf, None),
+    "empty": (3.0, 3.0, None),
+    "reversed": (30.0, 2.0, None),
+    "reversed_points": (30.0, 0.0, [5.0, 12.0]),
+}
+
+
+@pytest.mark.parametrize("a, b, points", QUAD_CALLS.values(), ids=QUAD_CALLS.keys())
+@pytest.mark.parametrize("limit", [400, 3])
+def test_quad_is_scipys_quad(a, b, points, limit):
+    # at limit 3 QUADPACK stops early: scipy warns, the wrapper stays silent
+    # and leaves the error estimate to its caller
+    kw = dict(epsabs=1e-13, epsrel=1e-11, limit=limit, points=points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = hazard.quad(_moment_integrand, a, b, **kw)
+        warnings.simplefilter("ignore")
+        theirs = quad(_moment_integrand, a, b, **kw)
+    assert [v.hex() for v in ours] == [float(v).hex() for v in theirs]
+
+
+@pytest.mark.parametrize("a, b, points", [QUAD_CALLS[k] for k in ("finite", "points", "to_inf")],
+                         ids=["qagse", "qagpe", "qagie"])
+def test_quad_refuses_bad_input_and_passes_integrand_errors_on(a, b, points):
+    with pytest.raises(ValueError, match="QUADPACK refused"):
+        hazard.quad(_moment_integrand, a, b, 1e-13, 1e-11, 0, points)
+
+    def broken(x):
+        raise ZeroDivisionError("from the integrand")
+
+    with pytest.raises(ZeroDivisionError, match="from the integrand"):
+        hazard.quad(broken, a, b, 1e-13, 1e-11, 400, points)
+
+
+def test_antiderivative_quadrature_out_of_tolerance_raises(monkeypatch):
+    # t^-0.5 log t has no closed-form antiderivative: its quadrature is held
+    # to epsrel 1e-12, and an estimate past that fails loudly
+    cum = lt.LogPowerSum(((1.0, -0.5, 1.0),)).antiderivative_from(2.0)
+    value = cum(50.0)
+    monkeypatch.setattr(hazard, "quad", lambda *args, **kw: (value, 1e-12 * value))
+    assert cum(50.0) == value
+    monkeypatch.setattr(hazard, "quad", lambda *args, **kw: (value, 2e-12 * value))
+    for t in (50.0, np.array([50.0, 60.0])):
+        with pytest.raises(lt.QuadratureToleranceError) as exc:
+            cum(t)
+        assert exc.value.achieved == pytest.approx(2e-12) and exc.value.requested == 1e-12
 
 
 def test_rapid_variation():

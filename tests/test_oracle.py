@@ -577,6 +577,45 @@ def test_quadrature_keeps_its_bits(weibull04, family, weights, t, p_hex):
     assert est.truncation_n == len(weights) and est.p_hat.hex() == p_hex
 
 
+def _pchip_cases(weibull04, monkeypatch):
+    """(nodes, {node: exact value}) of both interpolants of the [1, 0.5, 0.25]
+    point at t = 700, then of random data with sign changes and flat runs."""
+    built, build = [], oracle._LogInterpolant
+
+    def recording(exact, xs, hi):
+        seen = {}
+        built.append((np.asarray(xs), seen))
+        return build(lambda x: seen.setdefault(x, exact(x)), xs, hi)
+
+    monkeypatch.setattr(oracle, "_LogInterpolant", recording)
+    oracle.ConvolvedFactor(lt.ScaledFactor(weibull04, 0.5), lt.ScaledFactor(weibull04, 0.25),
+                           700.0, lt.ScaledFactor(weibull04, 1.0).support_left, 1e-9 / 4.0)
+    monkeypatch.undo()
+    assert len(built) == 2
+    # both end-slope corrections: the first end slope set to 0, the last to 3 m0
+    data = [(np.array([0.0, 1.0, 1.1, 2.0]), np.array([0.0, 0.1, 3.0, 2.9]))]
+    rng = np.random.default_rng(32)
+    for n in (3, 4, 9, 129):
+        ys = rng.normal(size=n) * rng.uniform(0.1, 50.0)
+        ys[n // 3:n // 3 + n // 4 + 1] = ys[n // 3]  # a flat run
+        data.append((np.cumsum(rng.uniform(0.01, 3.0, n)) - 5.0, ys))
+    built += [(xs, dict(zip(xs.tolist(), np.exp(ys).tolist()))) for xs, ys in data]
+    return built
+
+
+def test_log_interpolant_is_scipys_pchip(weibull04, monkeypatch):
+    # scipy's PchipInterpolator is the reference: the same value, bit for bit,
+    # at the nodes, the midpoints, the last node and just past it
+    from scipy.interpolate import PchipInterpolator
+    for xs, exact in _pchip_cases(weibull04, monkeypatch):
+        hi = 2.0 * xs[-1] - xs[-2]
+        ours = oracle._LogInterpolant(exact.__getitem__, xs, hi)
+        theirs = PchipInterpolator(xs, [math.log(exact[x]) for x in xs.tolist()])
+        reads = [*xs, *(xs[1:] + xs[:-1]) / 2.0, xs[-1], np.nextafter(xs[-1], np.inf), hi]
+        for x in map(float, reads):
+            assert ours(x).hex() == float(theirs(x)).hex(), x
+
+
 def test_pair_error_bound_keeps_its_bits(weibull04):
     value, err = lt.convolve_pair_sf(lt.ScaledFactor(weibull04, 1.0),
                                      lt.ScaledFactor(weibull04, 0.5), 3e5)

@@ -135,16 +135,24 @@ class Bystander:
     assert _unread_public({"m.py": source}, ("Law",), {"traced"}) == ["Law.read", "Law.shape"]
 
 
-def _third_party_imports(sources: dict) -> set[str]:
-    """The top-level name of each absolute import, also one inside a function,
-    that is neither the standard library's nor the package's own."""
+def _absolute_imports(sources: dict) -> set[str]:
+    """The dotted name of each absolute import, also one inside a function;
+    `from a import b` names both a and a.b."""
     names = set()
     for file, text in sources.items():
         for node in ast.walk(ast.parse(text, filename=file)):
             if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _third_party_imports(sources: dict) -> set[str]:
+    """The top-level name of each absolute import that is neither the standard
+    library's nor the package's own."""
+    names = {name.split(".")[0] for name in _absolute_imports(sources)}
     return names - set(sys.stdlib_module_names) - {"__future__", "lighttails"}
 
 
@@ -154,6 +162,14 @@ def test_declared_dependencies_are_the_imported_ones():
     declared = {re.match(r"[\w.-]+", req).group() for req in project["dependencies"]}
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert declared == _third_party_imports(sources) == {"numpy", "scipy"}
+
+
+def test_no_source_imports_scipys_integrate_or_interpolate():
+    # the library calls scipy's compiled QUADPACK extension and runs its own
+    # PCHIP: either package would load tens of MB of scipy that it never calls
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert not {name for name in _absolute_imports(sources)
+                if name.split(".")[:2] in (["scipy", "integrate"], ["scipy", "interpolate"])}
 
 
 def test_the_import_scan_sees_imports_inside_functions():
@@ -166,6 +182,8 @@ from lighttails.errors import ConfigError
 
 def f():
     from scipy.integrate import quad
+    from scipy import interpolate
     import jsonschema.validators
 """
     assert _third_party_imports({"m.py": source}) == {"numpy", "scipy", "jsonschema"}
+    assert {"scipy.integrate", "scipy.interpolate"} <= _absolute_imports({"m.py": source})
