@@ -333,7 +333,7 @@ def _closed_form(base_sf, base_pdf, psi_inv, terms, cum_hazard, t0,
     sbar = base_sf(t0)
     upper = HazardModel(hazard_derivs=LogPowerSum(terms).hazard_derivatives(_SMOOTH_ORDER),
                         t0=t0, sbar_t0=0.5 * sbar if symmetric else sbar,
-                        cum_hazard=cum_hazard, smooth_order=_SMOOTH_ORDER, **metadata)
+                        cum_hazard=cum_hazard, **metadata)
     breaks = (support_left, t0)
     zero_point = float(psi_inv(_ZERO_NEG_LOG_SF))
 
@@ -549,6 +549,8 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
     regular-variation indices cannot be inferred from finitely many values.
     The body on [0, t0] is a linear ramp carrying the remaining mass.
     """
+    if smooth_order < 0:
+        raise ValueError(f"smooth_order must be nonnegative, got {smooth_order}")
     h = LogPowerSum(tuple(tuple(map(float, trm)) for trm in terms))
     upper = HazardModel(
         hazard_derivs=h.hazard_derivatives(smooth_order),
@@ -558,7 +560,6 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
         rv_index=rv_index,
         log_exponent=log_exponent,
         lambda_coeff=lambda_coeff,
-        smooth_order=smooth_order,
     )
     log_sbar = math.log(sbar_t0)
     return _ramped(upper, lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)))
@@ -671,7 +672,6 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
         rv_index=-1.0,
         log_exponent=log_exponent,
         lambda_coeff=lambda_coeff,
-        smooth_order=0,
         cum_and_components=cum_and_components,
     )
     return _ramped(upper, log_sf_slope)

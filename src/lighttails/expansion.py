@@ -31,6 +31,7 @@ of insignificant terms and the hazard-scale rewriting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -172,16 +173,16 @@ def _expand_subcritical(dist: TailDistribution, seq: WeightSequence, m: int,
                         regime: Regime) -> TailExpansion:
     if m < 1:
         raise ValueError("subcritical expansion order must be a positive integer")
-    levels = seq.levels(m)
+    levels = list(itertools.islice(seq.classes(), m))
     flags = []
     if len(levels) < m:
         flags.append(f"level_shortfall: {len(levels)} distinct classes available, "
                      f"{m} requested")
 
-    terms = [ExpansionTerm(scale=sign * level.magnitude, deriv_index=0, coeff=float(count),
-                           source_level=idx, operator_order=0)
+    terms = [ExpansionTerm(scale=sign * level.magnitude, deriv_index=0,
+                           coeff=float(len(indices)), source_level=idx, operator_order=0)
              for idx, level in enumerate(levels, start=1)
-             for sign, count in ((1.0, level.pos_count), (-1.0, level.neg_count)) if count]
+             for sign, indices in ((1.0, level.positive), (-1.0, level.negative)) if indices]
     remainder = RemainderScale(hazard_power=0, scale=levels[-1].magnitude)
     return TailExpansion(terms=tuple(terms), remainder=remainder, regime=regime,
                          order_request=m, flags=tuple(flags))
@@ -206,53 +207,51 @@ def _expand_characters(dist: TailDistribution, seq: WeightSequence, k: int,
     if k > dist.upper.smooth_order:
         raise SmoothnessError(required=k, available=dist.upper.smooth_order)
     rho, gamma = dist.upper.rv_index, dist.upper.log_exponent
-    c1 = seq.max_magnitude
+    classes = seq.classes()
+    top = next(classes)
+    c1 = top.magnitude
     tol = _ORDER_TOL * max(1.0, k)
     # enumerate candidates slightly past the threshold c1 e^(-k/lam), then apply
     # the exact log test; at lambda = infinity the threshold is c1 itself
     enumeration_floor = c1 if lam is None else c1 * math.exp(-k / lam) * (1.0 - 1e-9)
-    # per kept scale s: [count, x = k + lam * log(|s|/c1), first index]
-    by_scale: dict[float, list] = {}
-    for i, w in seq.iter_weights(min_magnitude=enumeration_floor):
-        if w in by_scale:
-            by_scale[w][0] += 1
-            continue
-        x = float(k) if lam is None else k + lam * math.log(abs(w) / c1)
-        if x >= -tol:
-            by_scale[w] = [1, x, i]
+    candidates = itertools.chain([top], itertools.takewhile(
+        lambda lev: lev.magnitude >= enumeration_floor, classes))
+    # each kept class with its x = k + lam * log(|s|/c1)
+    kept = [(lev, x) for lev in candidates
+            if (x := float(k) if lam is None else k + lam * math.log(lev.magnitude / c1)) >= -tol]
     # magnitudes whose whole scaled tail sits above the remainder: depth
     # k - x = lam * log(c1/|s|) strictly below k
-    shallow = {abs(s) for s, (_, x, _) in by_scale.items() if k - x < k - tol}
+    shallow = {lev.magnitude for lev, x in kept if k - x < k - tol}
 
     # one pass, largest magnitude first: level, floor-rule order, character, and
     # each term's decay pair, kept or pruned by order bookkeeping
     rem_p, rem_q = k * (-rho), k * gamma  # the remainder's decay pair
-    kept_terms, characters, level, last = [], [], 0, None
-    for s, (count, x, rep_index) in sorted(by_scale.items(),
-                                           key=lambda kv: (-abs(kv[0]), -kv[0])):
-        level += abs(s) != last
-        last = abs(s)
+    kept_terms, characters = [], []
+    for level, (lev, x) in enumerate(kept, start=1):
         order_s = max(min(k, math.floor(x + _ORDER_TOL)), 0)
-        ch = character_from_moments(residual_moments(dist, seq, rep_index, order_s),
-                                    order_s)
-        characters.append((s, order_s, ch.coeffs))
-        for j, a in enumerate(ch.coeffs):
-            p, q = (k - x) + j * (-rho), j * gamma
-            # a derivative term strictly below the remainder (possible only through
-            # the log refinement at integer depths) carries no information
-            if j >= 1 and _strictly_smaller(p, q, rem_p, rem_q):
+        for s, indices in ((lev.magnitude, lev.positive), (-lev.magnitude, lev.negative)):
+            if not indices:
                 continue
-            # a derivative term exactly at the remainder is dropped when another
-            # shallow magnitude is included.  Disputed (ROADMAP.md, "The critical
-            # expansion drops a term of exactly the remainder order"): the floor
-            # rule gives the top scale order k, and the term is Theta(h^k S).
-            if (j >= 1 and shallow - {abs(s)} and abs(p - rem_p) <= _ORDER_TOL
-                    and abs(q - rem_q) <= _ORDER_TOL):
-                continue
-            # 0.0 + : a vanishing coefficient is +0.0, never -0.0
-            kept_terms.append(ExpansionTerm(scale=s, deriv_index=j, coeff=0.0 + count * a,
-                                            source_level=level, operator_order=order_s,
-                                            decay_power=p, decay_log=q))
+            ch = character_from_moments(residual_moments(dist, seq, indices[0], order_s),
+                                        order_s)
+            characters.append((s, order_s, ch.coeffs))
+            for j, a in enumerate(ch.coeffs):
+                p, q = (k - x) + j * (-rho), j * gamma
+                # a derivative term strictly below the remainder (possible only through
+                # the log refinement at integer depths) carries no information
+                if j >= 1 and _strictly_smaller(p, q, rem_p, rem_q):
+                    continue
+                # a derivative term exactly at the remainder is dropped when another
+                # shallow magnitude is included.  Disputed (ROADMAP.md, "The critical
+                # expansion drops a term of exactly the remainder order"): the floor
+                # rule gives the top scale order k, and the term is Theta(h^k S).
+                if (j >= 1 and shallow - {lev.magnitude} and abs(p - rem_p) <= _ORDER_TOL
+                        and abs(q - rem_q) <= _ORDER_TOL):
+                    continue
+                # 0.0 + : a vanishing coefficient is +0.0, never -0.0
+                kept_terms.append(ExpansionTerm(
+                    scale=s, deriv_index=j, coeff=0.0 + len(indices) * a,
+                    source_level=level, operator_order=order_s, decay_power=p, decay_log=q))
 
     kept_terms.sort(key=lambda t: (t.decay_power, -t.decay_log, -t.scale))
     remainder = RemainderScale(hazard_power=k, scale=c1)

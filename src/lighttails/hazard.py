@@ -196,7 +196,6 @@ class HazardModel:
     rv_index: float
     log_exponent: float = 0.0
     lambda_coeff: float | None = None
-    smooth_order: int = 0
     cum_and_components: Callable | None = None
 
     def __post_init__(self):
@@ -213,8 +212,10 @@ class HazardModel:
             raise ValueError("rv_index == -1 requires log_exponent > 0 so that t*h(t) -> inf")
         if self.lambda_coeff is not None and not self.lambda_coeff > 0.0:
             raise ValueError(f"lambda_coeff must be positive, got {self.lambda_coeff}")
-        if self.smooth_order < 0 or len(self.hazard_derivs) < self.smooth_order + 1:
-            raise ValueError("hazard_derivs must provide h^(j) for j = 0..smooth_order")
+
+    @property
+    def smooth_order(self) -> int:  # the highest j with h^(j) in hazard_derivs
+        return len(self.hazard_derivs) - 1
 
     # -- hazard ----------------------------------------------------------
 

@@ -144,7 +144,8 @@ def _sample_stats(value_blocks) -> tuple[float, float, int]:
 def _truncation(seq: WeightSequence, eps_trunc: float):
     """Truncation level N and the kept entries: the first N with tail weight
     below eps_trunc, never short of a maximal entry."""
-    n_trunc = max(seq.truncation_index(eps_trunc), max(seq.maximal_indices()))
+    top = next(seq.classes())
+    n_trunc = max(seq.truncation_index(eps_trunc), *top.positive, *top.negative)
     return n_trunc, seq.truncated_entries(n_trunc)
 
 

@@ -1,9 +1,13 @@
-"""Weight sequences for the infinite sum, grouped into levels by magnitude.
+"""Weight sequences for the infinite sum and their classes of equal magnitude.
 
 A sequence is an explicit head of nonzero weights c_1..c_n, optionally
 continued geometrically by a ratio r with 0 < |r| < 1: c_i = (c_n r) r^(i-n-1)
 for i > n.  Such a sequence is summable for every exponent, so the sums over
 the generated weights are read in closed form.
+
+`classes()` enumerates the classes of equal |c_i|, largest first: the
+expansion reads the top one, those down to its floor or the m largest, and
+the oracle's truncation keeps every index of the top one.
 
 Weights of either sign are stored alike.  What a negative weight means
 depends on the innovation law, so it is the law's to decide:
@@ -13,19 +17,18 @@ weight only on a symmetric law.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = ["Level", "WeightSequence"]
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     magnitude: float
-    pos_count: int
-    neg_count: int
+    positive: tuple[int, ...]
+    negative: tuple[int, ...]
 
 
 class WeightSequence:
@@ -64,51 +67,24 @@ class WeightSequence:
             return self._first * self.ratio ** (i - n - 1)
         raise KeyError(f"no weight with index {i}")
 
-    def iter_weights(self, min_magnitude: float = 0.0) -> Iterator[tuple[int, float]]:
-        """All (index, weight) with |weight| >= min_magnitude; finite for positive bound."""
-        if min_magnitude <= 0.0 and self.ratio is not None:
-            raise ValueError("enumerating an infinite sequence needs a positive magnitude bound")
-        yield from ((i, w) for i, w in self.entries if abs(w) >= min_magnitude)
-        if self.ratio is None:
-            return
-        for i in itertools.count(len(self.entries) + 1):  # magnitudes decrease
-            w = self.weight(i)
-            if abs(w) < min_magnitude:
-                return
-            yield i, w
+    # -- classes --------------------------------------------------------------
 
-    # -- levels ---------------------------------------------------------------
+    def classes(self) -> Iterator[Level]:
+        """The classes of equal |c_i|, largest first, each with its positive and
+        its negative indices in index order: the head, sorted stably, merged into
+        the generated weights, which shrink strictly.  Endless on a generated
+        sequence: bound it with islice, takewhile or next."""
+        def magnitude(entry):
+            return abs(entry[1])
 
-    def levels(self, count: int | None = None) -> list[Level]:
-        """Distinct magnitudes in decreasing order with signed multiplicities.
-
-        For a generated (infinite) sequence, `count` bounds how many levels are
-        materialized; explicit entries and generated weights are merged, grouping
-        magnitudes that coincide exactly.
-        """
-        if count is None and self.ratio is not None:
-            raise ValueError("infinite sequence: pass the number of levels to materialize")
-
-        n = len(self.entries)
-        if self.ratio is not None:
-            # enough generated weights that, merged with the head, `count` levels exist
-            n += count + len({abs(w) for _, w in self.entries}) + 2
-        groups: dict[float, list[int]] = {}
-        for _, w in self.truncated_entries(n):
-            groups.setdefault(abs(w), [0, 0])[0 if w > 0 else 1] += 1
-
-        ordered = sorted(groups.items(), key=lambda kv: -kv[0])
-        return [Level(mag, pos, neg) for mag, (pos, neg) in ordered][:count]
-
-    @property
-    def max_magnitude(self) -> float:
-        top = max(abs(w) for _, w in self.entries)
-        return top  # generated weights lie below the last explicit entry
-
-    def maximal_indices(self) -> tuple[int, ...]:
-        """Indices of entries equivalent to the top class (|c| equal to the max)."""
-        top = self.max_magnitude
-        return tuple(i for i, w in self.entries if abs(w) == top)
+        head = sorted(self.entries, key=magnitude, reverse=True)
+        generated = (() if self.ratio is None else
+                     ((i, self.weight(i)) for i in itertools.count(len(self.entries) + 1)))
+        merged = heapq.merge(head, generated, key=magnitude, reverse=True)
+        for mag, group in itertools.groupby(merged, key=magnitude):
+            group = tuple(group)
+            yield Level(mag, tuple(i for i, w in group if w > 0.0),
+                        tuple(i for i, w in group if w < 0.0))
 
     # -- sums -----------------------------------------------------------------
 

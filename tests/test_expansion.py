@@ -55,7 +55,7 @@ def test_classify_critical_needs_lambda():
         hazard_derivs=(lambda t: math.log(t) / t,),
         t0=2.0, sbar_t0=0.5,
         cum_hazard=lambda t: 0.5 * (math.log(t) ** 2 - math.log(2.0) ** 2),
-        rv_index=-1.0, log_exponent=1.0, lambda_coeff=None, smooth_order=0)
+        rv_index=-1.0, log_exponent=1.0, lambda_coeff=None)
     with pytest.raises(lt.OutOfScopeError):
         lt.classify(model)
 
@@ -68,7 +68,7 @@ def test_classify_subcritical_condition_violated():
 
     liar = HazardModel(hazard_derivs=(h,), t0=2.0, sbar_t0=0.5,
                        cum_hazard=lambda t: 0.0, rv_index=-1.0,
-                       log_exponent=0.5, smooth_order=0)
+                       log_exponent=0.5)
     with pytest.raises(lt.RegimeConditionError):
         lt.classify(liar)
 
@@ -76,11 +76,10 @@ def test_classify_subcritical_condition_violated():
 def test_constructor_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         HazardModel(hazard_derivs=(lambda t: 1.0 / t,), t0=2.0, sbar_t0=0.5,
-                    cum_hazard=lambda t: 0.0, rv_index=0.5, smooth_order=0)
+                    cum_hazard=lambda t: 0.0, rv_index=0.5)
     with pytest.raises(ValueError):
         HazardModel(hazard_derivs=(lambda t: 1.0 / t,), t0=2.0, sbar_t0=0.5,
-                    cum_hazard=lambda t: 0.0, rv_index=-1.0, log_exponent=0.0,
-                    smooth_order=0)
+                    cum_hazard=lambda t: 0.0, rv_index=-1.0, log_exponent=0.0)
 
 
 # -- supercritical -------------------------------------------------------------
@@ -122,7 +121,7 @@ def supercritical_rule(dist, seq, k):
     distinct maximal scale s carries count(s) copies of the order-k character
     of one residual sum, (-1)^j mu_j / j! at D^j, with decay pair
     (j (-rho), j gamma)."""
-    top = seq.max_magnitude
+    top = next(seq.classes()).magnitude
     counts = Counter(w for _, w in seq.entries if abs(w) == top)
     rho, gamma = dist.upper.rv_index, dist.upper.log_exponent
     out = {}
@@ -156,7 +155,7 @@ def test_supercritical_matches_rule_enumerator(case):
     assert got.keys() == want.keys()
     for key, (coeff, p, q) in want.items():
         assert got[key] == (pytest.approx(coeff, rel=1e-14, abs=0.0), p, q)
-    assert exp.remainder == RemainderScale(hazard_power=k, scale=seq.max_magnitude)
+    assert exp.remainder == RemainderScale(hazard_power=k, scale=next(seq.classes()).magnitude)
 
 
 def test_vanishing_coefficient_is_positive_zero():

@@ -306,6 +306,42 @@ def test_conditional_mc_matches_quadrature(weibull04, pair_seq):
         assert abs(mc.p_hat - q.p_hat) <= 3.0 * mc.std_err
 
 
+# eight points (law, weights, t), tail levels 1e-2 .. 1e-14, each read at its own
+# seeds: a seed shared across points would tie their z-scores together
+CALIBRATION_POINTS = [
+    *((lt.weibull_type(0.4), (1.0, 0.5), t) for t in (50.0, 200.0, 700.0)),
+    *((lt.lognormal_type(0.5), (1.0, 0.5), t) for t in (30.0, 300.0, 3000.0)),
+    *((lt.weibull_type(0.4, symmetric=True), (1.0, -0.5), t) for t in (200.0, 700.0)),
+]
+CALIBRATION_SEEDS = 200
+
+
+@pytest.mark.parametrize("point", range(len(CALIBRATION_POINTS)))
+def test_conditional_mc_std_err_is_calibrated(point):
+    # z = (p_hat - p) / std_err over 200 seeds at n = 20000, against pair
+    # quadrature.  A calibrated std_err puts the SD of z within 3 sigma of 1,
+    # sigma = 1 / sqrt(2 (N - 1)) for N normal draws.  The mean is read in units
+    # of the pooled std_err (its RMS over the seeds): the mean of z itself is
+    # pulled below 0 by the correlation of p_hat with its own std_err (skewed
+    # kernel values; -0.20 +- 0.03 over 1000 seeds at weibull t = 700), the
+    # studentized ratio's finite-n bias, which says nothing about either one.
+    # That mean is within 3 sigma of 0, sigma = 1 / sqrt(N).
+    dist, weights, t = CALIBRATION_POINTS[point]
+    seq = lt.WeightSequence(weights)
+    p, quad_err = lt.convolve_pair_sf(*(lt.ScaledFactor(dist, w) for w in weights), t)
+    first = 1000 + CALIBRATION_SEEDS * point
+    ests = [lt.conditional_mc(dist, seq, t, 20_000, seed=seed)
+            for seed in range(first, first + CALIBRATION_SEEDS)]
+    p_hat = np.array([e.p_hat for e in ests])
+    std_err = np.array([e.std_err for e in ests])
+    # the reference's error cannot move a z-score in its third decimal
+    assert quad_err < 1e-3 * std_err.min()
+    z = (p_hat - p) / std_err
+    assert abs(np.std(z, ddof=1) - 1.0) <= 3.0 / math.sqrt(2 * (CALIBRATION_SEEDS - 1))
+    pooled = math.sqrt(np.mean(std_err ** 2))
+    assert abs(np.mean(p_hat - p)) / pooled <= 3.0 / math.sqrt(CALIBRATION_SEEDS)
+
+
 def test_conditional_vs_plain_agreement_and_variance(weibull04, pair_seq):
     t = 125.3  # tail level ~1e-3: plain indicator MC can still see it
     plain = lt.plain_mc(weibull04, pair_seq, t, 400_000, seed=5)

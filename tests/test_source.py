@@ -1,6 +1,6 @@
 """Source hygiene: no private helper under src/lighttails that nothing calls,
-no public read of a law that nothing calls, and the runtime dependencies
-pyproject.toml declares are the ones it imports."""
+no public read of a law or a weight sequence that nothing calls, and the
+runtime dependencies pyproject.toml declares are the ones it imports."""
 
 import ast
 import pathlib
@@ -67,9 +67,9 @@ class _Box:
         "_Box (m.py:10)", "_UNUSED (m.py:3)", "_helper (m.py:6)", "_method (m.py:11)"]
 
 
-# the law layer: each public method or property is read under src/ or patched
-# by the benchmark's tracer
-LAW_CLASSES = ("HazardModel", "TailDistribution", "ScaledFactor")
+# the law and weight layers: each public method or property is read under src/
+# or patched by the benchmark's tracer
+READ_CLASSES = ("HazardModel", "TailDistribution", "ScaledFactor", "WeightSequence")
 
 
 def _unread_public(sources: dict, classes, exempt) -> list[str]:
@@ -101,8 +101,8 @@ def test_every_public_law_read_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     traced = _traced_names()
     assert "survival_derivative_signed_log" in traced
-    unread = _unread_public(sources, LAW_CLASSES, traced)
-    assert not unread, f"public law reads nothing under src/ reads: {unread}"
+    unread = _unread_public(sources, READ_CLASSES, traced)
+    assert not unread, f"public reads nothing under src/ reads: {unread}"
 
 
 def test_the_guard_flags_an_unread_public_method():

@@ -1,6 +1,8 @@
-"""Weight sequences: levels, residuals, truncation, power sums."""
+"""Weight sequences: classes, residuals, truncation, power sums."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -55,41 +57,76 @@ def test_package_exports_resolve():
     assert gone not in lt.__all__ and not hasattr(lt, gone) and not hasattr(lt.weights, gone)
 
 
-# -- levels ---------------------------------------------------------------------
+# -- classes --------------------------------------------------------------------
+
+
+def _counts(level):
+    return level.magnitude, len(level.positive), len(level.negative)
 
 
 def test_level_sequence_worked_listing():
     seq = lt.WeightSequence([1.0, 1.0, 0.5, 1 / 3, 1 / 3, 0.1, 0.05])
-    levels = seq.levels()
-    assert [(l.magnitude, l.pos_count, l.neg_count) for l in levels[:3]] == [
-        (1.0, 2, 0), (0.5, 1, 0), (1 / 3, 2, 0)]
+    levels = list(seq.classes())
+    assert [_counts(l) for l in levels[:3]] == [(1.0, 2, 0), (0.5, 1, 0), (1 / 3, 2, 0)]
+    assert [l.positive for l in levels] == [(1, 2), (3,), (4, 5), (6,), (7,)]
 
 
 def test_level_sequence_signed():
     seq = lt.WeightSequence([1.0, -1.0, 0.5])
-    levels = seq.levels()
-    assert (levels[0].magnitude, levels[0].pos_count, levels[0].neg_count) == (1.0, 1, 1)
-    assert (levels[1].magnitude, levels[1].pos_count, levels[1].neg_count) == (0.5, 1, 0)
+    levels = list(seq.classes())
+    assert _counts(levels[0]) == (1.0, 1, 1)
+    assert _counts(levels[1]) == (0.5, 1, 0)
+    assert (levels[0].positive, levels[0].negative) == ((1,), (2,))
 
 
 def test_levels_with_generator():
     seq = lt.WeightSequence([1.0], ratio=0.5)
-    levels = seq.levels(4)
+    levels = list(itertools.islice(seq.classes(), 4))
     assert [l.magnitude for l in levels] == [1.0, 0.5, 0.25, 0.125]
-    assert all(l.pos_count == 1 and l.neg_count == 0 for l in levels)
-
-
-def test_levels_infinite_needs_count():
-    seq = lt.WeightSequence([1.0], ratio=0.5)
-    with pytest.raises(ValueError):
-        seq.levels()
+    assert [(l.positive, l.negative) for l in levels] == [((i,), ()) for i in range(1, 5)]
 
 
 def test_maximal_indices_multiplicity():
     seq = lt.WeightSequence([1.0, 1.0, 0.5])
-    assert seq.maximal_indices() == (1, 2)
+    assert next(seq.classes()).positive == (1, 2)
     bal = lt.WeightSequence([1.0, -1.0, 0.5])
-    assert bal.maximal_indices() == (1, 2)
+    top = next(bal.classes())
+    assert (top.positive, top.negative) == ((1,), (2,))
+
+
+def _brute_classes(seq, n):
+    """The classes of truncated_entries(n), grouped by exact magnitude in a dict:
+    magnitude -> (positive indices, negative indices), largest first."""
+    groups = {}
+    for i, w in seq.truncated_entries(n):
+        groups.setdefault(abs(w), ([], []))[w < 0.0].append(i)
+    return [(m, tuple(pos), tuple(neg)) for m, (pos, neg) in
+            sorted(groups.items(), key=lambda kv: -kv[0])]
+
+
+def test_classes_group_the_truncated_entries():
+    # [1, 0.25, 0.5] at ratio 0.5: c_4 = 0.5 * 0.5 = 0.25 joins c_2's class,
+    # after it in index order
+    seq = lt.WeightSequence([1.0, 0.25, 0.5], ratio=0.5)
+    assert list(itertools.islice(seq.classes(), 4)) == [
+        (1.0, (1,), ()), (0.5, (3,), ()), (0.25, (2, 4), ()), (0.125, (5,), ())]
+    # random heads drawn from a few magnitudes of either sign, so classes repeat
+    # and mix signs, and a ratio of either sign, whose generated weights may tie
+    # a head magnitude as above
+    rng = random.Random(20261020)
+    ties = 0
+    for _ in range(300):
+        head = [rng.choice([1.0, -1.0]) * rng.choice([1.0, 0.5, 0.25, 0.3, 0.125])
+                for _ in range(rng.randint(1, 7))]
+        ratio = rng.choice([None, 0.5, -0.5, 0.3, -0.7, 0.9])
+        seq = lt.WeightSequence(head, ratio=ratio)
+        n = len(head) + (40 if ratio else 0)
+        want = _brute_classes(seq, n)
+        if ratio:  # a class is whole once a generated weight below it is read
+            want = [c for c in want if c[0] > abs(seq.weight(n))]
+        assert list(itertools.islice(seq.classes(), len(want))) == want, (head, ratio)
+        ties += any(min(pos + neg) <= len(head) < max(pos + neg) for _, pos, neg in want)
+    assert ties >= 10
 
 
 # -- power sums and truncation --------------------------------------------------------
@@ -181,11 +218,12 @@ def test_truncation_index_is_the_smallest_n(ratio):
 
 @pytest.mark.parametrize("ratio", [0.3, -0.3, 0.7])
 def test_levels_are_the_truncated_entries(ratio):
-    # a generated weight has one value, weight(i): the levels and the
+    # a generated weight has one value, weight(i): the classes and the
     # subcritical expansion name the weights the oracle truncates to
     seq = lt.WeightSequence([1.0, 0.5], ratio=ratio)
     entries = [w for _, w in seq.truncated_entries(8)]
-    assert [lev.magnitude for lev in seq.levels(8)] == [abs(w) for w in entries]
+    levels = list(itertools.islice(seq.classes(), 8))
+    assert [lev.magnitude for lev in levels] == [abs(w) for w in entries]
     exp = lt.expand(lt.log_weibull(1.5, symmetric=ratio < 0), seq, 8)
     assert [t.scale for t in exp.terms] == entries
     assert exp.remainder.scale == abs(entries[-1])
@@ -242,9 +280,7 @@ def test_truncated_entries_of_a_finite_sequence_stop_at_its_end():
 
 @pytest.mark.parametrize("build, error, match", [
     (lambda: lt.WeightSequence([1.0, 0.5]).weight(0), KeyError, "no weight with index 0"),
-    (lambda: list(lt.WeightSequence([1.0], ratio=0.5).iter_weights()), ValueError,
-     "positive magnitude bound"),
-], ids=["weight_zero", "unbounded_iteration_of_a_generated_sequence"])
+], ids=["weight_zero"])
 def test_weight_refusals(build, error, match):
     with pytest.raises(error, match=match):
         build()

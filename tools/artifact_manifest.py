@@ -15,7 +15,11 @@ starts below the tail anchor, with weights [1, 0.5, 0.25] under quadrature
 at the one point t = 700, and with weights [1, 0.5] continued by a
 geometric tail of ratio 0.3, whose generated weights are not dyadic;
 lognormal_gate_above also symmetric, with and without a negative weight;
-lognormal_gate_below also symmetric; lognormal_gate_boundary also under
+lognormal_gate_below also symmetric, and at expansion order 2 with
+weights [1, 0.5] continued by ratio 0.9, whose 12 generated classes lie
+above the floor, and with weights [1, 0.25, 0.5] continued by ratio 0.5,
+whose generated c_4 ties c_2; cancellation_pair also with those tied
+weights at order 3; lognormal_gate_boundary also under
 quadrature, and its two scales on a grid that starts below the anchor;
 multiplicity_pair also at expansion order 2; symmetric_moments also with
 method plain_mc, the mirrored quantile over 31 variables, and at n = 300000
@@ -62,6 +66,15 @@ ALTERNATING = {**NEGATIVE, "generator": {"type": "geometric", "ratio": -0.5, "fr
 # Weibull, e for the lognormal type), so a NaN row and its DomainError note
 # reach evaluation.csv, report.json and compare.csv
 BELOW_ANCHOR = {"t_min": 1.5}
+# [1, 0.5] continued by ratio 0.9: at order 2 on the critical lognormal_gate_below
+# the 12 generated classes 0.45 .. 0.141 lie above the floor e^-2, so the
+# expansion reads generated weights and their residual power sums
+GENERATED = {"weights": [1.0, 0.5], "generator": {"type": "geometric", "ratio": 0.9,
+                                                  "from_index": 3}}
+# [1, 0.25, 0.5] continued by ratio 0.5: the generated c_4 = 0.25 ties the head's
+# c_2, so one class holds a head weight and a generated one
+TIE = {"weights": [1.0, 0.25, 0.5], "generator": {"type": "geometric", "ratio": 0.5,
+                                                  "from_index": 4}}
 VARIANTS = {
     "weibull_oracle_check": {
         "": {},
@@ -84,13 +97,17 @@ VARIANTS = {
         "+geometric0.3": {"weights": {"generator": {"type": "geometric", "ratio": 0.3,
                                                     "from_index": 3}}},
     },
-    "cancellation_pair": {"": {}, "+quadrature": {"oracle": QUADRATURE}},
+    "cancellation_pair": {"": {}, "+quadrature": {"oracle": QUADRATURE},
+                          "+tie": {"weights": TIE, "expansion": {"order": 3}}},
     "lognormal_gate_above": {
         "": {},
         "+symmetric": {"distribution": SYMMETRIC},
         "+symmetric+negative": {"distribution": SYMMETRIC, "weights": NEGATIVE},
     },
-    "lognormal_gate_below": {"": {}, "+symmetric": {"distribution": SYMMETRIC}},
+    "lognormal_gate_below": {"": {}, "+symmetric": {"distribution": SYMMETRIC},
+                             "+generated": {"weights": GENERATED, "expansion": {"order": 2},
+                                            "oracle": {"n": 20000}},
+                             "+tie": {"weights": TIE, "expansion": {"order": 2}}},
     "lognormal_gate_boundary": {"": {}, "+quadrature": {"oracle": QUADRATURE},
                                 "+below_anchor": {"grid": BELOW_ANCHOR}},
     "multiplicity_pair": {"": {}, "+order2": {"expansion": {"order": 2}}},
