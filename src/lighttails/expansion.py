@@ -216,9 +216,11 @@ def _expand_characters(dist: TailDistribution, seq: WeightSequence, k: int,
     enumeration_floor = c1 if lam is None else c1 * math.exp(-k / lam) * (1.0 - 1e-9)
     candidates = itertools.chain([top], itertools.takewhile(
         lambda lev: lev.magnitude >= enumeration_floor, classes))
-    # each kept class with its x = k + lam * log(|s|/c1)
-    kept = [(lev, x) for lev in candidates
-            if (x := float(k) if lam is None else k + lam * math.log(lev.magnitude / c1)) >= -tol]
+    kept = []  # each kept class with its x = k + lam * log(|s|/c1)
+    for lev in candidates:
+        x = float(k) if lam is None else k + lam * math.log(lev.magnitude / c1)
+        if x >= -tol:
+            kept.append((lev, x))
     # magnitudes whose whole scaled tail sits above the remainder: depth
     # k - x = lam * log(c1/|s|) strictly below k
     shallow = {lev.magnitude for lev, x in kept if k - x < k - tol}

@@ -212,6 +212,8 @@ class HazardModel:
             raise ValueError("rv_index == -1 requires log_exponent > 0 so that t*h(t) -> inf")
         if self.lambda_coeff is not None and not self.lambda_coeff > 0.0:
             raise ValueError(f"lambda_coeff must be positive, got {self.lambda_coeff}")
+        if not self.hazard_derivs:
+            raise ValueError("hazard_derivs must provide h^(0)")
 
     @property
     def smooth_order(self) -> int:  # the highest j with h^(j) in hazard_derivs

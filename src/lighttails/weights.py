@@ -71,15 +71,15 @@ class WeightSequence:
 
     def classes(self) -> Iterator[Level]:
         """The classes of equal |c_i|, largest first, each with its positive and
-        its negative indices in index order: the head, sorted stably, merged into
-        the generated weights, which shrink strictly.  Endless on a generated
-        sequence: bound it with islice, takewhile or next."""
+        its negative indices in index order: the stably sorted head merged into
+        the generated weights, which shrink strictly and stop where they underflow
+        to zero.  At ratio 0.5 that is 1075 classes, so readers bound it."""
         def magnitude(entry):
             return abs(entry[1])
 
         head = sorted(self.entries, key=magnitude, reverse=True)
-        generated = (() if self.ratio is None else
-                     ((i, self.weight(i)) for i in itertools.count(len(self.entries) + 1)))
+        generated = () if self.ratio is None else itertools.takewhile(
+            magnitude, ((i, self.weight(i)) for i in itertools.count(len(self.entries) + 1)))
         merged = heapq.merge(head, generated, key=magnitude, reverse=True)
         for mag, group in itertools.groupby(merged, key=magnitude):
             group = tuple(group)

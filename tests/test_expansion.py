@@ -121,7 +121,7 @@ def supercritical_rule(dist, seq, k):
     distinct maximal scale s carries count(s) copies of the order-k character
     of one residual sum, (-1)^j mu_j / j! at D^j, with decay pair
     (j (-rho), j gamma)."""
-    top = next(seq.classes()).magnitude
+    top = max(abs(w) for _, w in seq.entries)
     counts = Counter(w for _, w in seq.entries if abs(w) == top)
     rho, gamma = dist.upper.rv_index, dist.upper.log_exponent
     out = {}
@@ -218,6 +218,13 @@ def test_subcritical_level_shortfall_flag():
     assert len(exp.terms) == 2
 
 
+def test_subcritical_order_past_the_underflow_flags_a_shortfall():
+    # ratio 0.5 has 1075 nonzero classes; more are asked for, and the read ends
+    exp = lt.expand(lt.log_weibull(1.5), lt.WeightSequence([1.0], ratio=0.5), 2000)
+    assert exp.flags == ("level_shortfall: 1075 distinct classes available, 2000 requested",)
+    assert exp.remainder == RemainderScale(hazard_power=0, scale=2.0 ** -1074)
+
+
 def test_subcritical_needs_positive_order():
     mix = second_order_mixture()
     with pytest.raises(ValueError):
@@ -303,6 +310,16 @@ def test_critical_generator_entries_included():
     assert scales == [1.0, 0.5, 0.25]
     orders = {t.scale: t.operator_order for t in exp.terms}
     assert orders == {1.0: 2, 0.5: 1, 0.25: 0}
+
+
+def test_critical_threshold_underflow_keeps_every_nonzero_class():
+    # lambda = 1e-3: the threshold c1 e^(-1000) underflows to 0, and every one
+    # of ratio 0.5's 1075 nonzero classes lies above it
+    with np.errstate(over="ignore"):  # its zero point, exp(sqrt(y / theta)), is inf
+        ln = lt.lognormal_type(5e-4, symmetric=True)
+    exp = lt.expand(ln, lt.WeightSequence([1.0], ratio=0.5), 1)
+    assert [(s, order) for s, order, _ in exp.characters] == (
+        [(1.0, 1)] + [(2.0 ** -i, 0) for i in range(1, 1075)])
 
 
 def test_critical_large_lambda_degenerates_to_maximal_class():

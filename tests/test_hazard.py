@@ -412,20 +412,21 @@ def test_metadata_constructor_guards():
         lt.weibull_type(0.5, t0=0.8)
 
 
-def _model(sbar_t0=0.5):
-    return lt.HazardModel(hazard_derivs=(lambda t: 0.5 * t ** -0.5,), t0=2.0,
+def _model(sbar_t0=0.5, hazard_derivs=(lambda t: 0.5 * t ** -0.5,)):
+    return lt.HazardModel(hazard_derivs=hazard_derivs, t0=2.0,
                           sbar_t0=sbar_t0, cum_hazard=lambda t: 0.0, rv_index=-0.5)
 
 
 @pytest.mark.parametrize("build, error, match", [
     (lambda: _model(sbar_t0=0.0), ValueError, "sbar_t0 must lie in"),
     (lambda: _model(sbar_t0=1.5), ValueError, "sbar_t0 must lie in"),
+    (lambda: _model(hazard_derivs=()), ValueError, "hazard_derivs must provide"),
     (lambda: lt.custom_hazard([(0.5, -0.5, 0.0)], rv_index=-0.5, smooth_order=-1),
      ValueError, "smooth_order must be nonnegative"),
     (lambda: _model().tail_reads(-1, 50.0), ValueError, "nonnegative"),
     (lambda: lt.validate_metadata(_model(), [2.0, 20.0, 200.0]), lt.DomainError,
      "start above"),
-], ids=["sbar_t0_zero", "sbar_t0_above_one", "negative_smooth_order",
+], ids=["sbar_t0_zero", "sbar_t0_above_one", "too_few_hazard_derivs", "negative_smooth_order",
         "negative_derivative_order", "grid_starting_at_t0"])
 def test_hazard_refusals(build, error, match):
     with pytest.raises(error, match=match):

@@ -94,6 +94,13 @@ def test_maximal_indices_multiplicity():
     assert (top.positive, top.negative) == ((1,), (2,))
 
 
+def test_classes_end_where_the_generated_weights_underflow():
+    # 2^-1074 is the last nonzero power of 0.5; a 0.0 class would never end
+    levels = list(lt.WeightSequence([1.0], ratio=0.5).classes())
+    assert len(levels) == 1075
+    assert levels[-1] == (2.0 ** -1074, (1075,), ())
+
+
 def _brute_classes(seq, n):
     """The classes of truncated_entries(n), grouped by exact magnitude in a dict:
     magnitude -> (positive indices, negative indices), largest first."""
