@@ -339,8 +339,8 @@ def _json_text(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True) byte for byte, nested at
     `indent`, for str dict keys, with a Spelled column as its floats.  json
     indents only in its pure-Python encoder, one generator step per item, so a
-    list of plain floats, a Spelled column, or a list of bools and None, is
-    joined here in one pass instead."""
+    list of plain floats, a Spelled column, a list of Spelled rows, or a list of
+    bools and None, is joined here in one pass instead."""
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -358,11 +358,15 @@ def _json_text(obj, indent: str = "") -> str:
         text = sep.join(map(_JSON_WORDS.__getitem__, obj))
     elif kinds == {float}:
         text = sep.join(obj if isinstance(obj, Spelled) else map(float.__repr__, obj))
-        # nan and inf, the only floats whose repr has an n, are NaN and Infinity in JSON
-        if "n" in text:
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    elif kinds == {Spelled}:  # rows of floats, as report.json's term_values
+        cells = sep + "  "
+        text = sep.join(f"[\n{inner}  {cells.join(row)}\n{inner}]" if row else "[]"
+                        for row in obj)
     else:
         text = sep.join(_json_text(v, inner) for v in obj)
+    # nan and inf, the only floats whose repr has an n, are NaN and Infinity in JSON
+    if kinds in ({float}, {Spelled}) and "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return "[\n" + inner + text + "\n" + indent + "]"
 
 

@@ -644,8 +644,8 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
 
     # validity: survival must be positive and nonincreasing on 8 decades from t0
     probe = np.geomspace(t0, t0 * 1e8, 64)
-    sf_probe = [sf_value(t) for t in probe]
-    if min(sf_probe) <= 0.0 or any(b > a * (1.0 + 1e-12) for a, b in zip(sf_probe, sf_probe[1:])):
+    sf_probe = component_sum(component_values(probe))
+    if sf_probe.min() <= 0.0 or (sf_probe[1:] > sf_probe[:-1] * (1.0 + 1e-12)).any():
         raise ValueError("mixture is not a valid tail on [t0, inf): "
                          "survival must be positive and nonincreasing")
     sbar_t0 = sf_value(t0)

@@ -99,8 +99,7 @@ def classify(model: HazardModel) -> Regime:
     else:
         # subcritical needs the boundedness of t h(t)^2 / h(1/h(t))
         grid = default_diagnostic_grid(model)
-        h = np.array([model.hazard(t) for t in grid])
-        if functional_diverges(subcritical_functional(model, grid, h)):
+        if functional_diverges(subcritical_functional(model, grid, model.hazard(grid))):
             raise RegimeConditionError(
                 "subcritical condition violated: t h(t)^2 / h(1/h(t)) grows without "
                 "bound on the diagnostic grid"

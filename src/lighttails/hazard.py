@@ -181,8 +181,10 @@ class LogPowerSum:
 class HazardModel:
     """One tail, represented through its hazard rate and derivatives.
 
-    hazard_derivs[j] evaluates h^(j) on (t0, infinity).  cum_hazard(t) is the
-    integral of h from t0 to t, so survival(t) = sbar_t0 * exp(-cum_hazard(t)).
+    hazard_derivs[j] evaluates h^(j) on (t0, infinity), at a float or
+    elementwise over an array: tail_reads and the regime checks read arrays.
+    cum_hazard(t) is the integral of h from t0 to t, so
+    survival(t) = sbar_t0 * exp(-cum_hazard(t)).
     cum_and_components, when present, maps a float t to cum_hazard(t) and the
     signed closed-form pieces whose sum is the survival value, from one
     evaluation of the pieces; the expansion evaluator uses the pieces to detect
@@ -307,13 +309,11 @@ def _extrapolate_in_inverse_log(t1: float, v1: float, t2: float, v2: float) -> f
 
 
 def subcritical_functional(model: HazardModel, grid, h: np.ndarray) -> np.ndarray:
-    """t h(t)^2 / h(1/h(t)) over the grid, given h on it; NaN where 1/h(t) is
-    not inside the tail domain."""
+    """t h(t)^2 / h(1/h(t)) over the grid array, given h on it; NaN where 1/h(t)
+    is not inside the tail domain.  h(1/h(t)) is one array read of the hazard."""
     functional = np.full(len(grid), np.nan)
-    for i, t in enumerate(grid):
-        arg = 1.0 / h[i]
-        if arg > model.t0:
-            functional[i] = t * h[i] ** 2 / model.hazard(arg)
+    inside = 1.0 / h > model.t0
+    functional[inside] = grid[inside] * h[inside] ** 2 / model.hazard(1.0 / h[inside])
     return functional
 
 
@@ -341,6 +341,8 @@ def validate_metadata(model: HazardModel, grid: Sequence[float]) -> MetadataDiag
 
     inconclusive = math.log10(grid[-1] / grid[0]) < 3.0 or len(grid) < 5
 
+    # scalar reads: classify.json records the estimates fitted from these h
+    # values, and an array read may differ from a float read in the last bit
     h = np.array([model.hazard(t) for t in grid])
     rv_est, gamma_est = _fit_log_power(grid, h)
     critical_ratio = grid * h / np.log(grid)  # t h(t) / log t

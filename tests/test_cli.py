@@ -572,6 +572,9 @@ def test_write_json_matches_json_dumps(tmp_path_factory, doc):
     {"t": [-0.0, 5e-324, 1e308, 0.1], "flags": [True, None, False]},
     [1.0, 2, 3.5], [1.0, True], [False, 0, None], [np.float64(0.25), 0.5],
     {"outer": ({"é\n\x00": [[], {}, ()]},), "": [[1.0, math.nan], [2.0, -0.0]]},
+    # rows of floats, spelled as report.json's term_values rows are: an empty
+    # row, one row, and rows holding nan and inf
+    [[], [0.5]], [[0.1, -0.0, 5e-324]], [[math.nan, 1.0], [math.inf], [-math.inf, 2.5]],
     -math.inf, "naïve", None,
 ])
 def test_write_json_formats_the_corners_as_json_does(tmp_path, doc):
@@ -584,10 +587,11 @@ def test_write_json_formats_the_corners_as_json_does(tmp_path, doc):
 
 
 def _spell_float_lists(doc):
-    """doc with each nonempty list of plain floats as the Spelled column of their reprs."""
+    """doc with each list of plain floats, an empty one included, as the
+    Spelled column of their reprs."""
     if isinstance(doc, dict):
         return {key: _spell_float_lists(value) for key, value in doc.items()}
-    if isinstance(doc, list) and doc and {type(v) for v in doc} == {float}:
+    if isinstance(doc, list) and {type(v) for v in doc} <= {float}:
         return Spelled(map(repr, doc))
     if isinstance(doc, (list, tuple)):
         return type(doc)(map(_spell_float_lists, doc))

@@ -682,12 +682,25 @@ ONE_COMPONENT = [(1.0, 1.0, [(1.0, 2.0)])]
     (lambda: lt.log_power_mixture(ONE_COMPONENT, t0=1.0), ValueError, "t0 must exceed 1"),
     # S(2) = 2 exp(-log(2)^2) = 1.24
     (lambda: lt.log_power_mixture([(2.0, 1.0, [(1.0, 2.0)])]), ValueError, "below 1"),
+    # the validity probe: S = -exp(-log(t)^1.5) is negative everywhere
+    (lambda: lt.log_power_mixture([(1, 1, [(1, 1.5)]), (-2, 1, [(1, 1.5)])]),
+     ValueError, "positive and nonincreasing"),
+    # negative and decreasing on the whole probe, so only its sign refuses it
+    (lambda: lt.log_power_mixture([(1, 1, [(0.01, 1.5)]), (-1.5, 1, [(0.001, 1.5)])]),
+     ValueError, "positive and nonincreasing"),
+    # positive, but the fast negative piece fades: S rises from 0.966 near t0
+    (lambda: lt.log_power_mixture([(1, 1, [(0.01, 1.5)]), (-0.5, 1, [(5, 1.5)])]),
+     ValueError, "positive and nonincreasing"),
+    # valid on the probe, but S(2) = 2 exp(-0.01 log(2)^1.5) = 1.99
+    (lambda: lt.log_power_mixture([(2, 1, [(0.01, 1.5)])]), ValueError, "below 1"),
     (lambda: _ramped_from(lt.custom_hazard([(0.5, -0.5, 0.0)], rv_index=-0.5), 3.0),
      ValueError, "below the tail anchor"),
     (lambda: _ramped_from(lt.custom_hazard([(0.5, -0.5, 0.0)], sbar_t0=1.0, rv_index=-0.5), 2.0),
      ValueError, "below the tail anchor"),
 ], ids=["upper_junction_gap", "negative_moment_order", "empty_mixture", "mixture_t0_one",
-        "mixture_survival_at_t0_above_one", "body_left_above_t0", "empty_body_without_mass"])
+        "mixture_survival_at_t0_above_one", "mixture_survival_nonpositive",
+        "mixture_survival_negative_and_decreasing", "mixture_survival_increasing",
+        "mixture_survival_at_t0_near_two", "body_left_above_t0", "empty_body_without_mass"])
 def test_distribution_refusals(build, error, match):
     with pytest.raises(error, match=match):
         build()

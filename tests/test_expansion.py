@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import lighttails as lt
 from lighttails import config
-from lighttails.expansion import ExpansionTerm, RemainderScale, TailExpansion
-from lighttails.hazard import HazardModel
+from lighttails.expansion import (ExpansionTerm, RemainderScale, TailExpansion,
+                                  default_diagnostic_grid)
+from lighttails.hazard import HazardModel, functional_diverges, subcritical_functional
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 E1 = lambda t: math.exp(-math.log(t) ** 1.5)
@@ -62,15 +63,40 @@ def test_classify_critical_needs_lambda():
 
 def test_classify_subcritical_condition_violated():
     # declared slowly-log metadata, but t h(t) = exp(log(t)^0.9) grows fast
-    # enough that t h(t)^2 / h(1/h(t)) ~ exp(0.9 log(t)^0.8) diverges
+    # enough that t h(t)^2 / h(1/h(t)) ~ exp(0.9 log(t)^0.8) diverges; h maps
+    # arrays elementwise, as every hazard derivative must
     def h(t):
-        return math.exp(math.log(t) ** 0.9) / t
+        return np.exp(np.log(t) ** 0.9) / t
 
     liar = HazardModel(hazard_derivs=(h,), t0=2.0, sbar_t0=0.5,
                        cum_hazard=lambda t: 0.0, rv_index=-1.0,
                        log_exponent=0.5)
     with pytest.raises(lt.RegimeConditionError):
         lt.classify(liar)
+
+
+def _scalar_subcritical_functional(model, grid):
+    """t h(t)^2 / h(1/h(t)) read one float at a time: the reference for the
+    array reads of classify."""
+    h = [model.hazard(t) for t in grid.tolist()]
+    return np.array([t * ht ** 2 / model.hazard(1.0 / ht) if 1.0 / ht > model.t0 else math.nan
+                     for t, ht in zip(grid.tolist(), h)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: config.build_distribution(config.load_config(f"{CONFIGS}/cancellation_pair.json")),
+    lambda: config.build_distribution(
+        config.load_config(f"{CONFIGS}/logweibull_second_order.json")),
+    lambda: lt.custom_hazard([(1.0, -1.0, 0.5)], rv_index=-1.0, log_exponent=0.5),
+], ids=["cancellation_pair", "logweibull_second_order", "custom_subcritical"])
+def test_subcritical_functional_array_reads_match_scalar_reads(build):
+    model = build().upper
+    grid = default_diagnostic_grid(model)
+    array = subcritical_functional(model, grid, model.hazard(grid))
+    scalar = _scalar_subcritical_functional(model, grid)
+    np.testing.assert_allclose(array, scalar, rtol=1e-12)  # NaN where NaN
+    assert not functional_diverges(scalar)
+    assert lt.classify(model).kind is lt.RegimeKind.SUBCRITICAL
 
 
 def test_constructor_rejects_out_of_range_index():

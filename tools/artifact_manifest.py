@@ -19,7 +19,8 @@ lognormal_gate_below also symmetric, and at expansion order 2 with
 weights [1, 0.5] continued by ratio 0.9, whose 12 generated classes lie
 above the floor, and with weights [1, 0.25, 0.5] continued by ratio 0.5,
 whose generated c_4 ties c_2; cancellation_pair also with those tied
-weights at order 3; lognormal_gate_boundary also under
+weights at order 3, and with the subcritical custom hazard
+t^-1 (log t)^0.5; lognormal_gate_boundary also under
 quadrature, and its two scales on a grid that starts below the anchor;
 multiplicity_pair also at expansion order 2; symmetric_moments also with
 method plain_mc, the mirrored quantile over 31 variables, and at n = 300000
@@ -57,6 +58,10 @@ QUADRATURE = {"method": "quadrature"}
 # closed form, so the hazard and its derivatives sum terms with and without logs
 CUSTOM = {"family": "custom",
           "params": {"terms": [[0.4, -0.6, 0.0], [0.1, -1.0, 1.0]], "rv_index": -0.6}}
+# a subcritical custom hazard, t^-1 (log t)^0.5 in closed form: classify's
+# array-read regime check and the subcritical expansion on a law without mixtures
+CUSTOM_SUBCRITICAL = {"family": "custom", "params": {"terms": [[1.0, -1.0, 0.5]],
+                                                     "rv_index": -1.0, "log_exponent": 0.5}}
 # negative scales need a two-sided law: weights [1, -0.5], then (alternating)
 # a geometric tail continuing the sign flip
 SYMMETRIC = {"symmetric": True}
@@ -98,7 +103,8 @@ VARIANTS = {
                                                     "from_index": 3}}},
     },
     "cancellation_pair": {"": {}, "+quadrature": {"oracle": QUADRATURE},
-                          "+tie": {"weights": TIE, "expansion": {"order": 3}}},
+                          "+tie": {"weights": TIE, "expansion": {"order": 3}},
+                          "+custom_subcritical": {"distribution": CUSTOM_SUBCRITICAL}},
     "lognormal_gate_above": {
         "": {},
         "+symmetric": {"distribution": SYMMETRIC},
