@@ -199,6 +199,12 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
     validate_config(doc)
+    # json.load reads NaN, Infinity and -Infinity, which no config number means
+    for name, section in doc.items():
+        try:
+            json.dumps(section, allow_nan=False)
+        except ValueError:
+            raise ConfigError("NaN and Infinity are not config numbers", path=name) from None
     return doc
 
 

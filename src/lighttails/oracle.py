@@ -359,7 +359,7 @@ class ConvolvedFactor:
         return math.exp(self.logsf(x))
 
 
-def _panel_edges(lo: float, hi: float, probes, ladder: float) -> list[float]:
+def _panel_edges(lo: float, hi: float, probes) -> list[float]:
     """Panel boundaries: factor junctions plus a geometric ladder, so each
     panel spans a modest dynamic range of the integrand."""
     edges = {lo, hi}
@@ -371,7 +371,7 @@ def _panel_edges(lo: float, hi: float, probes, ladder: float) -> list[float]:
     while step > width * 1e-9:
         edges.add(lo + step)
         edges.add(hi - step)
-        step /= ladder
+        step /= 4.0
     return sorted(edges)
 
 
@@ -390,8 +390,7 @@ def _convolution_integral(inner, log_outer, t: float, lo: float, hi: float,
             return lp
         return lp + log_outer(t - x)
 
-    ladder = 4.0 if tol_rel < 1e-7 else 16.0
-    edges = _panel_edges(lo, hi, probes, ladder)
+    edges = _panel_edges(lo, hi, probes)
     total = 0.0
     total_err = 0.0
     for a, b in zip(edges, edges[1:]):
@@ -453,7 +452,7 @@ def _density_convolution(a, b, t: float, tol_rel: float) -> float:
     return _convolution_integral(a, b.logpdf, t, lo, hi, probes, tol_rel)[0]
 
 
-def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float]:
+def convolved_sf(factors, t: float) -> tuple[float, float]:
     """Survival of a sum of one to four factors by pairwise recursion."""
     if not 1 <= len(factors) <= 4:
         raise ValueError(f"quadrature convolution takes one to four factors, "
@@ -461,7 +460,7 @@ def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float
     if len(factors) == 1:
         return factors[0].sf(t), 0.0
     if len(factors) == 2:
-        return convolve_pair_sf(factors[0], factors[1], t, tol_rel)
+        return convolve_pair_sf(factors[0], factors[1], t)
     # ConvolvedFactor and _density_convolution work from finite left support
     # edges; every factor then has c > 0, so its right edge is infinite
     if not all(math.isfinite(f.support_left) for f in factors):
@@ -472,16 +471,15 @@ def convolved_sf(factors, t: float, tol_rel: float = 1e-9) -> tuple[float, float
     def side(part, other):
         if len(part) == 1:
             return part[0]
-        return ConvolvedFactor(*part, t, sum(f.support_left for f in other), tol_rel / 4.0)
+        return ConvolvedFactor(*part, t, sum(f.support_left for f in other), 1e-9 / 4.0)
 
     head, tail = factors[:len(factors) // 2], factors[len(factors) // 2:]
-    return convolve_pair_sf(side(head, tail), side(tail, head), t, tol_rel, strict=False)
+    return convolve_pair_sf(side(head, tail), side(tail, head), t, strict=False)
 
 
 def quadrature_estimate(dist: TailDistribution, seq: WeightSequence, t: float,
                         eps_trunc: float = 1e-9) -> OracleEstimate:
-    """Deterministic tail value by numerical convolution of the truncated sum,
-    at convolved_sf's default relative tolerance."""
+    """Deterministic tail value by numerical convolution of the truncated sum."""
     n_trunc, entries = _truncation(seq, eps_trunc)
     value, _ = convolved_sf([ScaledFactor(dist, w) for _, w in entries], t)
     return _record(dist, seq, n_trunc, entries, t, value, "quadrature")

@@ -859,6 +859,21 @@ def test_cli_refusals_exit_at_their_path(tmp_path, command, content, path):
     assert json.loads((out / "error.json").read_text())["error"]["path"] == (path or str(source))
 
 
+@pytest.mark.parametrize("command, sections", [
+    ("evaluate", {"grid": {"t_min": math.nan}}),
+    ("compare", {"oracle": {"slack": math.nan}}),
+    ("oracle", {"oracle": {"eps_trunc": math.nan}}),
+    ("evaluate", {"grid": {"t_max": math.inf}}),
+], ids=["t_min_nan", "slack_nan", "eps_trunc_nan", "t_max_infinity"])
+def test_cli_refuses_non_finite_numbers_in_a_config(tmp_path, command, sections):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, with_changes(**sections)),
+                 "--out", str(out)]) == EXIT_SCHEMA
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert (err["kind"], err["path"]) == ("config", *sections)
+
+
 def test_run_command_refuses_an_unknown_command(tmp_path):
     with pytest.raises(lt.ConfigError) as err:
         run_command("bogus", write_config(tmp_path, BASE), str(tmp_path / "out"))

@@ -13,6 +13,7 @@ import lighttails as lt
 from lighttails.config import build_distribution, load_config
 from lighttails.oracle import _CHUNK
 
+import pins
 from helpers import brentq_quantile, two_branch_symmetric_ppf, weibull_raw_moment
 
 
@@ -396,97 +397,26 @@ def test_mixture_components_and_validity():
 # np.sum's pairwise order at each point pinned below
 EIGHT_COMPONENTS = [(0.4 * 0.5 ** i, 1.0 + 0.5 * i, [(1.0, 1.5)]) for i in range(8)]
 
-# float.hex of cum_hazard, hazard, each tail component, sf, logsf and pdf at
-# tail points of the two shipped mixtures and of EIGHT_COMPONENTS, recorded
-# when every scalar read summed its components with numpy
-MIXTURE_READS = {
-    "cancellation_pair": {
-        3.0: (
-            "0x1.f0fbbd9cc61f0p-2", "0x1.dcae5d22646d1p-2", "0x1.43bf6a237397cp-2",
-            "-0x1.742e11f29888bp-4", "0x1.cd67cb4d9aeb3p-3", "-0x1.7d870aebd3489p+0",
-            "0x1.ad93a1369638fp-4",
-        ),
-        47.0: (
-            "0x1.ab480fe817230p+2", "0x1.fb07e9c285acap-5", "0x1.128b9cfb8ed72p-11",
-            "-0x1.052d962a4f0dep-14", "0x1.e3cbd46c89eafp-12", "-0x1.eb9a16c93f933p+2",
-            "0x1.df19d104f2c48p-16",
-        ),
-        1000.0: (
-            "0x1.1368e3408c32cp+4", "0x1.018ca5a33cd35p-8", "0x1.bffd24814dd9cp-27",
-            "-0x1.b3d4ab93b5563p-31", "0x1.a4bfd9c81283ep-27", "-0x1.237d64f8d64edp+4",
-            "0x1.a74bc2c8e57e6p-35",
-        ),
-        250000.0: (
-            "0x1.56b6258d7f35bp+5", "0x1.62a560d5348f9p-16", "0x1.b838d23ff4e38p-64",
-            "-0x1.56b0ffd42a734p-69", "0x1.ad834a4153918p-64", "-0x1.5ec06669a443bp+5",
-            "0x1.2982826211f77p-79",
-        ),
-    },
-    "logweibull_second_order": {
-        3.0: (
-            "0x1.35ccd0a28a67ep-1", "0x1.16d582d27fee7p-1", "0x1.43bf6a237397cp-2",
-            "0x1.d133501c03684p-4", "0x1.b80c3e2a7471dp-2", "-0x1.b06de3db332bfp-1",
-            "0x1.df4c4e91e14afp-3",
-        ),
-        47.0: (
-            "0x1.c612f19564134p+2", "0x1.0211df56a2a32p-4", "0x1.128b9cfb8ed72p-11",
-            "0x1.0e98fadbab0f2p-13", "0x1.5631dbb2799acp-11", "-0x1.d56713fc792bcp+2",
-            "0x1.58f62342b1edfp-15",
-        ),
-        1000.0: (
-            "0x1.1bc49c477f5fbp+4", "0x1.0300cfbd9418ap-8", "0x1.bffd24814dd9cp-27",
-            "0x1.623415c2e19cbp-29", "0x1.0c4514f903207p-26", "-0x1.1f99a4e144a5dp+4",
-            "0x1.0f6abdea74516p-34",
-        ),
-        250000.0: (
-            "0x1.5b7ff6db90ff3p+5", "0x1.6339c200a7ac9p-16", "0x1.b838d23ff4e38p-64",
-            "0x1.0d549ee4bd6fep-66", "0x1.fb8df9f9243f1p-64", "-0x1.5d6a7b2873a24p+5",
-            "0x1.6024327204cd9p-79",
-        ),
-    },
-    "eight": {
-        8.0: (
-            "0x1.43aab299424d0p+1", "0x1.1b8f06c627b64p-2", "0x1.46bcf98014380p-6",
-            "0x1.04d0bd6b7f79dp-8", "0x1.0326018a5db66p-10", "0x1.2593edf0f1ddap-12",
-            "0x1.6b25f40b50733p-14", "0x1.de90783881f6dp-16", "0x1.4acd8f729c9aap-17",
-            "0x1.dad7f1543c50cp-19", "0x1.9ed4d32ef01fbp-6", "-0x1.d68d581c15135p+1",
-            "0x1.cb7d0950f0936p-8",
-        ),
-        20.0: (
-            "0x1.3054e646a6122p+2", "0x1.0d9da8bc9aa0bp-3", "0x1.2593edf0f1ddap-9",
-            "0x1.8bcc3a381ca08p-12", "0x1.5f4b351b6d154p-14", "0x1.6dde61072e470p-16",
-            "0x1.a75f38ff6abb4p-18", "0x1.08037aab2ba48p-19", "0x1.5c4d6050dee8bp-21",
-            "0x1.e00eb196c0244p-23", "0x1.6616812ed5204p-9", "-0x1.79c639080f754p+2",
-            "0x1.79222d9205438p-12",
-        ),
-        200.0: (
-            "0x1.7a75e8042ec2ap+3", "0x1.1c6c984027ef4p-6", "0x1.0f3b8f2d9df9fp-19",
-            "0x1.04918c8230053p-22", "0x1.6f1e39bea9138p-25", "0x1.4129e0dc6ba42p-27",
-            "0x1.433a11c63c9acp-29", "0x1.66f22dca3f634p-31", "0x1.acd3b6fe59c02p-33",
-            "0x1.0f09f0049de8fp-34", "0x1.373b728fc5404p-19", "-0x1.9f2e9164e3743p+3",
-            "0x1.59c9f9451ee97p-25",
-        ),
-        5000.0: (
-            "0x1.88873cdd1a4a9p+4", "0x1.cc183c7a5adf9p-11", "0x1.c31b9ddf63be0p-38",
-            "0x1.2b7c0ac90e070p-41", "0x1.46b1f7edcea70p-44", "0x1.d64e1cd52130cp-47",
-            "0x1.94715a5177aa0p-49", "0x1.89c5dc57335cep-51", "0x1.a432093267bdfp-53",
-            "0x1.e12c2a97f6154p-55", "0x1.eed4237afbe3bp-38", "-0x1.9ae3918d74a36p+4",
-            "0x1.bcaa0445449a9p-48",
-        ),
-    },
+# tail points of the two shipped mixtures and of EIGHT_COMPONENTS, whose
+# scalar reads keep the bits they had when every one summed its components
+# with numpy
+MIXTURE_POINTS = {
+    "cancellation_pair": (3.0, 47.0, 1000.0, 250000.0),
+    "logweibull_second_order": (3.0, 47.0, 1000.0, 250000.0),
+    "eight": (8.0, 20.0, 200.0, 5000.0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MIXTURE_READS))
+@pytest.mark.parametrize("name", sorted(MIXTURE_POINTS))
 def test_mixture_scalar_reads_keep_their_bits(name):
+    # cum_hazard, hazard, each tail component, sf, logsf and pdf at each point
     mix = (lt.log_power_mixture(EIGHT_COMPONENTS) if name == "eight"
            else shipped(name))
     factor = lt.ScaledFactor(mix, 1.0)
-    for t, want in MIXTURE_READS[name].items():
-        got = [mix.upper.cum_hazard(t), mix.upper.hazard(t), *factor.tail_reads(0, t)[1][0],
-               mix.sf(t), mix.logsf(t), mix.pdf(t)]
-        assert all(type(v) is float for v in got)
-        assert [v.hex() for v in got] == list(want), t
+    got = [[mix.upper.cum_hazard(t), mix.upper.hazard(t), *factor.tail_reads(0, t)[1][0],
+            mix.sf(t), mix.logsf(t), mix.pdf(t)] for t in MIXTURE_POINTS[name]]
+    assert all(type(v) is float for row in got for v in row)
+    pins.check(f"distributions/mixture_reads/{name}", got)
 
 
 def test_mixture_rejects_invalid_tail():

@@ -17,6 +17,8 @@ from lighttails.expansion import (ExpansionTerm, RemainderScale, TailExpansion,
                                   default_diagnostic_grid)
 from lighttails.hazard import HazardModel, functional_diverges, subcritical_functional
 
+import pins
+
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 E1 = lambda t: math.exp(-math.log(t) ** 1.5)
 
@@ -534,8 +536,7 @@ def test_rewrite_battery_is_pinned():
                     lines.append(repr(rw) + repr([m.label for m in rw.kept])
                                  + repr([m.label for m in rw.dropped]))
     assert len(lines) == 8486
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "8b6fb054c6acf2ff43a1a2c7c3aee4ef68526a0640ac2e1cb17000a8501aa5de")
+    pins.check("expansion/rewrite_battery", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -638,95 +639,22 @@ def test_evaluate_no_false_cancellation_flag():
     assert not table.cancellation.any()
 
 
-# float.hex of (total, benchmark, term values...) at three geometric points
-# spanning each shipped config's window
-SHIPPED_EVALUATION_BITS = {
-    "cancellation_pair": (
-        ("0x1.e401a57c77b1ep-6", "0x1.38152920e549ap-8", "0x1.95fc5b343e5f7p-6",
-         "0x1.38152920e549ap-8"),
-        ("0x1.be891d3976839p-27", "0x1.9c9437163ffc2p-31", "0x1.a4bfd9c81283ep-27",
-         "0x1.9c9437163ffc2p-31"),
-        ("0x1.8f4ba5e62d72ep-57", "0x1.5b532762499d7p-62", "0x1.84710cab1b260p-57",
-         "0x1.5b532762499d7p-62"),
-    ),
-    "lognormal_gate_above": (
-        ("0x1.061bd30b1dc62p-11", "0x1.37d435b5e495fp-15", "0x1.f230a68f8e6d3p-12",
-         "0x1.a06ff86ad1f04p-16"),
-        ("0x1.1d30a55d4341cp-28", "0x1.c0f7360dac138p-35", "0x1.1a3399e294187p-28",
-         "0x1.7e85bd5794ab6p-35"),
-        ("0x1.98a39afb94b3bp-53", "0x1.63a2b0fc8d4bep-62", "0x1.97c3885eca3fap-53",
-         "0x1.c0253994e83a2p-62"),
-    ),
-    "lognormal_gate_below": (
-        ("0x1.13457b6e49fe6p-11", "0x1.37d435b5e495fp-15", "0x1.f230a68f8e6d3p-12",
-         "0x1.a2d282682c7c0p-15"),
-        ("0x1.1ee9a06c18578p-28", "0x1.c0f7360dac138p-35", "0x1.1a3399e294187p-28",
-         "0x1.2d81a2610fc72p-34"),
-        ("0x1.98b25ccc16319p-53", "0x1.63a2b0fc8d4bep-62", "0x1.97c3885eca3fap-53",
-         "0x1.dda8da97e3c79p-62"),
-    ),
-    "lognormal_gate_boundary": (
-        ("0x1.1c374458a9310p-11", "0x1.37d435b5e495fp-15", "0x1.f230a68f8e6d3p-12",
-         "0x1.00cb246771e8fp-14", "0x1.82c641f9deab5p-18"),
-        ("0x1.205224c972c44p-28", "0x1.c0f7360dac138p-35", "0x1.1a3399e294187p-28",
-         "0x1.71ba06d5e4772p-34", "0x1.5e8b2e1c67dafp-38"),
-        ("0x1.98f51069b82a6p-53", "0x1.63a2b0fc8d4bep-62", "0x1.97c3885eca3fap-53",
-         "0x1.24de5a88f5860p-61", "0x1.95360c9ea55c9p-66"),
-    ),
-    "logweibull_second_order": (
-        ("0x1.7ba6c328c4939p-5", "0x1.d16f6f9d2be39p-8", "0x1.4178d5351f172p-5",
-         "0x1.d16f6f9d2be39p-8"),
-        ("0x1.1c7a66a8e34a5p-26", "0x1.03551afe029e9p-30", "0x1.0c4514f903207p-26",
-         "0x1.03551afe029e9p-30"),
-        ("0x1.dbc1e395e8c1cp-57", "0x1.9b3ca2eb1283cp-62", "0x1.cee7fe7e902dap-57",
-         "0x1.9b3ca2eb1283cp-62"),
-    ),
-    "multiplicity_pair": (
-        ("0x1.06cc1bae82f08p-9", "0x1.06cc1bae82f08p-10", "0x1.06cc1bae82f08p-9"),
-        ("0x1.6773181948db7p-11", "0x1.6773181948db7p-12", "0x1.6773181948db7p-11"),
-        ("0x1.a0219935993eap-13", "0x1.a0219935993e9p-14", "0x1.a0219935993eap-13"),
-    ),
-    "symmetric_moments": (
-        ("0x1.8183f4b45b54cp-16", "0x1.37fc66ad14b76p-33", "0x1.7cd79b5647ca6p-16",
-         "0x0.0p+0", "0x1.0c1ce83cbdce9p-22", "0x0.0p+0",
-         "0x1.ef96f4824c8e0p-26"),
-        ("0x1.463e584a3b4f3p-27", "0x1.aa25e1a2df592p-48", "0x1.452006b593078p-27",
-         "0x0.0p+0", "0x1.1600f636e745cp-35", "0x0.0p+0",
-         "0x1.0a13ce2c0dff1p-40"),
-        ("0x1.4d05d52c60667p-47", "0x1.5cd638c5271f4p-71", "0x1.4cad3c3be5034p-47",
-         "0x0.0p+0", "0x1.5f6eff7de37d7p-57", "0x0.0p+0",
-         "0x1.7a6137d4bf0dap-64"),
-    ),
-    "weibull_oracle_check": (
-        ("0x1.b37739c0691d2p-11", "0x1.78a4307cc381bp-22", "0x1.a190cebc684f8p-11",
-         "0x1.d1f83957f2bf4p-16", "0x1.ab549ca09bcebp-18"),
-        ("0x1.ae2ab70c0362cp-15", "0x1.1b8111c863761p-27", "0x1.a403129922fd2p-15",
-         "0x1.1eb30c87cfdd7p-20", "0x1.320c0ea1e6a95p-23"),
-        ("0x1.2513c924710d1p-20", "0x1.23f7bb205fdd5p-34", "0x1.210280ade9237p-20",
-         "0x1.e2b11709eb488p-27", "0x1.2f9921d04c686p-30"),
-    ),
-    "weibull_third_order": (
-        ("0x1.b57058c7552dbp-11", "0x1.f9e06c3c045b8p-28", "0x1.a190cebc684f8p-11",
-         "0x1.d1f83957f2bf4p-16", "0x1.ab549ca09bcebp-18", "0x1.f91f06ec10a5fp-19"),
-        ("0x1.ae8f83acc24b5p-15", "0x1.d1d7780ec9b0fp-34", "0x1.a403129922fd2p-15",
-         "0x1.1eb30c87cfdd7p-20", "0x1.320c0ea1e6a95p-23", "0x1.933282fba26e4p-25"),
-        ("0x1.252205b72f5dbp-20", "0x1.25753f15bb05bp-41", "0x1.210280ade9237p-20",
-         "0x1.e2b11709eb488p-27", "0x1.2f9921d04c686p-30", "0x1.c79257ca14357p-33"),
-    ),
-}
+SHIPPED = sorted(name[:-len(".json")] for name in os.listdir(CONFIGS))
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED_EVALUATION_BITS))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_evaluation_keeps_its_bits(name):
+    # (total, benchmark, term values...) at three geometric points spanning
+    # each shipped config's window
     doc = config.load_config(f"{CONFIGS}/{name}.json")
     dist = config.build_distribution(doc)
     exp = config.build_expansion(doc, dist, config.build_weights(doc, dist), None)
     grid = np.geomspace(doc["grid"]["t_min"], doc["grid"]["t_max"], 3)
     table = lt.evaluate(exp, dist, grid)
-    got = tuple(tuple(v.hex() for v in (total, bench, *row)) for total, bench, row in
+    pins.check(f"expansion/shipped_evaluation/{name}",
+               [[total, bench, *row] for total, bench, row in
                 zip(table.totals.tolist(), table.benchmark.tolist(),
-                    table.term_values.tolist()))
-    assert got == SHIPPED_EVALUATION_BITS[name]
+                    table.term_values.tolist())])
 
 
 def test_evaluation_keeps_the_bits_of_numpy_pow():
@@ -735,10 +663,8 @@ def test_evaluation_keeps_the_bits_of_numpy_pow():
     w = lt.weibull_type(0.4)
     exp = lt.expand(w, lt.WeightSequence([1.0, 0.5]), 2)
     table = lt.evaluate(exp, w, [337.9477326726668])
-    row = (table.totals[0], table.benchmark[0], *table.term_values[0])
-    assert tuple(float(v).hex() for v in row) == (
-        "0x1.298d8b3cdfe9ep-15", "0x1.601eb3556d712p-28", "0x1.22f01236c8b57p-15",
-        "0x1.7813aae5a4c5cp-21", "0x1.7a54b50142bc6p-24")
+    pins.check("expansion/numpy_pow",
+               [table.totals[0], table.benchmark[0], *table.term_values[0]])
 
 
 def _dense_grids(doc):
@@ -759,63 +685,14 @@ def _evaluation_digest(table) -> str:
     return hashlib.sha256(text.encode() + flags + "\n".join(table.notes).encode()).hexdigest()
 
 
-# per shipped config, the digests of its window, deep and below-anchor grids
-DENSE_EVALUATION_DIGESTS = {
-    "cancellation_pair": (
-        "b30bbf5c89e4a4e6159c3e5bd9ec4fe627c03ac7b3175623e0affb3c44eabbfc",
-        "4ffe8b1221eb5e2d74249de7c3c1fc5116728395b1c224a9ad4f69625988a901",
-        "057ef0337f6aab196eb94ffae28d9faad37e304c65b6dc91a0b49124a05d396c",
-    ),
-    "lognormal_gate_above": (
-        "2a982afa246f079b8a3710abe57f176e150811d04a994dcbc3cef1949936e960",
-        "92fc34688b748ce91bd9448f8ba1c5479c3d1e3a455ac6397c8356cf964fe6de",
-        "2c65f35a4dc7f594788455d52387bd2a48e277601376085f38f4cabeaba0006e",
-    ),
-    "lognormal_gate_below": (
-        "421e1dbf97ca172158489fd8fe33b7f90b7ab129478936afb87257c279229bb9",
-        "f7a3a15691d737ae89a3beeb8398ce1df8163cfe174863ca5033f8d275947355",
-        "f5b76611b3714197d62f9de8351eb8b2581fe33da9f4c5820ac7aad67d0fa001",
-    ),
-    "lognormal_gate_boundary": (
-        "60389ce8d358cad6204aaf5e53e04740a4726beeebfbc159e2c89ef4d47ce873",
-        "59892e90ca5b94fc30fdcf386f9f1702df91520b64b6157d8de23237853eb70d",
-        "b9335f7332b7d2a94c4dda96c50901f918a85e47395f7ae5502948c75da18e57",
-    ),
-    "logweibull_second_order": (
-        "9d3adbec7583721f9d2dd80acc47c796ff325e151f56cd4fd68b0ce764616b5c",
-        "a69786da71bac270243af99ad7b6f43b05317880586d76f869547d9995463d89",
-        "750705bbac68992b151ac664b0b72748179ec38f128fd346753a994efbc08c77",
-    ),
-    "multiplicity_pair": (
-        "828e69ca3fc10527b833429002b55d13bb78d947d2612664a490d459b1bfb751",
-        "53c881795608e1d17c638a4a0d9ca81ebbdfcce8d8272d4618da7e6fb7225d80",
-        "9c97de9f7ee16dadd52f75ff9a353d0fad4d74f80fb1058981392dc11812fa8f",
-    ),
-    "symmetric_moments": (
-        "28201be704059a1363c017d6dff9cf97778110363be29c0bde56b3e9553aa935",
-        "1e88254257ea3ac0d7f6d980807b27df24fb32d71bf11a5ee747ff2781c795a1",
-        "3343558cb58a99c27514f753b3ff6bc479c67f9ee9d48065c4c2f7ae6c883e61",
-    ),
-    "weibull_oracle_check": (
-        "43ba337291abdc4808eedb19e7b952b77bd2ab2bcbaf2cefa20a609c6f1f944c",
-        "a0f83337a401b4277616dfd0a3763daa2a6fd56b6a5fa9aadf2cdcdfbd781c9a",
-        "332de364b82c158bee33d95baf3899d6af11c373432887cbb6b7bff05fc16ffb",
-    ),
-    "weibull_third_order": (
-        "f70b0f2c89b4eb69476ba250737d2435169a85ad35c9b71afdf864b037244e7d",
-        "7866ee5ef926c604f2fbf2b1a55b5432b10d88d56c060a776a1417b252c64752",
-        "189bc2859b498ffd89014c46a870566ec4b1479ac1fab2656b4aa1fc95ccccd6",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(DENSE_EVALUATION_DIGESTS))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_dense_evaluation_keeps_its_bits(name):
+    # the digests of each shipped config's window, deep and below-anchor grids
     doc = config.load_config(f"{CONFIGS}/{name}.json")
     dist = config.build_distribution(doc)
     exp = config.build_expansion(doc, dist, config.build_weights(doc, dist), None)
-    got = tuple(_evaluation_digest(lt.evaluate(exp, dist, grid)) for grid in _dense_grids(doc))
-    assert got == DENSE_EVALUATION_DIGESTS[name]
+    pins.check(f"expansion/dense_evaluation/{name}",
+               [_evaluation_digest(lt.evaluate(exp, dist, grid)) for grid in _dense_grids(doc)])
 
 
 def test_evaluate_reads_each_mixture_point_once():
@@ -836,11 +713,15 @@ def test_evaluate_reads_each_mixture_point_once():
 
     upper = replace(mix.upper, **{name: counted(name)
                                   for name in ("cum_hazard", "cum_and_components")})
-    grid = _dense_grids(doc)[1]  # deep: every point in both scales' tails
-    table = lt.evaluate(exp, replace(mix, upper=upper), grid)
+    watched = replace(mix, upper=upper)
+    window, deep, below = _dense_grids(doc)  # deep: every point in both scales' tails
+    deep_table = lt.evaluate(exp, watched, deep)
     scales = {term.scale for term in exp.terms} | {exp.remainder.scale}
-    assert reads == {"cum_and_components": grid.size * len(scales)}
-    assert _evaluation_digest(table) == DENSE_EVALUATION_DIGESTS["cancellation_pair"][1]
+    assert reads == {"cum_and_components": deep.size * len(scales)}
+    pins.check("expansion/dense_evaluation/cancellation_pair",
+               [_evaluation_digest(lt.evaluate(exp, watched, window)),
+                _evaluation_digest(deep_table),
+                _evaluation_digest(lt.evaluate(exp, watched, below))])
 
 
 # -- leading-order consistency across regimes ------------------------------------

@@ -12,6 +12,7 @@ import lighttails as lt
 from lighttails import hazard
 from lighttails.hazardpoly import poly_values, survival_derivative_polys
 
+import pins
 from helpers import (faa_di_bruno_ratio, hand_survival_ratio, log_power_sum_reference,
                      richardson_derivative)
 
@@ -61,8 +62,7 @@ def test_poly_coefficient_sign_follows_degree():
 def test_poly_key_order_is_pinned():
     # poly_values sums in dict order, so evaluate's bits depend on the key order
     text = repr([list(p.items()) for p in survival_derivative_polys(8)])
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "8833a23107a21ad533aec1557d3640ee94473e24b040e7f1652c4812ae08bbe0")
+    pins.check("hazard/poly_key_order", hashlib.sha256(text.encode()).hexdigest())
 
 
 # -- survival evaluation ----------------------------------------------------

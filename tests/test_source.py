@@ -1,8 +1,10 @@
 """Source hygiene: no private helper under src/lighttails that nothing calls,
-no public read of a law or a weight sequence that nothing calls, and the
-runtime dependencies pyproject.toml declares are the ones it imports."""
+no public read of a law or a weight sequence that nothing calls, the
+runtime dependencies pyproject.toml declares are the ones it imports, and
+no test spells a pinned value that belongs in tests/pins.json."""
 
 import ast
+import hashlib
 import pathlib
 import re
 import sys
@@ -187,3 +189,31 @@ def f():
 """
     assert _third_party_imports({"m.py": source}) == {"numpy", "scipy", "jsonschema"}
     assert {"scipy.integrate", "scipy.interpolate"} <= _absolute_imports({"m.py": source})
+
+
+# a float.hex or a sha256 digest: in a test, always a pin
+PINNED_SHAPE = re.compile(r"-?0x[0-9a-f]\.[0-9a-f]+p[-+]\d+|[0-9a-f]{64}")
+
+
+def _pin_literals(sources: dict) -> list[str]:
+    """Each string literal of the sources (file name -> text), with where it
+    is, that is shaped like a float.hex or a sha256 digest."""
+    return [f"{file}:{node.lineno} {node.value}" for file, text in sources.items()
+            for node in ast.walk(ast.parse(text, filename=file))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and PINNED_SHAPE.fullmatch(node.value)]
+
+
+def test_no_test_spells_a_pin():
+    sources = {path.name: path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))}
+    assert len(sources) > 10
+    found = _pin_literals(sources)
+    assert not found, f"pinned values belong in tests/pins.json: {found}"
+
+
+def test_the_guard_flags_a_spelled_pin():
+    spelled = [float.hex(-0.1), float.hex(1e300), hashlib.sha256(b"").hexdigest()]
+    source = "\n".join([f"A = {spelled[0]!r}", f"B = ({spelled[1]!r}, 'inf', 0.1)",
+                        f"def f():\n    return f'{{A}}' == {spelled[2]!r}"])
+    assert _pin_literals({"m.py": source}) == [f"m.py:{line} {value}"
+                                               for line, value in zip((1, 2, 4), spelled)]

@@ -8,6 +8,7 @@ import pytest
 
 import lighttails as lt
 from lighttails.config import build_weights
+import pins
 from helpers import geometric_power_sum
 
 ONE_SIDED = lt.weibull_type(0.4)
@@ -236,45 +237,18 @@ def test_levels_are_the_truncated_entries(ratio):
     assert exp.remainder.scale == abs(entries[-1])
 
 
-# float.hex of the generated weights c_3..c_40 of [1, 0.5] continued by ratio
-# 0.3: each is (c_2 * 0.3) * 0.3^(i - 3), which differs in the last bit from
-# c_2 * 0.3^(i - 2) at 13 of these indices
-PINNED_WEIGHTS_0_3 = [
-    "0x1.3333333333333p-3", "0x1.70a3d70a3d70ap-5", "0x1.ba5e353f7ced9p-7",
-    "0x1.096bb98c7e281p-8", "0x1.3e81450efdc9cp-10", "0x1.7e34b945308bap-12",
-    "0x1.caa5ab1fd3dacp-14", "0x1.133033797f1cdp-15", "0x1.4a39d75e9888fp-17",
-    "0x1.8c4568d7ea3e0p-19", "0x1.db867dcfe5e3ep-21", "0x1.1d50b1e32388cp-22",
-    "0x1.5660d576f770ep-24", "0x1.9ada99c1f5baap-26", "0x1.ed06521bf3accp-28",
-    "0x1.27d097aa5f014p-29", "0x1.62fa4f993ece5p-31", "0x1.a9f92c517e911p-33",
-    "0x1.ff2b01fb64ae2p-35", "0x1.32b36796d6021p-36", "0x1.700a7c4e9a68ep-38",
-    "0x1.b9a62ec4b94aap-40", "0x1.08fd4f42d5933p-41", "0x1.3dfcc58366b09p-43",
-    "0x1.7d95b9d0e1a0bp-45", "0x1.c9e6defaa85a7p-47", "0x1.12bdb8fccb697p-48",
-    "0x1.49b07795c0e4fp-50", "0x1.8ba08f808112ap-52", "0x1.dac0ac33ce165p-54",
-    "0x1.1cda00ebe20d7p-55", "0x1.55d2678175a9bp-57", "0x1.9a2faf6826cbap-59",
-    "0x1.ec3938e361c11p-61", "0x1.275588886dda4p-62", "0x1.6266a3d6ea391p-64",
-    "0x1.a947f7ceb2aaep-66", "0x1.fe565c91a3337p-68",
-]
-PINNED_POWER_SUMS_0_3 = [
-    "0x1.b6db6db6db6dcp+0", "0x1.4654654654654p+0", "0x1.20e35259fb43ap+0",
-    "0x1.102172d311021p+0", "0x1.0804fd1f8d477p+0", "0x1.0400bf3e0d61fp+0",
-    "0x1.02001cabf5a3ap+0", "0x1.0100044cd34b4p+0",
-]
-PINNED_RESIDUALS_0_3 = [
-    "0x1.9075075075076p+0", "0x1.4091d5ea2b6f8p+0", "0x1.2006233f5b853p+0",
-    "0x1.1000455bdf725p+0", "0x1.0800031a790b8p+0", "0x1.04000023b0bf5p+0",
-    "0x1.020000019af1ap+0", "0x1.01000000127d6p+0",
-]
-
-
 def test_generated_weights_and_sums_are_pinned_at_a_non_dyadic_ratio():
+    # the generated weights c_3..c_40 of [1, 0.5] continued by ratio 0.3: each
+    # is (c_2 * 0.3) * 0.3^(i - 3), which differs in the last bit from
+    # c_2 * 0.3^(i - 2) at 13 of these indices
     doc = {"weights": {"weights": [1.0, 0.5], "delta": 0.5,
                        "generator": {"type": "geometric", "ratio": 0.3, "from_index": 3}}}
     for seq in (build_weights(doc, ONE_SIDED), lt.WeightSequence([1.0, 0.5], ratio=0.3)):
-        assert [float.hex(seq.weight(i)) for i in range(3, 41)] == PINNED_WEIGHTS_0_3
-        assert [float.hex(seq.power_sum(n)) for n in range(1, 9)] == PINNED_POWER_SUMS_0_3
-        assert [float.hex(seq.residual_power_sum(3, n))
-                for n in range(1, 9)] == PINNED_RESIDUALS_0_3
-        assert float.hex(seq.abs_sum()) == "0x1.b6db6db6db6dcp+0"
+        pins.check("weights/geometric0.3/weights", [seq.weight(i) for i in range(3, 41)])
+        pins.check("weights/geometric0.3/power_sums", [seq.power_sum(n) for n in range(1, 9)])
+        pins.check("weights/geometric0.3/residual_power_sums",
+                   [seq.residual_power_sum(3, n) for n in range(1, 9)])
+        pins.check("weights/geometric0.3/abs_sum", seq.abs_sum())
         assert seq.truncation_index(1e-9) == 18
 
 

@@ -1,6 +1,5 @@
-"""sha256 of every CLI artifact, as JSON on stdout; `--check OLD.json` instead
-exits 1 and names each artifact whose hash differs from OLD.json, and
-`--against REV` checks in the same way against the artifacts of REV's src/.
+"""sha256 of every CLI artifact, as JSON on stdout; `--against REV` instead
+exits 1 and names each artifact whose hash differs from those of REV's src/.
 
     python tools/artifact_manifest.py --against HEAD    # the byte gate of a change
 
@@ -179,30 +178,23 @@ def _start_child(rev: str, tmp: str) -> subprocess.Popen:
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    gate = ap.add_mutually_exclusive_group()
-    gate.add_argument("--check", metavar="OLD.json")
-    gate.add_argument("--against", metavar="REV")
+    ap.add_argument("--against", metavar="REV")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), metavar="DIR")
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     from lighttails import config  # the functions above read this module global
     with tempfile.TemporaryDirectory() as rev_src, tempfile.TemporaryDirectory() as work:
-        if args.against:
-            with _start_child(args.against, rev_src) as child:  # waits for it on exit
-                got = manifest(work)
-                stdout = child.stdout.read()
-            if child.returncode:
-                sys.exit(f"hashing {args.against} failed")
-            old = json.loads(stdout)
-        else:
+        if not args.against:
+            print(json.dumps(manifest(work), indent=2, sort_keys=True))
+            sys.exit(0)
+        with _start_child(args.against, rev_src) as child:  # waits for it on exit
             got = manifest(work)
-    if args.check:
-        with open(args.check) as fh:
-            old = json.load(fh)
-    if args.check or args.against:
-        bad = sorted(k for k in old.keys() | got.keys() if old.get(k) != got.get(k))
-        for k in bad:
-            print(f"differs: {k}", file=sys.stderr)
-        print(f"{len(got)} artifacts, {len(bad)} differ", file=sys.stderr)
-        sys.exit(1 if bad else 0)
-    print(json.dumps(got, indent=2, sort_keys=True))
+            stdout = child.stdout.read()
+    if child.returncode:
+        sys.exit(f"hashing {args.against} failed")
+    old = json.loads(stdout)
+    bad = sorted(k for k in old.keys() | got.keys() if old.get(k) != got.get(k))
+    for k in bad:
+        print(f"differs: {k}", file=sys.stderr)
+    print(f"{len(got)} artifacts, {len(bad)} differ", file=sys.stderr)
+    sys.exit(1 if bad else 0)
