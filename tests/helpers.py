@@ -13,6 +13,11 @@ from itertools import product
 import numpy as np
 from scipy.optimize import brentq
 
+# a mixture of eight positive components: from 8 on, a scalar read adds the
+# components in np.sum's pairwise order, which differs from left-to-right
+# addition at about half of the tail points
+EIGHT_COMPONENTS = [(0.4 * 0.5 ** i, 1.0 + 0.5 * i, [(1.0, 1.5)]) for i in range(8)]
+
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` positive integers summing to `total`."""

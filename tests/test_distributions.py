@@ -14,7 +14,8 @@ from lighttails.config import build_distribution, load_config
 from lighttails.oracle import _CHUNK
 
 import pins
-from helpers import brentq_quantile, two_branch_symmetric_ppf, weibull_raw_moment
+from helpers import (EIGHT_COMPONENTS, brentq_quantile, two_branch_symmetric_ppf,
+                     weibull_raw_moment)
 
 
 # each law's label, in the spelling closed_form_reference parses
@@ -392,10 +393,6 @@ def test_mixture_components_and_validity():
     comps = lt.ScaledFactor(mix, 0.5).tail_reads(0, 10.0)[1][0]
     assert comps[0] == pytest.approx(e1(20.0), rel=1e-13)
 
-
-# eight components: their sum differs between left-to-right addition and
-# np.sum's pairwise order at each point pinned below
-EIGHT_COMPONENTS = [(0.4 * 0.5 ** i, 1.0 + 0.5 * i, [(1.0, 1.5)]) for i in range(8)]
 
 # tail points of the two shipped mixtures and of EIGHT_COMPONENTS, whose
 # scalar reads keep the bits they had when every one summed its components

@@ -18,6 +18,7 @@ from lighttails.expansion import (ExpansionTerm, RemainderScale, TailExpansion,
 from lighttails.hazard import HazardModel, functional_diverges, subcritical_functional
 
 import pins
+from helpers import EIGHT_COMPONENTS
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 E1 = lambda t: math.exp(-math.log(t) ** 1.5)
@@ -693,6 +694,16 @@ def test_dense_evaluation_keeps_its_bits(name):
     exp = config.build_expansion(doc, dist, config.build_weights(doc, dist), None)
     pins.check(f"expansion/dense_evaluation/{name}",
                [_evaluation_digest(lt.evaluate(exp, dist, grid)) for grid in _dense_grids(doc)])
+
+
+def test_dense_evaluation_of_eight_components_keeps_its_bits():
+    # the digests across its tail and from below its anchor: the log-survival
+    # sums the eight components in np.sum's pairwise order
+    mix = lt.log_power_mixture(EIGHT_COMPONENTS)
+    exp = lt.expand(mix, lt.WeightSequence([1.0, 0.5]), 1)
+    pins.check("expansion/dense_evaluation/eight",
+               [_evaluation_digest(lt.evaluate(exp, mix, grid))
+                for grid in (np.geomspace(2.5, 1e6, 1000), np.geomspace(1.01, 1e5, 1000))])
 
 
 def test_evaluate_reads_each_mixture_point_once():

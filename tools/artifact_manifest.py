@@ -28,7 +28,9 @@ with generator ratio 0.9 at n = 20000, 219 rows of which most are past
 their zero point over whole tiles; weibull_oracle_check also with the
 command line's --order and --seed overrides.  A dense section runs evaluate, then report, on the
 1000-point window and deep grids of each shipped config, built as the
-benchmark's analytic-dense workload builds them.
+benchmark's analytic-dense workload builds them, and on a mixture of eight
+components at order 1 with weights [1, 0.5], on 1000 points across its tail
+and on 1000 from below its anchor.
 Output goes to a temporary directory; no artifact records it.  The configs
 and the workloads are this checkout's; --src names the lighttails source
 tree to run, this checkout's src/ by default.  --against extracts REV's src/
@@ -79,6 +81,19 @@ GENERATED = {"weights": [1.0, 0.5], "generator": {"type": "geometric", "ratio": 
 # c_2, so one class holds a head weight and a generated one
 TIE = {"weights": [1.0, 0.25, 0.5], "generator": {"type": "geometric", "ratio": 0.5,
                                                   "from_index": 4}}
+# eight positive components: from 8 on, a mixture sums its components in
+# np.sum's pairwise order
+EIGHT = {"family": "log_power_mixture", "t0": 2.0, "params": {"components": [
+    {"coeff": 0.4 * 0.5 ** i, "scale": 1.0 + 0.5 * i, "log_powers": [[1.0, 1.5]]}
+    for i in range(8)]}}
+DENSE_VARIANTS = {
+    "cancellation_pair+eight": {"distribution": EIGHT, "weights": {"weights": [1.0, 0.5]},
+                                "expansion": {"order": 1},
+                                "grid": {"t_min": 2.5, "t_max": 1e6, "points": 1000}},
+    "cancellation_pair+eight+below_anchor": {
+        "distribution": EIGHT, "weights": {"weights": [1.0, 0.5]}, "expansion": {"order": 1},
+        "grid": {"t_min": 1.01, "t_max": 1e5, "points": 1000}},
+}
 VARIANTS = {
     "weibull_oracle_check": {
         "": {},
@@ -134,6 +149,18 @@ def _hash_dir(out: dict, name: str, out_dir: str):
             out[f"{name}/{art}"] = hashlib.sha256(fh.read()).hexdigest()
 
 
+def _write_variant(work: str, name: str, patch: dict) -> tuple[str, str]:
+    """(config path, output directory) of the shipped config named before the
+    first + in name, with patch's sections laid over its own."""
+    with open(os.path.join(ROOT, "configs", name.split("+")[0] + ".json")) as fh:
+        doc = json.load(fh)
+    path, out_dir = os.path.join(work, name + ".json"), os.path.join(work, name)
+    with open(path, "w") as fh:
+        json.dump({**doc, **{key: {**doc.get(key, {}), **section}
+                             for key, section in patch.items()}}, fh)
+    return path, out_dir
+
+
 def dense_manifest(work: str) -> dict:
     """evaluation.csv, report.json and report_verified.json of each dense grid."""
     out = {}
@@ -144,20 +171,20 @@ def dense_manifest(work: str) -> dict:
     for op in ops:
         if op.command == "report":
             _hash_dir(out, "dense/" + os.path.basename(op.out_dir), op.out_dir)
+    for name, patch in DENSE_VARIANTS.items():
+        path, out_dir = _write_variant(work, name, patch)
+        config.run_command("evaluate", path, out_dir)
+        config.run_command("report", os.path.join(out_dir, "report.json"), out_dir)
+        _hash_dir(out, "dense/" + name, out_dir)
     return out
 
 
 def manifest(work: str) -> dict:
     out = dense_manifest(os.path.join(work, "dense"))
     for fn in sorted(os.listdir(os.path.join(ROOT, "configs"))):
-        with open(os.path.join(ROOT, "configs", fn)) as fh:
-            doc = json.load(fh)
         for suffix, patch in VARIANTS.get(fn[:-5], {"": {}}).items():
             name = fn[:-5] + suffix
-            path, out_dir = os.path.join(work, name + ".json"), os.path.join(work, name)
-            with open(path, "w") as fh:
-                json.dump({**doc, **{key: {**doc.get(key, {}), **section}
-                                     for key, section in patch.items()}}, fh)
+            path, out_dir = _write_variant(work, name, patch)
             for command in ("classify", "expand", "evaluate", "oracle", "compare"):
                 config.run_command(command, path, out_dir, **OVERRIDES.get(name, {}))
             config.run_command("report", os.path.join(out_dir, "report.json"), out_dir)
