@@ -30,14 +30,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (DegenerateWeightError, QuadratureToleranceError,
                      UnsupportedSignError)
-from .hazard import HazardModel, LogPowerSum, log_abs, quad
+from .hazard import HazardModel, LogPowerSum, libm, log_abs, quad
 
 __all__ = [
     "TailDistribution",
@@ -565,9 +565,40 @@ def custom_hazard(terms: Sequence[tuple[float, float, float]],
     return _ramped(upper, lambda t: (log_sbar - upper.cum_hazard(t), t * h(t)))
 
 
+def _left_sum(items):
+    # left to right from 0.0, on any Python: sum() compensates floats from 3.12
+    return reduce(operator.add, items, 0.0)
+
+
+def _float_order_sum(vals):
+    """A mixture's components added in np.sum's order, which its float reads were
+    recorded in: left to right below 8 terms, numpy's pairwise sum from 8 on,
+    which a (k, n) grid takes per point only along a contiguous axis."""
+    if len(vals) < 8:
+        return _left_sum(vals)
+    return np.ascontiguousarray(np.transpose(vals)).sum(axis=-1)
+
+
+class _Read:
+    """The log, exp, power and sum that a read of a mixture's components calls.
+    A float reads through math, as the quadrature callbacks and the values that
+    classify and expand were recorded; an array through numpy's loops, as the
+    validity probe, sf_batch and the quantile solver were; a grid maps math over
+    the array with libm, so that evaluate's tail reads keep a float read's bits."""
+
+    def __init__(self, log, exp, power, total):
+        self.log, self.exp, self.power, self.total = log, exp, power, total
+
+
+_FLOAT = _Read(math.log, math.exp, operator.pow, lambda vals: float(_float_order_sum(vals)))
+_ARRAY = _Read(np.log, np.exp, operator.pow, lambda vals: vals.sum(axis=0))
+_GRID = _Read(partial(libm, math.log), partial(libm, math.exp),
+              lambda x, e: libm(lambda v: v ** e, x), _float_order_sum)
+
+
 def _xp(t):
-    """math for a scalar (a 0-d array included), numpy for an array."""
-    return np if getattr(t, "ndim", 0) else math
+    """The float read for a scalar (a 0-d array included), numpy's for an array."""
+    return _ARRAY if getattr(t, "ndim", 0) else _FLOAT
 
 
 def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[float, float]]]],
@@ -588,67 +619,49 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
     if t0 <= 1.0:  # the validity probe below runs before HazardModel checks t0
         raise ValueError("t0 must exceed 1")
 
-    def left_sum(items):
-        # left to right from 0.0, on any Python: sum() compensates floats from 3.12
-        return reduce(operator.add, items, 0.0)
-
     def psi(xp, b, ts, t):
         lg = xp.log(b * t)
-        return sum(w * lg**e for w, e in ts)
+        return _left_sum(w * xp.power(lg, e) for w, e in ts)
 
     def psi_prime(xp, b, ts, t):
         lg = xp.log(b * t)
-        return sum(w * e * lg ** (e - 1.0) for w, e in ts) / t
+        return _left_sum(w * e * xp.power(lg, e - 1.0) for w, e in ts) / t
 
-    # One formula for scalars and arrays.  A scalar read is plain floats
-    # through math, no numpy: math keeps the values that classify, expand and
-    # evaluate record bit for bit (numpy's exp differs from math.exp in the
-    # last bit on some inputs).  Arrays broadcast through numpy, one row per
-    # component.
-    def component_values(t):
-        xp = _xp(t)
+    # one formula for the three reads: a list of floats for _FLOAT, one row
+    # per component for _ARRAY and _GRID
+    def component_values(xp, t):
         vals = [a * xp.exp(-psi(xp, b, ts, t)) for a, b, ts in comps]
-        return vals if xp is math else np.array(vals)
+        return vals if xp is _FLOAT else np.array(vals)
 
-    # a scalar's components add in np.sum's order, which they were recorded
-    # in: left to right below 8 terms, numpy's pairwise sum from 8 on
-    scalar_sum = left_sum if len(comps) < 8 else (lambda vals: float(np.sum(vals)))
-
-    def component_sum(vals):
-        return scalar_sum(vals) if isinstance(vals, list) else vals.sum(axis=0)
-
-    def sf_value(t):
-        return scalar_sum(component_values(t))
-
-    def positive_sum(vals, t):
-        total = component_sum(vals)
+    def positive_sum(xp, vals, t):
+        total = xp.total(vals)
         low = total <= 0.0
         if low if isinstance(low, bool) else low.any():
             raise ValueError(f"mixture survival nonpositive at t = {np.extract(low, t)[0]}")
         return total
 
-    def weighted_psi_prime(vals, t):
-        xp = _xp(t)
-        return left_sum(v * psi_prime(xp, b, ts, t) for v, (_, b, ts) in zip(vals, comps))
+    def weighted_psi_prime(xp, vals, t):
+        return _left_sum(v * psi_prime(xp, b, ts, t) for v, (_, b, ts) in zip(vals, comps))
 
     def hazard_value(t):
-        vals = component_values(t)
-        return weighted_psi_prime(vals, t) / component_sum(vals)
+        xp = _xp(t)
+        vals = component_values(xp, t)
+        return weighted_psi_prime(xp, vals, t) / xp.total(vals)
 
     def log_sf_slope(t):
-        # (log S(t), t h(t)) for the quantile solver, from one evaluation of
-        # the components
-        vals = component_values(t)
-        total = positive_sum(vals, t)
-        return np.log(total), t * weighted_psi_prime(vals, t) / total
+        # (log S(t), t h(t)) on the quantile solver's array, from one
+        # evaluation of the components
+        vals = component_values(_ARRAY, t)
+        total = positive_sum(_ARRAY, vals, t)
+        return np.log(total), t * weighted_psi_prime(_ARRAY, vals, t) / total
 
     # validity: survival must be positive and nonincreasing on 8 decades from t0
     probe = np.geomspace(t0, t0 * 1e8, 64)
-    sf_probe = component_sum(component_values(probe))
+    sf_probe = _ARRAY.total(component_values(_ARRAY, probe))
     if sf_probe.min() <= 0.0 or (sf_probe[1:] > sf_probe[:-1] * (1.0 + 1e-12)).any():
         raise ValueError("mixture is not a valid tail on [t0, inf): "
                          "survival must be positive and nonincreasing")
-    sbar_t0 = sf_value(t0)
+    sbar_t0 = _FLOAT.total(component_values(_FLOAT, t0))
     if not sbar_t0 < 1.0:
         raise ValueError("mixture survival at t0 must be below 1")
 
@@ -659,19 +672,19 @@ def log_power_mixture(components: Sequence[tuple[float, float, Sequence[tuple[fl
 
     log_sbar = math.log(sbar_t0)
 
-    def cum_and_components(t):
+    def cum_and_components(xp, t):
         # the cumulative hazard and the components it sums, from one evaluation
-        vals = component_values(t)
-        return log_sbar - _xp(t).log(positive_sum(vals, t)), vals
+        vals = component_values(xp, t)
+        return log_sbar - xp.log(positive_sum(xp, vals, t)), vals
 
     upper = HazardModel(
         hazard_derivs=(hazard_value,),
         t0=t0,
         sbar_t0=sbar_t0,
-        cum_hazard=lambda t: cum_and_components(t)[0],
+        cum_hazard=lambda t: cum_and_components(_xp(t), t)[0],
         rv_index=-1.0,
         log_exponent=log_exponent,
         lambda_coeff=lambda_coeff,
-        cum_and_components=cum_and_components,
+        cum_and_components=partial(cum_and_components, _GRID),
     )
     return _ramped(upper, log_sf_slope)

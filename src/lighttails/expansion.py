@@ -393,7 +393,7 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
 
     fail = np.full(n_t, n_terms + 1.0)  # per row, the first column on a failing scale
     notes: dict[int, list[str]] = {}
-    reads = {}  # per scale: its orders, NaN below its domain, and its components by row
+    reads = {}  # per scale: its orders and its (components, grid) array, NaN below its domain
     for c, col in {**first, rem.scale: first.get(rem.scale, n_terms)}.items():
         f = ScaledFactor(dist, c)
         below = f.below_tail(t_grid)
@@ -409,8 +409,9 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
             # over the whole grid: a point below the domain reads the fill past the end
             at = np.where(below, inside.size, np.cumsum(~below) - 1)
             orders = [(np.append(s, 0.0)[at], np.append(l, math.nan)[at]) for s, l in orders]
-        reads[c] = orders, None if pieces is None else dict(
-            zip(np.flatnonzero(~below).tolist(), pieces))
+            if pieces is not None:
+                pieces = np.append(pieces, np.full((len(pieces), 1), math.nan), axis=1)[:, at]
+        reads[c] = orders, pieces
     good = fail > n_terms
 
     # one row per term: sign and log magnitude; a zero coefficient's log is -inf
@@ -443,17 +444,20 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
                     & (n_terms >= 2))
     for r in np.flatnonzero(cancellation).tolist():
         notes[r] = [f"t={t_grid[r]:g}: total nearly vanishes against the largest term"]
-    # opposite-sign closed-form pieces cancelling across terms
-    pieces = [(float(term.coeff), reads[term.scale][1]) for term in expansion.terms
+    # opposite-sign closed-form pieces cancelling across terms: on each good
+    # row, the first pair x < 0 < y in component order that nearly cancels
+    pieces = [float(term.coeff) * reads[term.scale][1] for term in expansion.terms
               if term.deriv_index == 0 and reads[term.scale][1] is not None]
-    for r in np.flatnonzero(good).tolist() if pieces else ():
-        components = [coeff * v for coeff, comps in pieces for v in comps[r]]
-        pair = next(((x, y) for x in components if x < 0 for y in components
-                     if y > 0 and abs(x + y) <= _CANCEL_RATIO * max(-x, y)), None)
-        if pair:
-            cancellation[r] = True
-            notes.setdefault(r, []).append(
-                f"t={t_grid[r]:g}: tail components {pair[0]:.6g} and {pair[1]:.6g} cancel")
+    if pieces:
+        v = np.concatenate(pieces)
+        x, y = v[:, None], v[None]
+        pairs = ((x < 0.0) & (y > 0.0) & good
+                 & (abs(x + y) <= _CANCEL_RATIO * np.maximum(-x, y))).reshape(-1, n_t)
+        hit = np.flatnonzero(pairs.any(axis=0))
+        xi, yi = np.divmod(pairs[:, hit].argmax(axis=0), len(v))
+        cancellation[hit] = True
+        for r, t, a, b in zip(hit.tolist(), t_grid[hit].tolist(), *v[[xi, yi], hit].tolist()):
+            notes.setdefault(r, []).append(f"t={t:g}: tail components {a:.6g} and {b:.6g} cancel")
 
     return EvaluationTable(t=t_grid, term_values=values.T, totals=totals,
                            benchmark=benchmark, cancellation=cancellation, domain_ok=good,

@@ -107,8 +107,8 @@ class LogPowerSum:
         A float skips the array round trip but keeps np.power and np.log:
         their loops differ from libm in the last bit on a few percent of
         inputs, and the quadrature and evaluate artifacts record numpy's
-        bits.  A mixture's scalar read is plain floats through math, with no
-        numpy, for the same reason: its artifacts were recorded from math.
+        bits.  A mixture reads a float through math, and evaluate's grid through
+        math mapped over the array, for the same reason: its bits came from math.
         """
         scalar = isinstance(t, float)
         t = t if scalar else np.asarray(t, dtype=float)
@@ -185,10 +185,10 @@ class HazardModel:
     elementwise over an array: tail_reads and the regime checks read arrays.
     cum_hazard(t) is the integral of h from t0 to t, so
     survival(t) = sbar_t0 * exp(-cum_hazard(t)).
-    cum_and_components, when present, maps a float t to cum_hazard(t) and the
-    signed closed-form pieces whose sum is the survival value, from one
-    evaluation of the pieces; the expansion evaluator uses the pieces to detect
-    cancellation between pieces of different terms.
+    cum_and_components, when present, maps a 1-d array t to cum_hazard(t), with
+    the bits of each point's float read, and the signed closed-form pieces whose
+    sum is the survival value, one row per piece; the expansion evaluator uses
+    the pieces to detect cancellation between pieces of different terms.
     """
 
     hazard_derivs: tuple[Callable, ...]
@@ -243,10 +243,10 @@ class HazardModel:
         return self.tail_reads(k, t)[0][k]
 
     def tail_reads(self, k: int, t):
-        """[(sign, log|S^(j)(t)|) for j = 0..k] and the tail components at each
-        point of t (None on a tail without them), from one read of each point:
-        arrays over an array t, floats for a float t, which takes the same code
-        as a one-element array.  A zero sign encodes an exact zero.  S^(j) =
+        """[(sign, log|S^(j)(t)|) for j = 0..k] and the tail components (None on a
+        tail without them), from one read of t: arrays over an array t, one row
+        of components per piece, and floats for a float t, which takes the same
+        code as a one-element array.  A zero sign encodes an exact zero.  S^(j) =
         P_j(h, ..., h^(j-1)) * S: all orders share one log S(t) and one set of hazards."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
@@ -255,11 +255,8 @@ class HazardModel:
         x = np.asarray(t, dtype=float).reshape(-1)
         if (x < self.t0).any():
             self._check_domain(x[x < self.t0][0])
-        if self.cum_and_components is None:
-            cum, pieces = libm(self.cum_hazard, x), None
-        else:
-            reads = list(map(self.cum_and_components, x.tolist()))
-            cum, pieces = np.array([c for c, _ in reads]), [p for _, p in reads]
+        cum, pieces = ((libm(self.cum_hazard, x), None) if self.cum_and_components is None
+                       else self.cum_and_components(x))
         logsf = math.log(self.sbar_t0) - cum
         hvals = [self.hazard_derivs[j](x) for j in range(k)]
         out = [(np.ones(x.size), logsf)]
@@ -268,7 +265,8 @@ class HazardModel:
                                libm(lambda v: v ** e, hvals[j]))
             out.append((np.copysign(pval != 0.0, pval), libm(log_abs, pval) + logsf))
         if np.ndim(t) == 0:
-            return [(float(sign[0]), float(logabs[0])) for sign, logabs in out], pieces
+            return ([(float(sign[0]), float(logabs[0])) for sign, logabs in out],
+                    None if pieces is None else pieces[:, 0].tolist())
         return out, pieces
 
 

@@ -1,12 +1,16 @@
 """Assembled distributions: CDF consistency, moments, quantiles, scaled tails."""
 
 import math
+import operator
 import os
 import re
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import lighttails as lt
@@ -386,11 +390,11 @@ def test_mixture_components_and_validity():
         [(1.0, 1.0, [(1.0, 1.5)]), (-1.0, 2.0, [(1.0, 1.5)])], t0=2.0)
     for t in (3.0, 30.0, 3000.0):
         assert mix.sf(t) == pytest.approx(e1(t) - e1(2 * t), rel=1e-13)
-        comps = lt.ScaledFactor(mix, 1.0).tail_reads(0, t)[1][0]
+        comps = lt.ScaledFactor(mix, 1.0).tail_reads(0, t)[1]
         assert comps[0] == pytest.approx(e1(t), rel=1e-13)
         assert comps[1] == pytest.approx(-e1(2 * t), rel=1e-13)
     # scaled components evaluate at t / c
-    comps = lt.ScaledFactor(mix, 0.5).tail_reads(0, 10.0)[1][0]
+    comps = lt.ScaledFactor(mix, 0.5).tail_reads(0, 10.0)[1]
     assert comps[0] == pytest.approx(e1(20.0), rel=1e-13)
 
 
@@ -410,10 +414,68 @@ def test_mixture_scalar_reads_keep_their_bits(name):
     mix = (lt.log_power_mixture(EIGHT_COMPONENTS) if name == "eight"
            else shipped(name))
     factor = lt.ScaledFactor(mix, 1.0)
-    got = [[mix.upper.cum_hazard(t), mix.upper.hazard(t), *factor.tail_reads(0, t)[1][0],
+    got = [[mix.upper.cum_hazard(t), mix.upper.hazard(t), *factor.tail_reads(0, t)[1],
             mix.sf(t), mix.logsf(t), mix.pdf(t)] for t in MIXTURE_POINTS[name]]
     assert all(type(v) is float for row in got for v in row)
     pins.check(f"distributions/mixture_reads/{name}", got)
+
+
+def _float_read_components(components, t: float) -> list[float]:
+    """Each component a * exp(-psi) at a float t, as the float read computes it:
+    through math, with psi's terms added left to right from 0.0."""
+    return [a * math.exp(-reduce(operator.add, (w * math.log(b * t) ** e for w, e in ts), 0.0))
+            for a, b, ts in components]
+
+
+def _assert_grid_read_keeps_the_float_bits(mix, components, t):
+    # cum_and_components on the array t against cum_hazard and the components
+    # read at each point as a float, on the int64 view
+    cum, comps = mix.upper.cum_and_components(t)
+    assert comps.shape == (len(components), t.size)
+    floats = t.tolist()
+    want_cum = np.array([mix.upper.cum_hazard(x) for x in floats])
+    want_comps = np.array([_float_read_components(components, x) for x in floats]).T
+    assert cum.view(np.int64).tolist() == want_cum.view(np.int64).tolist()
+    assert comps.view(np.int64).tolist() == want_comps.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURE_POINTS))
+def test_mixture_grid_read_keeps_the_float_reads_bits(name):
+    if name == "eight":
+        components, mix = EIGHT_COMPONENTS, lt.log_power_mixture(EIGHT_COMPONENTS)
+    else:
+        doc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                       name + ".json"))
+        components = [(c["coeff"], c["scale"], c["log_powers"])
+                      for c in doc["distribution"]["params"]["components"]]
+        mix = build_distribution(doc)
+    t = np.concatenate((np.geomspace(mix.upper.t0, 1e9, 3000), MIXTURE_POINTS[name]))
+    _assert_grid_read_keeps_the_float_bits(mix, components, t)
+
+
+@st.composite
+def signed_mixtures(draw):
+    """2 to 9 components: a dominant exp(-log(t)^e), then signed ones of total
+    weight below 1/2 that decay at least as fast, on one or two log powers."""
+    k = draw(st.integers(2, 9))
+    lead = draw(st.floats(1.2, 1.9))
+    components = [(1.0, 1.0, [(1.0, lead)])]
+    for _ in range(k - 1):
+        powers = [(draw(st.floats(1.0, 2.0)), draw(st.floats(lead, 2.0)))]
+        if draw(st.booleans()):
+            powers.append((draw(st.floats(0.1, 1.0)), draw(st.floats(0.25, 1.0))))
+        components.append((draw(st.floats(-0.5, 0.5)) / k, draw(st.floats(1.0, 3.0)), powers))
+    return components
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_mixtures())
+def test_mixture_grid_read_keeps_the_float_reads_bits_on_signed_mixtures(components):
+    try:
+        mix = lt.log_power_mixture(components)
+    except ValueError:  # the validity probe refuses it
+        assume(False)
+    _assert_grid_read_keeps_the_float_bits(mix, components, np.geomspace(2.0, 1e9, 500))
 
 
 def test_mixture_rejects_invalid_tail():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import lighttails as lt
 from lighttails import config
-from lighttails.expansion import (ExpansionTerm, RemainderScale, TailExpansion,
+from lighttails.expansion import (_CANCEL_RATIO, ExpansionTerm, RemainderScale, TailExpansion,
                                   default_diagnostic_grid)
 from lighttails.hazard import HazardModel, functional_diverges, subcritical_functional
 
@@ -706,19 +706,69 @@ def test_dense_evaluation_of_eight_components_keeps_its_bits():
                 for grid in (np.geomspace(2.5, 1e6, 1000), np.geomspace(1.01, 1e5, 1000))])
 
 
-def test_evaluate_reads_each_mixture_point_once():
+def _per_row_component_notes(exp, dist, t_grid, good):
+    """The rows and notes of the check that evaluate ran row by row before it
+    read the components on the whole grid, kept as the reference: on each good
+    row, the first pair x < 0 < y of signed tail components, in component
+    order, with |x + y| <= ratio * max(-x, y)."""
+    rows, notes = [], []
+    for r in np.flatnonzero(good).tolist():
+        components = [float(term.coeff) * v for term in exp.terms if term.deriv_index == 0
+                      for v in lt.ScaledFactor(dist, term.scale).tail_reads(0, t_grid[r])[1]]
+        pair = next(((x, y) for x in components if x < 0 for y in components
+                     if y > 0 and abs(x + y) <= _CANCEL_RATIO * max(-x, y)), None)
+        if pair:
+            rows.append(r)
+            notes.append(f"t={t_grid[r]:g}: tail components {pair[0]:.6g} and {pair[1]:.6g} cancel")
+    return rows, notes
+
+
+def _cancellation_case(name):
+    doc = config.load_config(f"{CONFIGS}/cancellation_pair.json")
+    mix = config.build_distribution(doc)
+    if name != "two_pairs":
+        exp = config.build_expansion(doc, mix, config.build_weights(doc, mix), None)
+        return exp, mix, dict(zip(("window", "deep", "below"), _dense_grids(doc)))[name]
+    # e1(t) - e1(2t) at scales 1, 0.502 and 0.2515 reads the components e1(t),
+    # -e1(2t), e1(1.992t), -e1(3.984t), e1(3.976t), -e1(7.952t): both pairs
+    # nearly cancel up to t = 8 or so, the second alone up to about 2e4, and
+    # neither beyond
+    terms = tuple(ExpansionTerm(scale=c, deriv_index=0, coeff=1.0, source_level=1,
+                                operator_order=0) for c in (1.0, 0.502, 0.2515))
+    exp = TailExpansion(terms=terms, remainder=RemainderScale(hazard_power=0, scale=0.2515),
+                        regime=lt.Regime(lt.RegimeKind.SUBCRITICAL), order_request=0)
+    return exp, mix, np.geomspace(1.5, 1e7, 300)
+
+
+@pytest.mark.parametrize("name", ["window", "deep", "below", "two_pairs"])
+def test_evaluate_component_cancellation_matches_the_per_row_check(name):
+    exp, mix, grid = _cancellation_case(name)
+    table = lt.evaluate(exp, mix, grid)
+    rows, notes = _per_row_component_notes(exp, mix, grid, table.domain_ok)
+    assert rows
+    assert [note for note in table.notes if note.endswith(" cancel")] == notes
+    # the other flags are the signed total's
+    values = table.term_values
+    largest = np.abs(values).max(axis=1, initial=0.0, where=np.isfinite(values))
+    vanishes = (table.domain_ok & (largest > 0.0)
+                & (np.abs(table.totals) < _CANCEL_RATIO * largest) & (len(exp.terms) >= 2))
+    assert (np.flatnonzero(table.cancellation).tolist()
+            == sorted(set(rows) | set(np.flatnonzero(vanishes).tolist())))
+
+
+def test_evaluate_reads_each_mixture_scale_once():
     # the log-survival and the cancellation check share one read of the
-    # components per scale and tail point
+    # components per scale, on the array of that scale's tail points
     doc = config.load_config(f"{CONFIGS}/cancellation_pair.json")
     mix = config.build_distribution(doc)
     exp = config.build_expansion(doc, mix, config.build_weights(doc, mix), None)
-    reads = Counter()
+    reads = []
 
     def counted(name):
         read = getattr(mix.upper, name)
 
         def counting(t):
-            reads[name] += 1
+            reads.append((name, t))
             return read(t)
         return counting
 
@@ -727,8 +777,9 @@ def test_evaluate_reads_each_mixture_point_once():
     watched = replace(mix, upper=upper)
     window, deep, below = _dense_grids(doc)  # deep: every point in both scales' tails
     deep_table = lt.evaluate(exp, watched, deep)
-    scales = {term.scale for term in exp.terms} | {exp.remainder.scale}
-    assert reads == {"cum_and_components": deep.size * len(scales)}
+    scales = sorted({term.scale for term in exp.terms} | {exp.remainder.scale})
+    assert [name for name, _ in reads] == ["cum_and_components"] * len(scales)
+    assert sorted(t.tolist() for _, t in reads) == sorted((deep / c).tolist() for c in scales)
     pins.check("expansion/dense_evaluation/cancellation_pair",
                [_evaluation_digest(lt.evaluate(exp, watched, window)),
                 _evaluation_digest(deep_table),
