@@ -451,8 +451,8 @@ def evaluate(expansion: TailExpansion, dist: TailDistribution, t_grid) -> Evalua
     if pieces:
         v = np.concatenate(pieces)
         x, y = v[:, None], v[None]
-        pairs = ((x < 0.0) & (y > 0.0) & good
-                 & (abs(x + y) <= _CANCEL_RATIO * np.maximum(-x, y))).reshape(-1, n_t)
+        near = abs(x + y) <= _CANCEL_RATIO * np.maximum(-x, y)
+        pairs = ((x < 0.0) & (y > 0.0) & good & near).reshape(len(v) ** 2, n_t)
         hit = np.flatnonzero(pairs.any(axis=0))
         xi, yi = np.divmod(pairs[:, hit].argmax(axis=0), len(v))
         cancellation[hit] = True

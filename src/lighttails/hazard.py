@@ -107,8 +107,8 @@ class LogPowerSum:
         A float skips the array round trip but keeps np.power and np.log:
         their loops differ from libm in the last bit on a few percent of
         inputs, and the quadrature and evaluate artifacts record numpy's
-        bits.  A mixture reads a float through math, and evaluate's grid through
-        math mapped over the array, for the same reason: its bits came from math.
+        bits.  A mixture instead reads a float through math and evaluate's grid
+        through math mapped over it with libm: its artifacts record math's bits.
         """
         scalar = isinstance(t, float)
         t = t if scalar else np.asarray(t, dtype=float)

@@ -633,6 +633,12 @@ def test_evaluate_component_cancellation_flag():
         assert table.totals[i] == pytest.approx(closed, rel=1e-12)
 
 
+def test_evaluate_takes_an_empty_grid():
+    mix = cancelling_mixture()
+    table = lt.evaluate(lt.expand(mix, lt.WeightSequence([1.0, 0.5]), 2), mix, [])
+    assert table.totals.size == table.term_values.size == 0 and table.notes == []
+
+
 def test_evaluate_no_false_cancellation_flag():
     mix = second_order_mixture()
     exp = lt.expand(mix, lt.WeightSequence([1.0, 0.5]), 2)
@@ -713,13 +719,15 @@ def _per_row_component_notes(exp, dist, t_grid, good):
     order, with |x + y| <= ratio * max(-x, y)."""
     rows, notes = [], []
     for r in np.flatnonzero(good).tolist():
-        components = [float(term.coeff) * v for term in exp.terms if term.deriv_index == 0
+        components = [float(term.coeff) * v for term in exp.terms
+                      if term.deriv_index == 0
                       for v in lt.ScaledFactor(dist, term.scale).tail_reads(0, t_grid[r])[1]]
         pair = next(((x, y) for x in components if x < 0 for y in components
                      if y > 0 and abs(x + y) <= _CANCEL_RATIO * max(-x, y)), None)
         if pair:
             rows.append(r)
-            notes.append(f"t={t_grid[r]:g}: tail components {pair[0]:.6g} and {pair[1]:.6g} cancel")
+            notes.append(
+                f"t={t_grid[r]:g}: tail components {pair[0]:.6g} and {pair[1]:.6g} cancel")
     return rows, notes
 
 
